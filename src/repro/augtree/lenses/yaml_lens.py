@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import yaml
-
+from repro import yamlio
 from repro.augtree.lenses.base import Lens
 from repro.augtree.lenses.util import _render_scalar, scalar_to_tree
 from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
+
+
+class _NotOneToOne(Exception):
+    """The loaded value has nodes no single stretch of text produced."""
 
 
 class YamlLens(Lens):
@@ -14,73 +17,68 @@ class YamlLens(Lens):
     file_patterns = ("*.yaml", "*.yml")
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
+        # libyaml leaves a leading byte-order mark out of its mark offsets;
+        # parse past it and count it back in, so offsets index ``text``.
+        shift = 1 if text.startswith("\ufeff") else 0
         try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+            data, marks = yamlio.load_single(text[shift:], yamlio.Loader)
+        except yamlio.YAMLError as exc:
             line = getattr(getattr(exc, "problem_mark", None), "line", None)
             raise self.error(
                 f"invalid YAML: {exc}", line + 1 if line is not None else None
             ) from exc
         root = ConfigNode("(root)")
-        if isinstance(data, dict):
-            for key, value in data.items():
-                scalar_to_tree(str(key), value, root)
-        elif data is not None:
-            scalar_to_tree("(document)", data, root)
-        # ``safe_load`` discards source marks, so spans come from a second
-        # compose() pass.  The composed tree is only trusted when it is
-        # value-identical to the loaded one (mark-less ``__eq__``); any
-        # divergence (merge keys, exotic tags) keeps the span-less tree.
-        spanned = self._spanned_root(text)
-        if spanned is not None and spanned == root:
-            root = spanned
+        try:
+            _SpannedTree(shift).document(data, marks, root)
+        except _NotOneToOne:
+            # Merge keys, a key given twice, !!set and !!omap values: keep
+            # the values and leave the whole tree without spans.
+            root = ConfigNode("(root)")
+            if isinstance(data, dict):
+                for key, value in data.items():
+                    scalar_to_tree(str(key), value, root)
+            elif data is not None:
+                scalar_to_tree("(document)", data, root)
         return ConfigTree(root, source=source, lens=self.name)
 
-    # ---- span harvesting ---------------------------------------------------
 
-    def _spanned_root(self, text: str) -> ConfigNode | None:
-        try:
-            node = yaml.compose(text, Loader=yaml.SafeLoader)
-        except Exception:
-            return None
-        root = ConfigNode("(root)")
-        if node is None:
-            return root
-        constructor = yaml.constructor.SafeConstructor()
-        try:
-            if isinstance(node, yaml.MappingNode):
-                for key_node, value_node in node.value:
-                    key = constructor.construct_object(key_node, deep=True)
-                    self._node_to_tree(str(key), value_node, root,
-                                       constructor, key_node)
-            else:
-                self._node_to_tree("(document)", node, root, constructor, None)
-        except Exception:
-            return None
-        return root
+class _SpannedTree:
+    """:func:`scalar_to_tree` over a loaded document, with each node's
+    span taken from the marks its container kept for it: a mapping entry
+    spans its key through its value, a sequence item spans itself."""
 
-    def _node_to_tree(self, label: str, node, parent: ConfigNode,
-                      constructor, key_node) -> None:
-        """Mirror of :func:`scalar_to_tree` over composed YAML nodes."""
-        anchor = key_node if key_node is not None else node
-        if isinstance(node, yaml.MappingNode):
-            child = parent.add(str(label), None, self._span(anchor, node))
-            for k_node, v_node in node.value:
-                key = constructor.construct_object(k_node, deep=True)
-                self._node_to_tree(str(key), v_node, child, constructor, k_node)
-        elif isinstance(node, yaml.SequenceNode):
-            for item in node.value:
-                self._node_to_tree(str(label), item, parent, constructor, None)
+    def __init__(self, shift: int):
+        self.shift = shift
+
+    def document(self, data, marks, root: ConfigNode) -> None:
+        if isinstance(data, dict):
+            self.entries(data, root)
+        elif data is not None:
+            self.value("(document)", data, marks, root)
+
+    def entries(self, mapping: dict, node: ConfigNode) -> None:
+        marks = getattr(mapping, "marks", None)
+        if marks is None:
+            raise _NotOneToOne
+        for (key, value), entry_marks in zip(mapping.items(), marks):
+            self.value(str(key), value, entry_marks, node)
+
+    def value(self, label: str, value, marks, parent: ConfigNode) -> None:
+        if isinstance(value, dict):
+            self.entries(value, parent.add(label, None, self.span(marks)))
+        elif isinstance(value, (list, tuple)):
+            item_marks = getattr(value, "marks", None)
+            if item_marks is None:
+                raise _NotOneToOne
+            for item, marks in zip(value, item_marks):
+                self.value(label, item, marks, parent)
+        elif isinstance(value, set):
+            raise _NotOneToOne
         else:
-            value = constructor.construct_object(node, deep=True)
-            if isinstance(value, (dict, list, tuple)):
-                raise ValueError("scalar node constructed a container")
-            parent.add(str(label), _render_scalar(value),
-                       self._span(anchor, node))
+            parent.add(label, _render_scalar(value), self.span(marks))
 
-    @staticmethod
-    def _span(start_node, end_node) -> SourceSpan:
-        start, end = start_node.start_mark, end_node.end_mark
+    def span(self, marks) -> SourceSpan:
+        start, end = marks
         return SourceSpan(start.line + 1, start.column + 1,
                           end.line + 1, end.column + 1,
-                          start.index, end.index)
+                          start.index + self.shift, end.index + self.shift)

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import yaml
-
+from repro import yamlio
 from repro.errors import CVLKeywordError, CVLSyntaxError, InheritanceError
 from repro.cvl.keywords import (
     NAME_KEYWORD_BY_TYPE,
@@ -110,7 +109,7 @@ def merge_inherited(parent: RuleSet, child: RuleSet) -> RuleSet:
         if override is None:
             merged.append(rule)
             continue
-        combined_raw = _LineDict(rule.raw)
+        combined_raw = yamlio.LineDict(rule.raw)
         combined_raw.update(override.raw)
         # The merged rule reads as the child's override: point at it.
         combined_raw.source_line = override.source_line or rule.source_line
@@ -129,38 +128,11 @@ def merge_inherited(parent: RuleSet, child: RuleSet) -> RuleSet:
 # ---- document handling ---------------------------------------------------
 
 
-class _LineDict(dict):
-    """A YAML mapping that remembers the line it started on."""
-
-    source_line = 0
-
-
-class _LineLoader(yaml.SafeLoader):
-    """SafeLoader whose mappings are :class:`_LineDict` instances.
-
-    The constructor mirrors ``SafeConstructor.construct_yaml_map``'s
-    two-step generator shape (yield the container first so anchored
-    self-references resolve), then stamps the node's start line.
-    """
-
-
-def _construct_line_mapping(loader: _LineLoader, node):
-    mapping = _LineDict()
-    yield mapping
-    mapping.update(loader.construct_mapping(node))
-    mapping.source_line = node.start_mark.line + 1
-
-
-_LineLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_line_mapping
-)
-
-
 def _documents(text: str, source: str) -> list:
     try:
-        return [doc for doc in yaml.load_all(text, Loader=_LineLoader)
+        return [doc for doc in yamlio.load_all(text, yamlio.CvlLoader)
                 if doc is not None]
-    except yaml.YAMLError as exc:
+    except yamlio.YAMLError as exc:
         raise CVLSyntaxError(str(exc), source) from exc
 
 
@@ -421,8 +393,8 @@ def _columns(value: object) -> str:
 
 
 def _permission(value: object, keyword: str, source: str) -> int | None:
-    """Permissions are written as octal digits (``644``), whether YAML hands
-    us an int or a string."""
+    """Permissions are written as octal digits (``644`` or ``0644``),
+    whether YAML hands us an int or a string."""
     if value is None:
         return None
     try:
@@ -439,7 +411,8 @@ def _permission(value: object, keyword: str, source: str) -> int | None:
 def _ownership(value: object) -> str | None:
     if value is None:
         return None
-    # YAML 1.1 may parse unquoted 0:0 as sexagesimal 0; re-render as uid:gid.
+    # ``0:0`` and ``33:33`` load as strings; a bare ``0`` is shorthand
+    # for root's ``0:0``.
     if isinstance(value, int):
         return f"{value}:{value}" if value == 0 else str(value)
     return str(value)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
+from repro import yamlio
 from repro.errors import ManifestError
 
 _ALLOWED_KEYS = {
@@ -68,8 +67,9 @@ class Manifest:
 def load_manifests(text: str, source: str = "<memory>") -> list[Manifest]:
     """Parse manifest YAML into :class:`Manifest` objects (document order)."""
     try:
-        documents = [doc for doc in yaml.safe_load_all(text) if doc is not None]
-    except yaml.YAMLError as exc:
+        documents = [doc for doc in yamlio.load_all(text, yamlio.CvlLoader)
+                     if doc is not None]
+    except yamlio.YAMLError as exc:
         raise ManifestError(f"{source}: invalid YAML: {exc}") from exc
     manifests: list[Manifest] = []
     for document in documents:

@@ -256,6 +256,50 @@ tags: [ "#owasp" ]
         assert rule.preferred_value == ["0", "2"]
 
 
+class TestCvlNumbers:
+    """CVL scalars have no leading-zero octal and no base-60 numbers, so
+    the conventional spellings of modes, owners and umasks load as
+    written (YAML 1.1 read ``0644`` as 420 and ``33:33`` as 2013)."""
+
+    @pytest.mark.parametrize("spelling,bits", [
+        ("0644", 0o644), ("644", 0o644), ("0640", 0o640), ("0600", 0o600),
+        ("0755", 0o755), ("'0644'", 0o644),
+    ], ids=["0644", "644", "0640", "0600", "0755", "quoted-0644"])
+    def test_permission_spellings(self, spelling, bits):
+        rule = load_rules(f"path_name: /x\npermission: {spelling}\n").rules[0]
+        assert rule.permission == bits
+
+    def test_permission_mask_with_leading_zero(self):
+        rule = load_rules("path_name: /x\npermission_mask: 0640\n").rules[0]
+        assert rule.permission_mask == 0o640
+
+    def test_unquoted_uid_gid_ownership(self):
+        rule = load_rules("path_name: /x\nownership: 33:33\n").rules[0]
+        assert rule.ownership == "33:33"
+
+    def test_unquoted_root_ownership(self):
+        rule = load_rules("path_name: /x\nownership: 0:0\n").rules[0]
+        assert rule.ownership == "0:0"
+
+    def test_zero_ownership_is_root_shorthand(self):
+        rule = load_rules("path_name: /x\nownership: 0\n").rules[0]
+        assert rule.ownership == "0:0"
+
+    def test_leading_zero_preferred_value_kept(self):
+        rule = load_rules("config_name: UMask\npreferred_value: 027\n").rules[0]
+        assert rule.preferred_value == ["027"]
+
+    def test_other_yaml_numbers_unchanged(self):
+        rule = load_rules(
+            "config_name: x\npreferred_value: [10, -3, 0, 0x1f, 1_000, 1.5]\n"
+        ).rules[0]
+        assert rule.preferred_value == ["10", "-3", "0", "31", "1000", "1.5"]
+
+    def test_manifest_keys_load_as_written(self):
+        manifest = load_manifests("0644: {cvl_file: x.yaml}\n")[0]
+        assert manifest.entity == "0644"
+
+
 class TestInheritance:
     PARENT = """
 config_name: PermitRootLogin

@@ -16,6 +16,7 @@ lines must span from their first line to their last.
 import re
 
 import pytest
+import yaml
 
 from repro.augtree.lenses import (
     ApacheLens,
@@ -28,7 +29,9 @@ from repro.augtree.lenses import (
     YamlLens,
     default_registry,
 )
+from repro.augtree.lenses.util import scalar_to_tree
 from repro.augtree.tree import ConfigNode, SourceSpan
+from repro.errors import LensError
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +289,141 @@ def test_spans_do_not_affect_equality_or_serialization():
         node.span = None
     assert spanned.root == stripped.root
     assert spanned.root.to_dict() == stripped.root.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# YAML lens: one parse, values as yaml.safe_load, spans pinned
+# ---------------------------------------------------------------------------
+
+YAML_POD_TEXT = """\
+apiVersion: v1
+kind: Pod
+metadata:
+  name: web
+  namespace: prod
+  annotations:
+    perfbench/note-000: "3039-0"
+    perfbench/note-001: "3039-1"
+spec:
+  securityContext:
+    runAsNonRoot: true
+  containers:
+    - name: web
+      image: registry.local/web:1.4.2
+      securityContext:
+        privileged: false
+        capabilities:
+          drop: ["ALL"]
+      resources:
+        limits:
+          memory: 512Mi
+"""
+
+#: (text, spans of every node in depth-first order).  Merge keys, a key
+#: given twice, ``!!set`` values and keys that compare equal (``1`` and
+#: ``true``) have no one-to-one text for each node, so those trees carry
+#: no spans at all.
+YAML_PARITY_CASES = {
+    "merge_keys": (
+        "base: &base\n  replicas: 1\n  image: web\nprod:\n  <<: *base\n"
+        "  replicas: 3\n",
+        [None] * 6,
+    ),
+    "anchors_aliases": (
+        "defaults: &defaults\n  timeout: 30\n  retries: 3\nservices:\n"
+        "  - *defaults\n  - name: api\n    port: &port 8080\nports:\n"
+        "  - *port\n  - 9090\n",
+        [(1, 1, 4, 1, 0, 47), (2, 3, 2, 14, 22, 33), (3, 3, 3, 13, 36, 46),
+         (1, 11, 4, 1, 10, 47), (2, 3, 2, 14, 22, 33), (3, 3, 3, 13, 36, 46),
+         (6, 5, 8, 1, 75, 106), (6, 5, 6, 14, 75, 84), (7, 5, 7, 21, 89, 105),
+         (7, 11, 7, 21, 95, 105), (10, 5, 10, 9, 127, 131)],
+    ),
+    "duplicate_keys": ("name: web\nport: 80\nname: api\n", [None] * 2),
+    "set": ("allowed: !!set\n  ? read\n  ? write\n", [None]),
+    "colliding_keys": ("1: one\ntrue: yes\nother: x\n", [None] * 2),
+    "scalar_document": ("just a scalar\n", [(1, 1, 1, 14, 0, 13)]),
+    "empty_file": ("", []),
+    "non_ascii": (
+        "name: café\ngreeting: \"héllo wörld\"\ntags:\n  - ünïcode\n"
+        "  - 日本語 😀\n",
+        [(1, 1, 1, 11, 0, 10), (2, 1, 2, 24, 11, 34), (4, 5, 4, 12, 45, 52),
+         (5, 5, 5, 10, 57, 62)],
+    ),
+    "pod_manifest": (
+        YAML_POD_TEXT,
+        [(1, 1, 1, 15, 0, 14), (2, 1, 2, 10, 15, 24), (3, 1, 9, 1, 25, 146),
+         (4, 3, 4, 12, 37, 46), (5, 3, 5, 18, 49, 64), (6, 3, 9, 1, 67, 146),
+         (7, 5, 7, 33, 84, 112), (8, 5, 8, 33, 117, 145),
+         (9, 1, 22, 1, 146, 414), (10, 3, 12, 3, 154, 196),
+         (11, 5, 11, 23, 175, 193), (13, 7, 22, 1, 214, 414),
+         (13, 7, 13, 16, 214, 223), (14, 7, 14, 38, 230, 261),
+         (15, 7, 19, 7, 268, 363), (16, 9, 16, 26, 293, 310),
+         (17, 9, 19, 7, 319, 363), (18, 18, 18, 23, 350, 355),
+         (19, 7, 22, 1, 363, 414), (20, 9, 22, 1, 382, 414),
+         (21, 11, 21, 24, 400, 413)],
+    ),
+}
+
+#: Pinned spans that do not re-read cleanly, so only values and spans are
+#: compared.  A keyed alias spans from its key to the end of the anchored
+#: node, which lies earlier in the text.  A byte-order mark counts in the
+#: offsets but not in the columns of line 1.
+YAML_PINNED_ONLY_CASES = {
+    "keyed_alias": (
+        "a: &x\n  k: v\nb: *x\nc: &s hello\nd: *s\n",
+        [(1, 1, 3, 1, 0, 13), (2, 3, 2, 7, 8, 12), (3, 1, 3, 1, 13, 13),
+         (2, 3, 2, 7, 8, 12), (4, 1, 4, 12, 19, 30), (5, 1, 4, 12, 31, 30)],
+    ),
+    "byte_order_mark": (
+        "\ufeffa: 1\nb: [x, y]\n",
+        [(1, 1, 1, 5, 1, 5), (2, 5, 2, 6, 10, 11), (2, 8, 2, 9, 13, 14)],
+    ),
+}
+
+
+def _safe_load_tree(text: str) -> ConfigNode:
+    """The value tree ``yaml.safe_load`` gives, built by scalar_to_tree."""
+    data = yaml.safe_load(text)
+    root = ConfigNode("(root)")
+    if isinstance(data, dict):
+        for key, value in data.items():
+            scalar_to_tree(str(key), value, root)
+    elif data is not None:
+        scalar_to_tree("(document)", data, root)
+    return root
+
+
+def _spans(tree) -> list:
+    return [tuple(node.span) if node.span else None
+            for node in list(_walk(tree))[1:]]
+
+
+class TestYamlLensParity:
+    @pytest.mark.parametrize("case", sorted(YAML_PARITY_CASES))
+    def test_values_spans_and_reread(self, case):
+        text, expected_spans = YAML_PARITY_CASES[case]
+        tree = YamlLens().parse(text)
+        assert tree.root == _safe_load_tree(text)
+        assert_spans_consistent(tree, text)
+        assert _spans(tree) == expected_spans
+
+    @pytest.mark.parametrize("case", sorted(YAML_PINNED_ONLY_CASES))
+    def test_values_and_pinned_spans(self, case):
+        text, expected_spans = YAML_PINNED_ONLY_CASES[case]
+        tree = YamlLens().parse(text)
+        assert tree.root == _safe_load_tree(text)
+        assert _spans(tree) == expected_spans
+
+    @pytest.mark.parametrize("text,line", [
+        ("a: 1\nb: [unclosed\n", 3),
+        ("a: 1\nb: c: d\n", 2),
+        ("a: 1\n---\nb: 2\n", 2),
+    ], ids=["unclosed_flow", "nested_colon", "two_documents"])
+    def test_malformed_input_reports_its_line(self, text, line):
+        with pytest.raises(LensError) as exc:
+            YamlLens().parse(text)
+        assert exc.value.line == line
+
+    def test_undecodable_bytes_are_a_lens_error(self):
+        with pytest.raises(LensError):
+            YamlLens().parse("a: \udc80\n")

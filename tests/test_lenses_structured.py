@@ -2,8 +2,10 @@
 yaml, and the registry."""
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+from repro import yamlio
 from repro.errors import LensError
 from repro.augtree.lenses import (
     ApacheLens,
@@ -221,6 +223,33 @@ class TestJsonYaml:
 
     def test_yaml_empty(self):
         assert YamlLens().parse("").size() == 0
+
+    def test_yaml_keeps_yaml_1_1_numbers(self):
+        # Config files mean what their own tools read; CVL's numbers
+        # (0644 stays "0644") apply to rule files only.
+        tree = YamlLens().parse("mode: 0644\nwhen: 1:30\nport: 8080\n")
+        assert tree.value_of("mode") == "420"
+        assert tree.value_of("when") == "90"
+        assert tree.value_of("port") == "8080"
+
+    def test_yaml_parses_each_file_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("second YAML parse")
+
+        for name in ("compose", "safe_load", "load", "load_all"):
+            monkeypatch.setattr(yaml, name, refuse)
+        calls = []
+        load_single = yamlio.load_single
+
+        def counted(text, loader):
+            calls.append(loader)
+            return load_single(text, loader)
+
+        monkeypatch.setattr(yamlio, "load_single", counted)
+        tree = YamlLens().parse("a:\n  b: [1, 2]\n")
+        assert [n.value for n in tree.match("a/b")] == ["1", "2"]
+        assert tree.first("a/b").span is not None
+        assert calls == [yamlio.Loader]
 
 
 class TestRegistry:

@@ -17,7 +17,7 @@ disabled" check ``install[.='cramfs']/command == /bin/true``.
 from __future__ import annotations
 
 from repro.augtree.lenses.base import Lens
-from repro.augtree.lenses.util import logical_lines, strip_inline_comment
+from repro.augtree.lenses.util import logical_spans, strip_inline_comment
 from repro.augtree.tree import ConfigNode, ConfigTree
 
 _DIRECTIVES = {"install", "remove", "blacklist", "alias", "options", "softdep"}
@@ -29,7 +29,8 @@ class ModprobeLens(Lens):
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
         root = ConfigNode("(root)")
-        for number, line in logical_lines(text, comment_chars="#", join_backslash=True):
+        for number, span, line in logical_spans(text, comment_chars="#",
+                                                join_backslash=True):
             line = strip_inline_comment(line, "#").strip()
             if not line:
                 continue
@@ -39,7 +40,7 @@ class ModprobeLens(Lens):
                 raise self.error(f"unknown directive {directive!r}", number)
             if len(parts) < 2:
                 raise self.error(f"{directive!r} needs a module name", number)
-            node = root.add(directive, parts[1])
+            node = root.add(directive, parts[1], span)
             rest = parts[2].strip() if len(parts) == 3 else ""
             if rest:
                 child_label = {
@@ -51,7 +52,7 @@ class ModprobeLens(Lens):
                 if directive == "options":
                     for option in rest.split():
                         key, _sep, value = option.partition("=")
-                        node.add(key, value if _sep else None)
+                        node.add(key, value if _sep else None, span)
                 else:
-                    node.add(child_label, rest)
+                    node.add(child_label, rest, span)
         return ConfigTree(root, source=source, lens=self.name)

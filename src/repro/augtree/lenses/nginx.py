@@ -19,10 +19,28 @@ repeated sibling labels, addressable as ``server[1]`` / ``server[2]``.
 
 from __future__ import annotations
 
+import re
+
 from repro.augtree.lenses.base import Lens
+from repro.augtree.lenses.util import unescape
 from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
 
 _PUNCT = "{};"
+
+#: One token per match, tried where the previous one ended; every
+#: character starts exactly one alternative.  Whitespace and comments
+#: match no named group.  Only ``\n`` ends a line; ``\r`` is whitespace.
+#: A string's closing quote is optional so that the pattern never fails:
+#: a string whose match stops short of it is unterminated.
+_TOKENS = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r]+
+  | \#[^\n]*
+  | (?P<punct>[{};])
+  | (?P<word>[^\n \t\r\#'"{};]+)
+  | "(?P<dquoted>(?:[^"\\]|\\.)*)"?
+  | '(?P<squoted>(?:[^'\\]|\\.)*)'?
+""", re.VERBOSE | re.DOTALL)
 
 
 class NginxLens(Lens):
@@ -36,7 +54,7 @@ class NginxLens(Lens):
     )
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
-        tokens = list(self._tokenize(text))
+        tokens = self._tokenize(text)
         root = ConfigNode("(root)")
         index = self._parse_block(tokens, 0, root, top_level=True)
         if index != len(tokens):
@@ -46,74 +64,40 @@ class NginxLens(Lens):
 
     # ---- tokenizer ---------------------------------------------------------
 
-    def _tokenize(self, text: str):
-        """Yield ``(token, line, column, start, end)`` tuples.
+    def _tokenize(self, text: str) -> list[tuple[str, int, int, int, int]]:
+        """``(token, line, column, start, end)`` tuples.
 
         Strings keep their content only, but line/column/offsets cover the
         raw region including the quotes.
         """
+        tokens = []
         line = 1
         line_start = 0
-        i = 0
-        word: list[str] = []
-        word_pos = (1, 1, 0)  # (line, column, offset) of the word's start
-
-        def flush():
-            nonlocal word
-            if word:
-                w_line, w_col, w_start = word_pos
-                yield "".join(word), w_line, w_col, w_start, w_start + len(word)
-                word = []
-
-        while i < len(text):
-            char = text[i]
-            if char == "\n":
-                yield from flush()
+        match = _TOKENS.match
+        pos = 0
+        while pos < len(text):
+            token = match(text, pos)
+            start, pos = token.span()
+            kind = token.lastgroup
+            if kind is None:  # whitespace or comment
+                continue
+            if kind == "newline":
                 line += 1
-                i += 1
-                line_start = i
-            elif char in " \t\r":
-                yield from flush()
-                i += 1
-            elif char == "#":
-                yield from flush()
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-            elif char in "'\"":
-                yield from flush()
-                quote = char
-                start = i
-                start_line = line
-                start_col = i - line_start + 1
-                i += 1
-                buffer: list[str] = []
-                while i < len(text) and text[i] != quote:
-                    if text[i] == "\\" and i + 1 < len(text):
-                        buffer.append(text[i + 1])
-                        if text[i + 1] == "\n":
-                            line += 1
-                            line_start = i + 2
-                        i += 2
-                        continue
-                    if text[i] == "\n":
-                        line += 1
-                        line_start = i + 1
-                    buffer.append(text[i])
-                    i += 1
-                if i >= len(text):
-                    raise self.error("unterminated string", start_line)
-                i += 1
-                yield "".join(buffer), start_line, start_col, start, i
-            elif char in _PUNCT:
-                yield from flush()
-                yield char, line, i - line_start + 1, i, i + 1
-                i += 1
+                line_start = pos
+            elif kind == "word" or kind == "punct":
+                tokens.append((token.group(), line, start - line_start + 1,
+                               start, pos))
             else:
-                if not word:
-                    word_pos = (line, i - line_start + 1, i)
-                word.append(char)
-                i += 1
-        yield from flush()
+                body = token.group(kind)
+                if token.end(kind) == pos:
+                    raise self.error("unterminated string", line)
+                tokens.append((unescape(body), line, start - line_start + 1,
+                               start, pos))
+                newlines = body.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + 2 + body.rindex("\n")
+        return tokens
 
     # ---- recursive-descent parser ------------------------------------------
 

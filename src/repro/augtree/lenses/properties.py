@@ -7,9 +7,16 @@ on the raw text form administrators write).
 
 from __future__ import annotations
 
+import re
+
 from repro.augtree.lenses.base import Lens
-from repro.augtree.lenses.util import logical_spans
+from repro.augtree.lenses.util import logical_spans, unescape
 from repro.augtree.tree import ConfigNode, ConfigTree
+
+#: The key -- up to the first unescaped ``=``, ``:``, space or tab --
+#: then blanks, at most one ``=`` or ``:``, and blanks again.  A
+#: backslash escapes the next character; a lone trailing one is kept.
+_KEY = re.compile(r"((?:[^\\=: \t]|\\.|\\\Z)*)[ \t]*[=:]?[ \t]*", re.DOTALL)
 
 
 class PropertiesLens(Lens):
@@ -28,24 +35,6 @@ class PropertiesLens(Lens):
 
     @staticmethod
     def _split(line: str) -> tuple[str, str | None]:
-        key_chars: list[str] = []
-        i = 0
-        while i < len(line):
-            char = line[i]
-            if char == "\\" and i + 1 < len(line):
-                key_chars.append(line[i + 1])
-                i += 2
-                continue
-            if char in "=: \t":
-                break
-            key_chars.append(char)
-            i += 1
-        # Skip whitespace, then at most one '=' or ':', then whitespace.
-        while i < len(line) and line[i] in " \t":
-            i += 1
-        if i < len(line) and line[i] in "=:":
-            i += 1
-        while i < len(line) and line[i] in " \t":
-            i += 1
-        value = line[i:]
-        return "".join(key_chars), value if value else None
+        match = _KEY.match(line)
+        value = line[match.end():]
+        return unescape(match.group(1)), value if value else None

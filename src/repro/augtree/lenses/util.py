@@ -1,55 +1,22 @@
-"""Shared helpers for lens implementations."""
+"""Shared helpers for lens implementations.
+
+The line helpers scan with compiled regular expressions, as Augeas
+lenses do.
+"""
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Iterator
 
 from repro.augtree.tree import ConfigNode, SourceSpan
 
-#: Line terminators recognised by ``str.splitlines``; stripping these from
-#: ``splitlines(keepends=True)`` output reproduces ``splitlines()`` exactly
-#: while keeping the raw (terminator-inclusive) length for offset tracking.
+#: Line terminators recognised by ``str.splitlines``.  A line from
+#: ``splitlines(keepends=True)`` ends in at most one of them (``\r\n``
+#: counting as one) and holds none elsewhere, so stripping these
+#: characters leaves exactly its ``splitlines()`` content.
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def physical_lines(text: str) -> Iterator[tuple[int, int, str]]:
-    """Yield ``(line_number, start_offset, content)`` per physical line.
-
-    Content matches ``text.splitlines()`` element-for-element; the offset
-    is the character index of the line's first character in ``text``.
-    """
-    offset = 0
-    for number, raw in enumerate(text.splitlines(keepends=True), start=1):
-        line = raw
-        if line.endswith("\r\n"):
-            line = line[:-2]
-        elif line and line[-1] in _LINE_ENDS:
-            line = line[:-1]
-        yield number, offset, line
-        offset += len(raw)
-
-
-def _trimmed_span(start_line: int, start_offset: int, first: str,
-                  end_line: int, end_offset: int, last: str) -> SourceSpan:
-    """Span covering a logical construct, trimmed of flanking whitespace.
-
-    ``first``/``last`` are the first and last physical lines of the
-    construct; ``start_offset``/``end_offset`` are their line-start offsets.
-    """
-    lead = len(first) - len(first.lstrip())
-    if lead == len(first):  # blank first line; anchor at column 1
-        lead = 0
-    tail = len(last.rstrip())
-    if tail == 0 and last.strip() == "":
-        tail = len(last)
-    return SourceSpan(
-        line=start_line,
-        column=lead + 1,
-        end_line=end_line,
-        end_column=tail + 1,
-        start=start_offset + lead,
-        end=end_offset + tail,
-    )
 
 
 def logical_spans(
@@ -60,80 +27,83 @@ def logical_spans(
 ) -> Iterator[tuple[int, SourceSpan, str]]:
     """Yield ``(line_number, span, content)`` for non-blank, non-comment lines.
 
-    Like :func:`logical_lines` but also reports a :class:`SourceSpan`
-    covering the whole logical construct -- from the first physical line of
-    a backslash-joined run through the end of its last physical line --
-    trimmed of leading/trailing whitespace.
+    ``line_number`` is 1-based and refers to the *first* physical line of
+    a backslash-joined logical line (``join_backslash``).  The span covers
+    the whole logical construct -- from the first physical line of a
+    joined run through the end of its last physical line -- trimmed of
+    leading/trailing whitespace.  Inline comments are **not** stripped
+    here -- whether ``#`` starts a comment mid-line is format-specific.
     """
-    pending: list[str] = []
-    pending_start = 0
-    pending_offset = 0
-    pending_first = ""
-    for number, offset, raw in physical_lines(text):
-        line = raw.rstrip("\n")
-        if join_backslash and line.endswith("\\"):
+    offset = 0
+    pending: list[str] = []  # a joined run's lines, continuation dropped
+    first = ""
+    first_number = first_offset = first_lead = 0
+    for number, raw in enumerate(text.splitlines(True), 1):
+        line = raw.rstrip(_LINE_ENDS)
+        if join_backslash and line[-1:] == "\\":
             if not pending:
-                pending_start = number
-                pending_offset = offset
-                pending_first = raw
+                first, first_number, first_offset = line, number, offset
+                first_lead = len(line) - len(line.lstrip())
             pending.append(line[:-1])
-            continue
-        if pending:
-            line = "".join(pending) + line
-            start, start_offset, first = pending_start, pending_offset, pending_first
+        elif pending:
+            joined = "".join(pending) + line
             pending = []
+            stripped = joined.strip()
+            if stripped and stripped[0] not in comment_chars:
+                tail = len(line.rstrip()) or len(line)
+                yield first_number, SourceSpan(
+                    first_number, first_lead + 1, number, tail + 1,
+                    first_offset + first_lead, offset + tail,
+                ), joined
         else:
-            start, start_offset, first = number, offset, raw
-        stripped = line.strip()
-        if not stripped or stripped[0] in comment_chars:
-            continue
-        yield start, _trimmed_span(start, start_offset, first,
-                                   number, offset, raw), line
+            stripped = line.strip()
+            if stripped and stripped[0] not in comment_chars:
+                lead = len(line) - len(line.lstrip())
+                tail = lead + len(stripped)
+                yield number, SourceSpan(
+                    number, lead + 1, number, tail + 1,
+                    offset + lead, offset + tail,
+                ), line
+        offset += len(raw)
     if pending:  # trailing continuation: emit what we have
-        line = "".join(pending)
-        if line.strip() and line.strip()[0] not in comment_chars:
-            span = _trimmed_span(pending_start, pending_offset, pending_first,
-                                 pending_start, pending_offset,
-                                 pending_first.rstrip("\\"))
-            yield pending_start, span, line
+        joined = "".join(pending)
+        stripped = joined.strip()
+        if stripped and stripped[0] not in comment_chars:
+            last = first.rstrip("\\")
+            tail = len(last.rstrip()) or len(last)
+            yield first_number, SourceSpan(
+                first_number, first_lead + 1, first_number, tail + 1,
+                first_offset + first_lead, first_offset + tail,
+            ), joined
 
 
-def logical_lines(
-    text: str,
-    *,
-    comment_chars: str = "#",
-    join_backslash: bool = False,
-) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_number, content)`` for non-blank, non-comment lines.
+@functools.lru_cache(maxsize=64)
+def _comment_scanner(comment_chars: str) -> re.Pattern[str]:
+    """Pattern matching the longest prefix free of unquoted comment
+    characters.  A quote opens a string even when it is a comment
+    character; an unterminated string runs to the end of the line.
 
-    ``line_number`` is 1-based and refers to the *first* physical line of a
-    joined logical line.  Inline comments are **not** stripped here --
-    whether ``#`` starts a comment mid-line is format-specific.
+    The alternatives start with distinct characters and closing quotes
+    are optional, so a match never fails and never backtracks into the
+    loop: the scan is linear in the line.
     """
-    for number, _span, line in logical_spans(
-        text, comment_chars=comment_chars, join_backslash=join_backslash
-    ):
-        yield number, line
+    stops = "".join(re.escape(char) for char in comment_chars
+                    if char not in "'\"")
+    return re.compile(rf"""(?:[^'"{stops}]+|'[^']*'?|"[^"]*"?)*""")
 
 
 def strip_inline_comment(line: str, comment_chars: str = "#") -> str:
     """Drop an unquoted trailing comment from ``line``."""
-    result: list[str] = []
-    quote: str | None = None
-    for char in line:
-        if quote:
-            result.append(char)
-            if char == quote:
-                quote = None
-            continue
-        if char in "'\"":
-            quote = char
-            result.append(char)
-            continue
-        if char in comment_chars:
-            break
-        result.append(char)
-    return "".join(result).rstrip()
+    return line[:_comment_scanner(comment_chars).match(line).end()].rstrip()
+
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def unescape(text: str) -> str:
+    """Drop each backslash escape's backslash, keeping the character it
+    escapes (a lone trailing backslash stays)."""
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
 def scalar_to_tree(label: str, value: object, parent: ConfigNode) -> None:

@@ -12,9 +12,19 @@ HostConfig.Privileged"``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any, Callable
 
 from repro.errors import PluginError
 from repro.crawler.entities import Entity
+
+#: ``parse(lens, text, source) -> ConfigTree``: how a plugin turns a
+#: config file into a tree (see :meth:`RuntimePlugin.extract_with`).
+ParseFn = Callable[[Any, str, str], Any]
+
+
+def parse_text(lens, text: str, source: str):
+    """The uncached :data:`ParseFn`: ``lens.parse(text, source=source)``."""
+    return lens.parse(text, source=source)
 
 
 def flatten_json(value: object, prefix: str = "") -> dict[str, str]:
@@ -77,6 +87,16 @@ class RuntimePlugin(ABC):
     def extract(self, entity: Entity) -> dict[str, str]:
         """Flat key-value runtime state for ``entity``."""
 
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
+        """:meth:`extract`, parsing config files with ``parse``.
+
+        The crawler calls this; its ``parse`` goes through the
+        validator's parse cache when it has one.  Plugins that parse
+        config files override it and have :meth:`extract` call it with
+        :func:`parse_text`; the default ignores ``parse``.
+        """
+        return self.extract(entity)
+
 
 class DockerInspectPlugin(RuntimePlugin):
     """Flattened ``docker inspect`` output for containers and images."""
@@ -126,6 +146,9 @@ class MySQLVariablesPlugin(RuntimePlugin):
     _CONFIG_PATHS = ("/etc/mysql/my.cnf", "/etc/my.cnf")
 
     def extract(self, entity: Entity) -> dict[str, str]:
+        return self.extract_with(entity, parse_text)
+
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
         from repro.augtree.lenses.ini import IniLens
 
         variables = dict(self._DEFAULTS)
@@ -133,7 +156,7 @@ class MySQLVariablesPlugin(RuntimePlugin):
         for path in self._CONFIG_PATHS:
             if not fs.is_file(path):
                 continue
-            tree = IniLens().parse(fs.read_text(path), source=path)
+            tree = parse(IniLens(), fs.read_text(path), path)
             section = tree.first("mysqld")
             if section is None:
                 continue
@@ -168,6 +191,9 @@ class LiveSysctlPlugin(RuntimePlugin):
     }
 
     def extract(self, entity: Entity) -> dict[str, str]:
+        return self.extract_with(entity, parse_text)
+
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
         from repro.augtree.lenses.sysctl import SysctlLens
 
         state = dict(self._DEFAULTS)
@@ -178,7 +204,7 @@ class LiveSysctlPlugin(RuntimePlugin):
         for path in candidates:
             if not fs.is_file(path):
                 continue
-            tree = SysctlLens().parse(fs.read_text(path), source=path)
+            tree = parse(SysctlLens(), fs.read_text(path), path)
             for node in tree.root.children:
                 state[node.label] = node.value or ""
         live = entity.runtime_context().get("live_sysctl") or {}

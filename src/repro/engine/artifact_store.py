@@ -45,7 +45,7 @@ log = logging.getLogger("repro.artifact_store")
 
 #: Versions the *meaning* of stored artifacts.  Part of every key; bump
 #: when lens output or the pickled artifact layout changes incompatibly.
-LENS_VERSION = "1"
+LENS_VERSION = "2"
 
 #: Default on-disk budget for pickled artifacts (the store evicts
 #: least-recently-used rows beyond this).  Measured against the sum of

@@ -202,7 +202,8 @@ class BatchScanner:
         #: Defaults to the validator's bundle so one enabled Telemetry
         #: covers the whole cycle (crawl spans included).
         self.telemetry = telemetry or validator.telemetry
-        self._crawler = crawler or Crawler(telemetry=self.telemetry)
+        self._crawler = crawler or Crawler(
+            telemetry=self.telemetry, parse_cache=validator.parse_cache)
         self._workers = max(1, workers)
 
     def scan_entities(self, entities: list[Entity], *,

@@ -221,7 +221,6 @@ class ConfigValidator:
         self._lenses = lenses
         self._schemas = schemas
         self.telemetry = telemetry or DISABLED
-        self._crawler = crawler or Crawler(telemetry=self.telemetry)
         self._manifests: dict[str, Manifest] = {}
         self._rulesets: dict[str, RuleSet] = {}
         #: Single-flight guard for lazy ruleset loading (validate_frames
@@ -241,6 +240,8 @@ class ConfigValidator:
         self.artifact_store = artifact_store
         #: Content-addressed parse cache shared across frames and runs.
         self.parse_cache = parse_cache
+        self._crawler = crawler or Crawler(telemetry=self.telemetry,
+                                           parse_cache=parse_cache)
         #: Execution backend for frame fan-out: ``"thread"`` (the
         #: default -- GIL threads, cheap, I/O overlap) or ``"process"``
         #: (shards frames across worker processes; see

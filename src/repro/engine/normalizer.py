@@ -189,37 +189,6 @@ class Normalizer:
             self._digests[key] = entry
         return entry
 
-    def _timed_parse(self, parse, content: str, path: str, parser_name: str):
-        """Run a real parse (cache miss), charging the ``parse`` stage and
-        the per-lens profile; parse failures count as lens errors."""
-        telemetry = self.telemetry
-        if self.timings is None and not telemetry.enabled:
-            return parse(content, source=path)
-        started = time.perf_counter()
-        failed = False
-        try:
-            return parse(content, source=path)
-        except Exception:
-            failed = True
-            raise
-        finally:
-            duration = time.perf_counter() - started
-            if self.timings is not None:
-                self.timings.add("parse", duration)
-            if telemetry.enabled:
-                telemetry.profiler.record(
-                    "lens", parser_name, duration, error=failed
-                )
-                telemetry.metrics.counter(
-                    "repro_parses_total",
-                    "Real parses executed (cache misses), by parser.",
-                    labels=("parser",),
-                ).inc(parser=parser_name)
-                telemetry.spans.record(
-                    parser_name, category="parse",
-                    start_s=started, duration_s=duration, file=path,
-                )
-
     def tree_for(
         self, frame: ConfigFrame, path: str, lens_name: str | None = None
     ) -> ConfigTree:
@@ -240,11 +209,10 @@ class Normalizer:
         if cached is not None:
             return cached
         content = frame.read_config(path)
-        digest, nbytes = self._digest_for(frame, path, content)
-        tree = self.cache.get_or_parse(
-            (digest, "tree", lens.name),
-            nbytes,
-            lambda: self._timed_parse(lens.parse, content, path, lens.name),
+        tree = self.cache.parse(
+            "tree", lens, content, path,
+            digest=self._digest_for(frame, path, content),
+            telemetry=self.telemetry, timings=self.timings,
         )
         self._tree_memo[memo_key] = tree
         return tree
@@ -271,12 +239,10 @@ class Normalizer:
         if cached is not None:
             return cached
         content = frame.read_config(path)
-        digest, nbytes = self._digest_for(frame, path, content)
-        table = self.cache.get_or_parse(
-            (digest, "table", parser.name),
-            nbytes,
-            lambda: self._timed_parse(parser.parse, content, path,
-                                      parser.name),
+        table = self.cache.parse(
+            "table", parser, content, path,
+            digest=self._digest_for(frame, path, content),
+            telemetry=self.telemetry, timings=self.timings,
         )
         self._table_memo[memo_key] = table
         return table

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.telemetry import DISABLED, Telemetry
 
 #: Default number of parsed artifacts kept (LRU).  Sized for a scan cycle
 #: over a few thousand distinct config files; override per validator with
@@ -156,6 +159,35 @@ class ParseCache:
             self._store.save(key, value, nbytes)
         return value
 
+    def parse(
+        self,
+        kind: str,
+        parser,
+        text: str,
+        source: str,
+        *,
+        digest: tuple[str, int] | None = None,
+        telemetry: Telemetry = DISABLED,
+        timings=None,
+    ) -> Any:
+        """``parser.parse(text, source=source)``, cached under
+        ``(content digest, kind, parser.name)``.
+
+        ``kind`` is ``"tree"`` for a lens and ``"table"`` for a schema
+        parser; ``digest`` is :func:`content_digest_and_size` of ``text``
+        when the caller already has it.  The normalizer and the crawler's
+        runtime plugins both parse through here, so a file either one
+        parsed is a hit for the other.  A miss is a real parse: it is
+        charged to the ``parse`` stage of ``timings`` and, with
+        ``telemetry`` enabled, to the per-lens profile,
+        ``repro_parses_total`` and a ``parse`` span.
+        """
+        digest_hex, nbytes = digest or content_digest_and_size(text)
+        return self.get_or_parse(
+            (digest_hex, kind, parser.name), nbytes,
+            lambda: _timed_parse(parser, text, source, telemetry, timings),
+        )
+
     def attach_to(self, registry) -> None:
         """Expose this cache's counters on a telemetry metrics registry.
 
@@ -229,3 +261,35 @@ class ParseCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+def _timed_parse(parser, text: str, source: str, telemetry: Telemetry,
+                 timings):
+    """Run a real parse (cache miss), charging the ``parse`` stage and
+    the per-lens profile; parse failures count as lens errors."""
+    if timings is None and not telemetry.enabled:
+        return parser.parse(text, source=source)
+    started = time.perf_counter()
+    failed = False
+    try:
+        return parser.parse(text, source=source)
+    except Exception:
+        failed = True
+        raise
+    finally:
+        duration = time.perf_counter() - started
+        if timings is not None:
+            timings.add("parse", duration)
+        if telemetry.enabled:
+            telemetry.profiler.record(
+                "lens", parser.name, duration, error=failed
+            )
+            telemetry.metrics.counter(
+                "repro_parses_total",
+                "Real parses executed (cache misses), by parser.",
+                labels=("parser",),
+            ).inc(parser=parser.name)
+            telemetry.spans.record(
+                parser.name, category="parse",
+                start_s=started, duration_s=duration, file=source,
+            )

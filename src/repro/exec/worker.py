@@ -217,7 +217,8 @@ def crawl_shard(payload: bytes) -> bytes:
     from repro.crawler.serialize import frame_to_dict
 
     job = decode(payload)
-    crawler = Crawler(plugins=job.get("plugins"))
+    crawler = Crawler(plugins=job.get("plugins"),
+                      parse_cache=_STATE["validator"].parse_cache)
     docs = []
     for entity in job["entities"]:
         docs.append(frame_to_dict(crawler.crawl(

@@ -1,8 +1,12 @@
 """Tests for the crawler, frames, and runtime plugins."""
 
+import contextlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.augtree.lenses import SysctlLens
 from repro.errors import CrawlerError
 from repro.fs import VirtualFilesystem
 from repro.crawler import (
@@ -14,7 +18,12 @@ from repro.crawler import (
 )
 from repro.crawler.docker_sim import DockerDaemon, HostConfig, ImageBuilder
 from repro.crawler.plugins import flatten_json
-from repro.workloads import build_cloud_project
+from repro.crawler.serialize import dump_frame
+from repro.engine.batch import BatchScanner
+from repro.engine.parse_cache import ParseCache
+from repro.exec import ProcessBackend
+from repro.rules import load_builtin_validator
+from repro.workloads import build_cloud_project, ubuntu_host_entity
 
 
 def _mysql_host() -> HostEntity:
@@ -172,3 +181,99 @@ class TestCloudPlugin:
         assert "provider = fernet" in frame.read_config(
             "/etc/keystone/keystone.conf"
         )
+
+
+def _sysctl_host(name: str, sysctl_text: str) -> HostEntity:
+    fs = VirtualFilesystem()
+    fs.write_file("/etc/sysctl.conf", sysctl_text)
+    return HostEntity(name, fs)
+
+
+@contextlib.contextmanager
+def _counted_sysctl_parses():
+    """Record the text of every ``SysctlLens.parse`` call."""
+    parsed: list[str] = []
+    original = SysctlLens.parse
+
+    def counted(self, text, source="<memory>"):
+        parsed.append(text)
+        return original(self, text, source)
+
+    with mock.patch.object(SysctlLens, "parse", counted):
+        yield parsed
+
+
+class TestPluginsShareParseCache:
+    """Runtime plugins parse through the validator's parse cache."""
+
+    FORWARDING = "net.ipv4.ip_forward = 1\n"
+    HARDENED = "net.ipv4.ip_forward = 0\n"
+
+    def _hosts(self):
+        return [_sysctl_host("a", self.FORWARDING),
+                _sysctl_host("b", self.FORWARDING),
+                _sysctl_host("c", self.HARDENED)]
+
+    def test_cycle_parses_each_content_once(self):
+        validator = load_builtin_validator()
+        scanner = BatchScanner(validator)
+        with _counted_sysctl_parses() as parsed:
+            summary = scanner.scan_entities(self._hosts())
+        assert sorted(parsed) == [self.HARDENED, self.FORWARDING]
+        # Two crawl-side misses; a crawl-side hit for host b and one
+        # engine hit per host.
+        assert (summary.cache_stats.misses, summary.cache_stats.hits) == (2, 4)
+        verdicts = {
+            result.target: result.verdict.value
+            for result in summary.report.results
+            if result.rule.name == "net.ipv4.ip_forward"
+        }
+        assert verdicts == {"host:a": "noncompliant", "host:b": "noncompliant",
+                            "host:c": "compliant"}
+
+    def test_steady_cycle_runs_no_parse(self):
+        validator = load_builtin_validator()
+        scanner = BatchScanner(validator)
+        hosts = self._hosts()
+        first = scanner.scan_entities(hosts)
+        with _counted_sysctl_parses() as parsed:
+            second = scanner.scan_entities(hosts)
+        assert parsed == []
+        assert second.cache_stats.misses == first.cache_stats.misses
+
+    def test_failing_lens_records_plugin_error_and_caches_nothing(self):
+        host = _sysctl_host("bad", "not a sysctl line\n")
+        expected = Crawler().crawl(host).metadata["plugin_error:sysctl"]
+        cache = ParseCache()
+        crawler = Crawler(parse_cache=cache)
+        with _counted_sysctl_parses() as parsed:
+            for _cycle in range(2):
+                frame = crawler.crawl(host)
+                assert "sysctl" not in frame.runtime
+                assert frame.metadata["plugin_error:sysctl"] == expected
+        assert len(parsed) == 2  # the failure was not cached
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_frames_match_bare_crawler(self, executor):
+        entities = [
+            ubuntu_host_entity(f"share-{i}", hardening=0.5, seed=i,
+                               with_nginx=True, with_mysql=True)
+            for i in range(3)
+        ] + [_mysql_host(), _sysctl_host("bad", "not a sysctl line\n")]
+        expected = [dump_frame(f) for f in Crawler().crawl_many(entities)]
+        validator = load_builtin_validator()
+        backend = ProcessBackend() if executor == "process" else None
+        crawler = Crawler(parse_cache=validator.parse_cache)
+        try:
+            for _cycle in range(2):  # cold, then warm cache
+                frames = crawler.crawl_many(entities, workers=2,
+                                            executor=backend,
+                                            init_source=validator)
+                assert [dump_frame(f) for f in frames] == expected
+        finally:
+            if backend is not None:
+                backend.close()
+            validator.close()
+        if executor == "thread":
+            assert validator.cache_stats().hits > 0

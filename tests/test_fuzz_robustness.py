@@ -6,6 +6,8 @@ that — never IndexError, RecursionError, or a hang.  These properties are
 what make the validator safe to point at untrusted container filesystems.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,6 +165,23 @@ class TestReDoSRegressions:
         evil = 'col = "' + "\\" * 200 + "x"
         with pytest.raises(QueryError):
             parse_query(evil)
+
+    @pytest.mark.parametrize("text", [
+        "key = " + "'\"" * 100_000,
+        "key = '" + "x#" * 100_000,
+        'add_header "' + "\\" * 100_000 + '";\n',
+    ], ids=["alternating-quotes", "unterminated-quote",
+            "nginx-string-backslashes"])
+    @pytest.mark.parametrize("lens_name", default_registry().names())
+    def test_lens_scan_is_linear(self, lens_name, text):
+        # 200k characters: a scan that backtracks or re-reads the line
+        # per character takes minutes, a linear one milliseconds.
+        started = time.perf_counter()
+        try:
+            default_registry().get(lens_name).parse(text)
+        except LensError:
+            pass
+        assert time.perf_counter() - started < 2.0
 
     def test_composite_bare_equals_terminates(self):
         # Previously an infinite loop in the tokenizer.

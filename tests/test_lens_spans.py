@@ -22,6 +22,7 @@ from repro.augtree.lenses import (
     ApacheLens,
     IniLens,
     JsonLens,
+    ModprobeLens,
     NginxLens,
     PropertiesLens,
     SshdLens,
@@ -147,6 +148,14 @@ long.value = one \\
     two
 """
 
+MODPROBE_TEXT = """\
+install cramfs /bin/true
+blacklist usb-storage
+install udf /bin/false \\
+    --quiet
+options snd-hda-intel power_save=1 model=auto
+"""
+
 JSON_TEXT = """\
 {
   "log-driver": "json-file",
@@ -174,11 +183,12 @@ spec:
         (SshdLens(), SSHD_TEXT),
         (SysctlLens(), SYSCTL_TEXT),
         (PropertiesLens(), PROPERTIES_TEXT),
+        (ModprobeLens(), MODPROBE_TEXT),
         (JsonLens(), JSON_TEXT),
         (YamlLens(), YAML_TEXT),
     ],
     ids=["nginx", "apache", "ini", "sshd", "sysctl", "properties",
-         "json", "yaml"],
+         "modprobe", "json", "yaml"],
 )
 def test_spans_reread_from_raw_text(lens, text):
     tree = lens.parse(text)

@@ -73,8 +73,10 @@ class FrameFingerprint:
     def __init__(self, frame: "ConfigFrame"):
         self._frame = frame
         self._memo: dict[tuple[str, str], str] = {}
-        #: All file paths in walk (DFS, sorted-children) order; built by
-        #: the first :meth:`frame_digest` or ``listing`` request.
+        #: All file paths, sorted by path when :meth:`frame_digest` read
+        #: the nodes in bulk and in walk (DFS, sorted-children) order
+        #: otherwise; built by the first :meth:`frame_digest` or
+        #: ``listing`` request.
         self._files_index: list[str] | None = None
 
     def digest(self, dep: tuple[str, str]) -> str:
@@ -120,12 +122,14 @@ class FrameFingerprint:
         flat = getattr(files, "flat_nodes", None)
         entries = flat() if flat is not None else None
         if entries is not None:
-            # Symlink-free VirtualFilesystem: the stored nodes are exactly
-            # what a walk observes, so fold them directly without per-path
-            # symlink resolution or listdir/is_dir churn.  Ordering is
-            # lexicographic rather than walk order; digests are only ever
-            # compared against digests built the same way, so either
-            # canonical order works as long as one frame sticks to one.
+            # A symlink-free VirtualFilesystem, or an overlay of such
+            # layers with no whiteouts and no file/directory conflicts:
+            # the stored nodes are exactly what a walk observes, so fold
+            # them directly without per-path symlink resolution, layer
+            # probing or listdir/is_dir churn.  Ordering is lexicographic
+            # rather than walk order; digests are only ever compared
+            # against digests built the same way, so either canonical
+            # order works as long as one frame sticks to one.
             from repro.fs.meta import FileKind
 
             for path, stat, content in entries:
@@ -226,7 +230,7 @@ class FrameFingerprint:
         )
 
     def _file_paths(self) -> list[str]:
-        """Every file path in the frame, in walk order (cached)."""
+        """Every file path in the frame, in the index's order (cached)."""
         if self._files_index is None:
             import posixpath
 

@@ -380,16 +380,17 @@ def referenced_entities(expression: str) -> set[str]:
     return entities
 
 
-def referenced_pairs(expression: str) -> set[tuple[str, str]]:
+def referenced_pairs(expression: str) -> list[tuple[str, str]]:
     """All ``(entity, config)`` pairs an expression touches (the keys
-    incremental revalidation watches for recomputed per-entity verdicts)."""
+    incremental revalidation watches for recomputed per-entity verdicts),
+    without repeats, in order of first appearance."""
     terms: list = []
     _collect_terms(parse_composite(expression), terms)
-    pairs: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], None] = {}
     for term in terms:
         reference = term.reference if isinstance(term, Comparison) else term
-        pairs.add((reference.entity, reference.config))
-    return pairs
+        pairs[(reference.entity, reference.config)] = None
+    return list(pairs)
 
 
 def evaluate_composite(expression: str, context: CompositeContext) -> CompositeResult:

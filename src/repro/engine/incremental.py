@@ -694,7 +694,7 @@ class VerdictStore:
         *,
         target: str,
         context,
-        pairs: set[tuple[str, str]],
+        pairs: list[tuple[str, str]],
         tape: dict[tuple[str, str, str], None],
         fingerprints: dict[str, FrameFingerprint],
         result: RuleResult,

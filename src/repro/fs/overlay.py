@@ -103,6 +103,34 @@ class OverlayFilesystem(FilesystemView):
                 break  # nothing below this layer is visible
         return sorted(names)
 
+    def flat_nodes(self) -> list[tuple[str, FileStat, str]] | None:
+        """``(path, stat, content)`` for every path of the merged view,
+        sorted by path, read from the layers' stored nodes.
+
+        Each path takes the topmost layer's node, as :meth:`_locate`
+        does, and the root takes the bottom layer's stat.  Returns
+        ``None`` when that union is not provably what a walk observes:
+        a layer has no bulk read or holds symlinks (its ``flat_nodes``
+        is ``None``), a layer holds whiteout or opaque markers, or a
+        path is a directory in one layer and not in another.
+        """
+        merged: dict[str, tuple[FileStat, str]] = {}
+        for layer in self._layers:
+            flat = getattr(layer, "flat_nodes", None)
+            if flat is None or getattr(layer, "whiteout_count", None) != 0:
+                return None
+            nodes = flat()
+            if nodes is None:
+                return None
+            for path, stat, content in nodes:
+                below = merged.get(path)
+                if below is not None and below[0].is_dir != stat.is_dir:
+                    return None
+                merged[path] = (stat, content)
+        merged["/"] = (self._layers[0].stat("/"), "")
+        return [(path, stat, content)
+                for path, (stat, content) in sorted(merged.items())]
+
     # ---- helpers -----------------------------------------------------------
 
     def _locate(self, path: str) -> FilesystemView | None:

@@ -6,7 +6,7 @@ that trains operators to ignore the dashboard.  :class:`FlapDetector`
 tracks each (target, entity, rule)'s verdicts over a sliding window of
 cycles and flags keys whose verdict changed at least
 ``min_transitions`` times within it; :class:`HealthAnalyzer` layers the
-event stream on top -- regressions and fixes straight from
+event stream on top -- regressions and fixes classified by the rules of
 :func:`repro.engine.drift.diff_reports`, fleet membership changes, and
 flap start/end transitions -- and can rehydrate all of its state from
 the :class:`~repro.history.store.HistoryStore`, so a restarted monitor
@@ -19,10 +19,9 @@ import time
 from collections import deque
 from typing import Iterable
 
-from repro.engine.drift import diff_reports
 from repro.engine.results import ValidationReport, Verdict
 from repro.history.events import HealthEvent
-from repro.history.store import HistoryStore, VerdictKey, report_verdict_map
+from repro.history.store import HistoryStore, VerdictKey
 
 #: Defaults: a key must change verdict 3+ times within its last 6
 #: observations to count as flapping.
@@ -80,7 +79,7 @@ class FlapDetector:
         """Fold in one cycle; returns (flap starts, flap ends), sorted."""
         starts: list[VerdictKey] = []
         ends: list[VerdictKey] = []
-        for key in set(self._series) - set(verdicts):
+        for key in self._series.keys() - verdicts.keys():
             del self._series[key]
             if key in self._flapping:
                 self._flapping.discard(key)
@@ -89,6 +88,11 @@ class FlapDetector:
             window = self._series.get(key)
             if window is None:
                 window = self._series[key] = deque(maxlen=self.window)
+            elif window[-1] == verdict and key not in self._flapping:
+                # Repeating the last verdict adds no transition, so a key
+                # that is not flapping cannot start to.
+                window.append(verdict)
+                continue
             window.append(verdict)
             flapping = count_transitions(window) >= self.min_transitions
             if flapping and key not in self._flapping:
@@ -112,12 +116,12 @@ class FlapDetector:
 class HealthAnalyzer:
     """Turns consecutive cycles into typed health events.
 
-    In-process, consecutive reports are classified with
-    :func:`diff_reports` -- the monitor's regression/fix events are
-    *definitionally* identical to what ``repro drift`` would print for
-    the same pair of reports.  Across a daemon restart the previous
-    cycle only exists as stored verdict rows, so the first diff runs on
-    the stored verdict map with the same classification rules.
+    Regressions and fixes come from one diff of the previous cycle's
+    verdict map against this cycle's results, with the classification
+    rules of :func:`repro.engine.drift.diff_reports`: the events match
+    what ``repro drift`` reports for the same pair of cycles.  A live
+    monitor keeps the previous map in memory; a restarted one loads it
+    from the store, so both classify the same way.
     """
 
     def __init__(self, store: HistoryStore, *,
@@ -125,7 +129,6 @@ class HealthAnalyzer:
                  flap_min_transitions: int = DEFAULT_FLAP_MIN_TRANSITIONS):
         self.store = store
         self.detector = FlapDetector(flap_window, flap_min_transitions)
-        self._prev_report: ValidationReport | None = None
         self._prev_map: dict[VerdictKey, str] | None = None
         windows = store.verdict_windows(flap_window)
         if windows:
@@ -146,49 +149,56 @@ class HealthAnalyzer:
         """Classify one completed cycle; returns its events in order
         (regressions, fixes, flaps, membership changes)."""
         now = time.time()
-        current_map = report_verdict_map(report)
-        severities = {
-            (r.target, r.entity, r.rule.name): r.rule.severity
-            for r in report
-        }
+        # Duplicate keys collapse last-wins, as in diff_reports and
+        # report_verdict_map.
+        results = {(r.target, r.entity, r.rule.name): r for r in report}
+        current_map = {key: result.verdict.value
+                       for key, result in results.items()}
+        previous = self._prev_map
         events: list[HealthEvent] = []
-        if self._prev_report is not None:
-            drift = diff_reports(self._prev_report, report)
-            for kind, entries in (("regression", drift.regressions()),
-                                  ("fix", drift.fixes())):
-                for entry in entries:
-                    events.append(HealthEvent(
-                        kind=kind, cycle_id=cycle_id, ts=now,
-                        target=entry.target, entity=entry.entity,
-                        rule=entry.rule_name,
-                        before=entry.before.value if entry.before else "",
-                        after=entry.after.value if entry.after else "",
-                        severity=entry.severity, message=entry.message,
-                    ))
-        elif self._prev_map is not None:
-            events.extend(self._diff_stored(cycle_id, now, current_map,
-                                            severities))
-        baseline_map = (
-            report_verdict_map(self._prev_report)
-            if self._prev_report is not None else self._prev_map
-        )
+        if previous is not None:
+            noncompliant = Verdict.NONCOMPLIANT.value
+            compliant = Verdict.COMPLIANT.value
+            fixes: list[HealthEvent] = []
+            # A key only in the previous cycle has no verdict now, so it
+            # can be neither a regression nor a fix.
+            changed = sorted(key for key, after in current_map.items()
+                             if previous.get(key) != after)
+            for key in changed:
+                before = previous.get(key, "")
+                after = current_map[key]
+                if after == noncompliant:
+                    bucket, kind = events, "regression"
+                elif before == noncompliant and after == compliant:
+                    bucket, kind = fixes, "fix"
+                else:
+                    continue
+                result = results[key]
+                bucket.append(HealthEvent(
+                    kind=kind, cycle_id=cycle_id, ts=now,
+                    target=key[0], entity=key[1], rule=key[2],
+                    before=before, after=after,
+                    severity=result.rule.severity, message=result.message,
+                ))
+            events.extend(fixes)
         flap_starts, flap_ends = self.detector.observe_cycle(current_map)
         for kind, keys in (("flap_start", flap_starts),
                            ("flap_end", flap_ends)):
             for key in keys:
                 series = self.detector.series(key)
+                result = results.get(key)
                 events.append(HealthEvent(
                     kind=kind, cycle_id=cycle_id, ts=now,
                     target=key[0], entity=key[1], rule=key[2],
-                    severity=severities.get(key, ""),
+                    severity=result.rule.severity if result else "",
                     message=(
                         f"{count_transitions(series)} transitions in last "
                         f"{len(series)} cycles: {' -> '.join(series)}"
                         if series else "left the fleet"
                     ),
                 ))
-        if baseline_map is not None:
-            before_targets = {key[0] for key in baseline_map}
+        if previous is not None:
+            before_targets = {key[0] for key in previous}
             after_targets = {key[0] for key in current_map}
             for kind, targets in (
                 ("entity_appeared", sorted(after_targets - before_targets)),
@@ -199,7 +209,6 @@ class HealthAnalyzer:
                     events.append(HealthEvent(
                         kind=kind, cycle_id=cycle_id, ts=now, target=target,
                     ))
-        self._prev_report = report
         self._prev_map = current_map
         return events
 
@@ -211,35 +220,6 @@ class HealthAnalyzer:
         """
         return [HealthEvent(kind="scan_error", cycle_id=cycle_id,
                             message=message or "scan failed")]
-
-    def _diff_stored(self, cycle_id: int, now: float,
-                     current: dict[VerdictKey, str],
-                     severities: dict[VerdictKey, str]) -> list[HealthEvent]:
-        """Restart path: classify against the stored previous cycle with
-        the same rules :func:`diff_reports` applies to live reports."""
-        previous = self._prev_map or {}
-        noncompliant = Verdict.NONCOMPLIANT.value
-        compliant = Verdict.COMPLIANT.value
-        events: list[HealthEvent] = []
-        regressions: list[HealthEvent] = []
-        fixes: list[HealthEvent] = []
-        for key in sorted(set(previous) | set(current)):
-            before = previous.get(key, "")
-            after = current.get(key, "")
-            event = HealthEvent(
-                kind="regression", cycle_id=cycle_id, ts=now,
-                target=key[0], entity=key[1], rule=key[2],
-                before=before, after=after,
-                severity=severities.get(key, ""),
-            )
-            if after == noncompliant and before != noncompliant:
-                regressions.append(event)
-            elif before == noncompliant and after == compliant:
-                event.kind = "fix"
-                fixes.append(event)
-        events.extend(regressions)
-        events.extend(fixes)
-        return events
 
     # ---- offline / endpoint queries ---------------------------------------
 

@@ -13,6 +13,7 @@ replayed onto the fresh frames so every cycle sees new frame objects
 with fresh fingerprint memos.
 """
 
+import posixpath
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.crawler import ContainerEntity, Crawler, DockerImageEntity
 from repro.crawler.serialize import dump_frame, load_frame
 from repro.engine import VerdictStore, render_json, render_text
 from repro.engine.results import Outcome
+from repro.fs import FileKind, WHITEOUT_PREFIX, whiteout_for
 from repro.fs.packages import Package
 from repro.rules import load_builtin_validator
 from repro.workloads import FleetSpec, build_fleet, ubuntu_host_entity
@@ -378,3 +380,128 @@ def _make_svc_frame():
         runtime={},
         metadata={},
     )
+
+
+# ---------------------------------------------------------------------------
+# Live overlay frames: images and containers crawled straight from their
+# layer stacks, so whole-frame fingerprints read the overlay itself
+# ---------------------------------------------------------------------------
+
+def _regular_files(layer) -> list[str]:
+    return [path for path in layer.paths()
+            if layer.lstat(path).kind is FileKind.FILE
+            and not posixpath.basename(path).startswith(WHITEOUT_PREFIX)]
+
+
+def _observable(entity) -> list[tuple]:
+    """Everything a walk of the entity's merged filesystem observes."""
+    files = entity.filesystem()
+    seen = []
+    for dirpath, _dirs, names in files.walk("/"):
+        seen.append((dirpath, files.stat(dirpath)))
+        for name in names:
+            path = posixpath.join(dirpath, name)
+            seen.append((path, files.stat(path), files.read_text(path)))
+    return seen
+
+
+def _edit_layers(rng: random.Random, kind: str, images, containers,
+                 tag: str):
+    """One random layer edit of ``kind`` on the live fleet; returns the
+    image or container whose layer it edited."""
+    if kind == "append":
+        container = rng.choice(containers)
+        view = container.filesystem()
+        path = rng.choice(view.files_under("/etc") or view.files_under("/"))
+        container.write_file(path, view.read_text(path) + f"\n# {tag}\n")
+        return container
+    if kind == "whiteout":
+        container = rng.choice(containers)
+        view = container.filesystem()
+        writable = view.layers[-1]
+        path = rng.choice([p for p in view.files_under("/")
+                           if not writable.exists(p)])
+        container.write_file(whiteout_for(path), "")
+        return container
+    image = rng.choice(images)
+    if kind == "chmod":
+        layer = rng.choice(image.layers)
+        path = rng.choice(_regular_files(layer))
+        mode = layer.stat(path).mode
+        layer.chmod(path, rng.choice(
+            [m for m in (0o600, 0o640, 0o644, 0o755, 0o777) if m != mode]))
+    elif kind == "add":
+        directory = rng.choice(["/etc/ssh", "/etc/nginx/conf.d",
+                                "/etc/mysql/conf.d", "/app"])
+        image.layers[-1].write_file(f"{directory}/mut_{tag}.conf",
+                                    f"# added {tag}\nPort 22\n")
+    else:  # symlink to a file of the same layer
+        layer = image.layers[-1]
+        target = rng.choice(_regular_files(layer))
+        layer.symlink(f"{posixpath.dirname(target)}/mut_{tag}.link", target)
+    return image
+
+
+class TestLiveOverlayFrames:
+    EDITS = ("append", "chmod", "add", "whiteout", "symlink")
+
+    def test_layer_edits_match_full_validation(self):
+        rng = random.Random(29)
+        _daemon, images, containers = build_fleet(
+            FleetSpec(images=3, containers_per_image=2, misconfig_rate=0.4,
+                      seed=5)
+        )
+        entities = [DockerImageEntity(i) for i in images]
+        entities += [ContainerEntity(c) for c in containers]
+        # The entity indices whose filesystem holds each image's or
+        # container's layers.
+        family: dict[int, set[int]] = {}
+        for index, entity in enumerate(entities):
+            if isinstance(entity, DockerImageEntity):
+                family.setdefault(id(entity.image), set()).add(index)
+            else:
+                family[id(entity.container)] = {index}
+                family.setdefault(id(entity.container.image), set()).add(index)
+        full = load_builtin_validator()
+        validator = load_builtin_validator(verdict_store=VerdictStore())
+        frames = Crawler().crawl_many(entities)
+        validator.validate_frames(frames, workers=1)
+        digests = [frame.fingerprint().frame_digest() for frame in frames]
+        for cycle in range(8):
+            before = [_observable(entity) for entity in entities]
+            kinds = [self.EDITS[cycle % len(self.EDITS)]]
+            kinds += rng.sample(self.EDITS, rng.randint(0, 2))
+            touched: set[int] = set()
+            for n, kind in enumerate(kinds):
+                seen = [_observable(entity) for entity in entities]
+                edited = _edit_layers(rng, kind, images, containers,
+                                      f"{cycle}-{n}")
+                touched |= family[id(edited)]
+                if kind == "add":
+                    # A file added to an image layer shows in every
+                    # container started from that image.
+                    assert all(_observable(entities[index]) != seen[index]
+                               for index in family[id(edited)])
+            changed = {index for index, entity in enumerate(entities)
+                       if _observable(entity) != before[index]}
+            reference = _render_pair(full.validate_frames(
+                Crawler().crawl_many(entities), workers=1))
+            frames = Crawler().crawl_many(entities)
+            for workers in WORKER_COUNTS:
+                report = validator.validate_frames(frames, workers=workers)
+                assert _render_pair(report) == reference, (
+                    f"cycle {cycle} ({kinds}), workers {workers}: "
+                    f"incremental report diverged from full validation"
+                )
+            # Every frame whose merged view changed gets a new whole-frame
+            # digest, and no frame with untouched layers does.  (A frame
+            # moving from the bulk read to the walk may re-digest with an
+            # unchanged view: its paths fold in walk order.)
+            previous = digests
+            digests = [frame.fingerprint().frame_digest() for frame in frames]
+            redigested = {index for index, digest in enumerate(digests)
+                          if digest != previous[index]}
+            assert changed <= redigested <= touched
+        flat = [frame.files.flat_nodes() is not None for frame in frames]
+        assert any(flat) and not all(flat), \
+            "the fleet must keep both bulk-read and walked frames"

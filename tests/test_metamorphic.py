@@ -5,12 +5,25 @@ hold under transformations: reordering rules, duplicating frames,
 filtering by tags, flattening overlays, serializing frames.
 """
 
+import posixpath
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.fs import OverlayFilesystem, VirtualFilesystem, flatten
+from repro.errors import FilesystemError
+from repro.fs import (
+    FileKind,
+    FilesystemView,
+    OverlayFilesystem,
+    VirtualFilesystem,
+    WHITEOUT_PREFIX,
+    flatten,
+    whiteout_for,
+)
+from repro.fs.overlay import OPAQUE_MARKER
 from repro.crawler import Crawler, HostEntity
+from repro.crawler.fingerprint import FILE, FILEMETA, FrameFingerprint
+from repro.crawler.frame import ConfigFrame
 from repro.crawler.serialize import dump_frame, load_frame
 from repro.cvl import Manifest, RuleSet
 from repro.engine import ConfigValidator, Verdict
@@ -103,6 +116,109 @@ _layer_files = st.dictionaries(
     max_size=4,
 )
 
+_ROOT = (0, 0, "root", "root")
+_WWW = (33, 33, "www-data", "www-data")
+_modes = st.sampled_from([0o600, 0o644, 0o700, 0o755])
+_owners = st.sampled_from([_ROOT, _WWW])
+
+#: One layer: an optional root chmod/chown, files and directories with
+#: modes and owners (``/etc/sub`` can be a file in one layer and a
+#: directory in another), and sometimes a whiteout, an opaque marker or
+#: a symlink.
+_layer_ops = st.fixed_dictionaries({
+    "root": st.none() | st.tuples(_modes, _owners),
+    "nodes": st.lists(st.one_of(
+        st.tuples(st.just("file"),
+                  st.sampled_from(["/etc/a", "/etc/b", "/etc/sub",
+                                   "/etc/sub/c", "/opt/d"]),
+                  st.text(alphabet="xyz", max_size=5), _modes, _owners),
+        st.tuples(st.just("dir"),
+                  st.sampled_from(["/etc", "/etc/a", "/etc/sub", "/opt"]),
+                  _modes, _owners),
+    ), max_size=5),
+    "markers": st.one_of(
+        st.just([]), st.just([]), st.just([]),
+        st.lists(st.one_of(
+            st.tuples(st.just("whiteout"),
+                      st.sampled_from(["/etc/a", "/etc/sub", "/opt"])),
+            st.tuples(st.just("opaque"), st.sampled_from(["/etc", "/opt"])),
+            st.tuples(st.just("symlink"),
+                      st.sampled_from(["/etc/link", "/opt/link"]),
+                      st.sampled_from(["/etc/a", "/etc/sub", "/missing"])),
+        ), min_size=1, max_size=2),
+    ),
+})
+
+
+def _build_layer(ops) -> VirtualFilesystem:
+    fs = VirtualFilesystem()
+    if ops["root"] is not None:
+        mode, (uid, gid, owner, group) = ops["root"]
+        fs.chmod("/", mode)
+        fs.chown("/", uid, gid, owner, group)
+    for op in ops["nodes"] + ops["markers"]:
+        kind, path = op[0], op[1]
+        try:
+            if kind == "file":
+                _, _, content, mode, (uid, gid, owner, group) = op
+                fs.write_file(path, content, mode=mode, uid=uid, gid=gid,
+                              owner=owner, group=group)
+            elif kind == "dir":
+                _, _, mode, (uid, gid, owner, group) = op
+                fs.mkdir(path)
+                fs.chmod(path, mode)
+                fs.chown(path, uid, gid, owner, group)
+            elif kind == "whiteout":
+                fs.write_file(whiteout_for(path), "")
+            elif kind == "opaque":
+                fs.write_file(posixpath.join(path, OPAQUE_MARKER), "")
+            elif kind == "symlink" and not fs.exists(path):
+                fs.symlink(path, op[2])
+        except FilesystemError:
+            continue  # e.g. a file under a path this layer holds as a file
+    return fs
+
+
+def _expects_walk(layers) -> bool:
+    """The cases where an overlay must refuse a bulk read: a symlink, a
+    whiteout or opaque marker, or a path that is a directory in one
+    layer and not in another."""
+    is_dir: dict[str, set[bool]] = {}
+    for layer in layers:
+        for path in layer.paths():
+            stat = layer.lstat(path)
+            if stat.kind is FileKind.SYMLINK \
+                    or posixpath.basename(path).startswith(WHITEOUT_PREFIX):
+                return True
+            is_dir.setdefault(path, set()).add(stat.is_dir)
+    return any(len(kinds) > 1 for kinds in is_dir.values())
+
+
+class _WalkOnly(FilesystemView):
+    """The overlay's view without its bulk read: fingerprints walk it."""
+
+    def __init__(self, inner: FilesystemView):
+        self._inner = inner
+
+    def exists(self, path):
+        return self._inner.exists(path)
+
+    def is_dir(self, path):
+        return self._inner.is_dir(path)
+
+    def read_text(self, path):
+        return self._inner.read_text(path)
+
+    def stat(self, path):
+        return self._inner.stat(path)
+
+    def listdir(self, path):
+        return self._inner.listdir(path)
+
+
+def _image_frame(files: FilesystemView) -> ConfigFrame:
+    return ConfigFrame(entity_name="layers", entity_kind="image", files=files)
+
 
 class TestSubstrateMetamorphic:
     @settings(max_examples=20, deadline=None)
@@ -129,6 +245,45 @@ class TestSubstrateMetamorphic:
         assert overlay_files == merged_files
         for path in overlay_files:
             assert merged.read_text(path) == overlay.read_text(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=st.lists(_layer_ops, min_size=1, max_size=4))
+    @example(stack=[  # the root takes the bottom layer's stat
+        {"root": None, "nodes": [("file", "/etc/a", "x", 0o644, _ROOT)],
+         "markers": []},
+        {"root": (0o700, _WWW), "nodes": [], "markers": []},
+    ])
+    @example(stack=[  # /etc/sub: a directory below, a file above
+        {"root": None, "nodes": [("file", "/etc/sub/c", "x", 0o644, _ROOT)],
+         "markers": []},
+        {"root": None, "nodes": [("file", "/etc/sub", "y", 0o600, _WWW)],
+         "markers": []},
+    ])
+    def test_overlay_bulk_read_matches_walk(self, stack):
+        layers = [_build_layer(ops) for ops in stack]
+        overlay = OverlayFilesystem(layers)
+        flat = overlay.flat_nodes()
+        if _expects_walk(layers):
+            assert flat is None
+            return
+        walked = []
+        for dirpath, _dirs, names in overlay.walk("/"):
+            walked.append((dirpath, overlay.stat(dirpath), ""))
+            for name in names:
+                path = posixpath.join(dirpath, name)
+                walked.append((path, overlay.stat(path),
+                               overlay.read_text(path)))
+        assert flat == sorted(walked, key=lambda entry: entry[0])
+
+        bulk = FrameFingerprint(_image_frame(overlay))
+        walk = FrameFingerprint(_image_frame(_WalkOnly(overlay)))
+        bulk.frame_digest()
+        walk.frame_digest()
+        for path, stat, _content in walked:
+            assert bulk.digest((FILEMETA, path)) == walk.digest((FILEMETA, path))
+            if not stat.is_dir:
+                assert bulk.digest((FILE, path)) == walk.digest((FILE, path))
+        assert sorted(bulk._file_paths()) == sorted(walk._file_paths())
 
     @settings(max_examples=10, deadline=None)
     @given(files=_layer_files, seed=st.integers(min_value=0, max_value=99))

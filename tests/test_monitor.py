@@ -115,12 +115,14 @@ def _drift_events(reports):
                     kind, entry.target, entry.entity, entry.rule_name,
                     entry.before.value if entry.before else "",
                     entry.after.value if entry.after else "",
+                    entry.severity, entry.message,
                 ))
     return expected
 
 
 def _event_tuples(events):
-    return [(e.kind, e.target, e.entity, e.rule, e.before, e.after)
+    return [(e.kind, e.target, e.entity, e.rule, e.before, e.after,
+             e.severity, e.message)
             for e in events if e.kind in ("regression", "fix")]
 
 
@@ -181,7 +183,8 @@ class TestEventStream:
 
     def test_restart_diffs_against_stored_cycle(self, base_blobs):
         """Across a daemon restart the first diff runs on stored
-        verdicts and must classify identically to a live diff."""
+        verdicts and must classify identically to a live diff, severity
+        and message included."""
         reports = []
         with HistoryStore() as store:
             first = _make_monitor(base_blobs, store, cycles=1,
@@ -200,6 +203,8 @@ class TestEventStream:
         _id, _summary, restart_events = reports[-1]
         assert _event_tuples(restart_events) == live_expected
         assert live_expected, "restart cycle produced no drift"
+        assert all(event[-1] for event in live_expected), \
+            "every regression and fix carries its result's message"
 
 
 class TestByteIdentity:

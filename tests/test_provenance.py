@@ -19,9 +19,13 @@ The contract, stated once:
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.augtree.tree import SourceSpan
 from repro.crawler import ContainerEntity, Crawler, DockerImageEntity
 from repro.cvl.model import TreeRule
@@ -324,6 +328,51 @@ def _one_spanned_failure(blobs):
         ):
             return result, by_target[result.target]
     raise AssertionError("no spanned failure in fixture fleet")
+
+
+_MIXED_FLEET_SCAN = """
+from repro.crawler import ContainerEntity, DockerImageEntity
+from repro.engine import render_json
+from repro.engine.batch import BatchScanner
+from repro.rules import load_builtin_validator
+from repro.workloads import FleetSpec, build_fleet, ubuntu_host_entity
+
+_daemon, images, containers = build_fleet(FleetSpec(
+    images=2, containers_per_image=4, misconfig_rate=0.3, seed=7))
+entities = [ContainerEntity(c) for c in containers]
+entities += [DockerImageEntity(i) for i in images]
+entities += [ubuntu_host_entity(f"host-{i:02d}", hardening=0.5, seed=i,
+                                with_nginx=True, with_mysql=True)
+             for i in range(2)]
+validator = load_builtin_validator(provenance=True)
+print(render_json(BatchScanner(validator).scan_entities(entities).report))
+"""
+
+
+def test_composite_referents_do_not_depend_on_string_hashing():
+    """Composite referents follow the expression, so a provenance-on
+    report is the same in every process whatever its hash seed."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run([sys.executable, "-c", _MIXED_FLEET_SCAN],
+                                capture_output=True, text=True, env=env,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    composites = [
+        result["provenance"] for result in json.loads(outputs[0])["results"]
+        if result["outcome"] == "composite"
+    ]
+    assert any(len(record["referents"]) > 1 for record in composites)
+    for record in composites:
+        # In order of first appearance in the expression.
+        expression = record["predicate"]
+        positions = [expression.index(f"{ref['entity']}.{ref['rule']}")
+                     for ref in record["referents"]]
+        assert positions == sorted(positions)
 
 
 def test_render_explanation_includes_source_block(blobs):

@@ -1098,8 +1098,9 @@ def _add_chaos_flags(subparser: argparse.ArgumentParser) -> None:
 def _add_plan_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--no-plan", action="store_true",
-        help="disable compiled rule plans (fused single-pass tree "
-             "evaluation); reports are byte-identical either way",
+        help="compile rule plans without fused units (single-pass tree "
+             "evaluation), so every rule runs through the per-rule "
+             "evaluator; reports are byte-identical either way",
     )
 
 

@@ -120,7 +120,7 @@ class FleetSummary:
     incremental: object | None = None
     #: Rule-plan stats for this cycle
     #: (:class:`repro.engine.plan.PlanRunStats`); None when the cycle ran
-    #: with ``--no-plan``.
+    #: with ``--no-plan`` (plans without fused units).
     plan: object | None = None
     #: Process-executor stats for this cycle
     #: (:class:`repro.exec.ExecStats`); None on the thread backend.

@@ -181,6 +181,8 @@ class _RunPrep:
     path's closures and the process backend's worker entry
     (:mod:`repro.exec.worker`) go through the same pair, which is what
     makes cross-backend reports byte-identical by construction.
+    ``plans`` holds a :class:`RulePlan` for every enabled pack, fused or
+    not (``use_plans=False``); ``plan_stats`` is None when unfused.
     """
 
     __slots__ = (
@@ -258,8 +260,9 @@ class ConfigValidator:
         #: Cross-cycle verdict store; None means every run is a full
         #: revalidation (the default).
         self.verdict_store = verdict_store
-        #: Compile rulesets into fused :class:`RulePlan`s (the default);
-        #: ``use_plans=False`` is the ``--no-plan`` reference path.
+        #: Fuse tree rules through cached :class:`RulePlan`s (the
+        #: default); ``use_plans=False`` (``--no-plan``) compiles plans
+        #: with no fused units, the differential tests' reference.
         self.use_plans = bool(use_plans)
         #: Attach :class:`ProvenanceRecord`s to every result (``--provenance``).
         #: Off by default: reports stay byte-identical to provenance-free runs.
@@ -315,12 +318,9 @@ class ConfigValidator:
         stats): the scan cycle's hot path only appends each frame's
         result list here, and the verdict tally plus latency histogram
         are computed when the metrics are actually scraped or rendered.
+        Both families are declared on every scrape, so they are exposed
+        even while every verdict replays.
         """
-        with self._pending_rule_lock:
-            batches = self._pending_rule_metrics
-            self._pending_rule_metrics = []
-        if not batches:
-            return
         rules_total = self.telemetry.metrics.counter(
             "repro_rules_evaluated_total",
             "Rule evaluations by terminal verdict.",
@@ -329,6 +329,11 @@ class ConfigValidator:
         rule_hist = self.telemetry.metrics.histogram(
             "repro_rule_eval_seconds", "Per-rule evaluation latency."
         )
+        with self._pending_rule_lock:
+            batches = self._pending_rule_metrics
+            self._pending_rule_metrics = []
+        if not batches:
+            return
         verdict_str = _VERDICT_STR
         results = [r for batch in batches for r in batch]
         verdicts = [verdict_str[r.verdict] for r in results]
@@ -463,9 +468,11 @@ class ConfigValidator:
         as the sequential path, regardless of completion order.
 
         ``use_plans`` (default: the constructor setting) routes tree
-        rules through compiled fused plans; reports are byte-identical
-        either way -- ``use_plans=False`` exists for differential
-        testing and as the ``--no-plan`` escape hatch.
+        rules through the fused units of cached plans;
+        ``use_plans=False`` (``--no-plan``) runs every pack through an
+        uncached plan with no fused units, in the same loop, and leaves
+        ``report.plan`` None.  Reports are byte-identical either way;
+        the unfused plans are the differential tests' reference.
 
         ``provenance`` (default: the constructor setting) attaches a
         :class:`~repro.engine.provenance.ProvenanceRecord` to every
@@ -487,14 +494,6 @@ class ConfigValidator:
         enabled = telemetry.enabled
         spans = telemetry.spans
         if enabled:
-            rules_total = telemetry.metrics.counter(
-                "repro_rules_evaluated_total",
-                "Rule evaluations by terminal verdict.",
-                labels=("verdict",),
-            )
-            rule_hist = telemetry.metrics.histogram(
-                "repro_rule_eval_seconds", "Per-rule evaluation latency."
-            )
             frames_total = telemetry.metrics.counter(
                 "repro_frames_scanned_total", "Frames validated."
             )
@@ -669,6 +668,7 @@ class ConfigValidator:
 
             if include_composites:
                 with spans.span("composite", category="stage"):
+                    fresh_composites: list[RuleResult] = []
                     for manifest, rule in composites:
                         if store is not None:
                             cached = store.fresh_composite(
@@ -698,6 +698,7 @@ class ConfigValidator:
                             )
                         duration = time.perf_counter() - started
                         result.duration_s = duration
+                        result.started_s = started
                         if provenance:
                             # Link the composite back to the per-entity
                             # verdicts its expression referenced.
@@ -721,22 +722,13 @@ class ConfigValidator:
                             )
                             inc_stats.composites_evaluated += 1
                         report.add(result)
+                        fresh_composites.append(result)
                         if timings is not None:
                             timings.add("composite", duration)
-                        if enabled:
-                            verdict = result.verdict.value
-                            rules_total.inc(verdict=verdict)
-                            rule_hist.observe(duration)
-                            telemetry.profiler.record(
-                                "rule", f"{manifest.entity}/{rule.name}",
-                                duration,
-                                error=result.verdict is Verdict.ERROR,
-                            )
-                            spans.record(
-                                rule.name, category="rule",
-                                start_s=started, duration_s=duration,
-                                entity=manifest.entity, verdict=verdict,
-                            )
+                    if enabled:
+                        # Inside the stage span so rule spans parent to
+                        # "composite".
+                        flush_rule_telemetry(fresh_composites)
 
         if inc_stats is not None:
             if store is not None:
@@ -886,9 +878,34 @@ class ConfigValidator:
         (:meth:`~repro.engine.incremental.VerdictStore.import_slice`).
         """
         excerpts = ExcerptReader() if provenance else None
-        # ---- incremental setup (no-ops without a verdict store) ----------
         if store is _UNSET:
             store = self.verdict_store
+        packs = [manifest for manifest in self.manifests()
+                 if manifest.enabled]
+        # Ruleset digests key both the verdict store's invalidation and
+        # the process-wide plan cache; computed once per run so pack
+        # mutations between runs are always picked up.
+        digests: dict[str, str] = {}
+        if store is not None or use_plans:
+            digests = {
+                manifest.entity: ruleset_digest(
+                    manifest, self.ruleset_for(manifest)
+                )
+                for manifest in packs
+            }
+        # Every pack runs through a plan; ``use_plans=False`` compiles an
+        # uncached one with no fused units, so all its rules run direct.
+        plans: dict[str, RulePlan] = {}
+        for manifest in packs:
+            ruleset = self.ruleset_for(manifest)
+            digest = digests.get(manifest.entity, "")
+            plans[manifest.entity] = (
+                plan_for(manifest, ruleset, digest) if use_plans
+                else RulePlan(manifest, ruleset, digest, fuse=False)
+            )
+        plan_stats = PlanRunStats() if use_plans else None
+
+        # ---- incremental setup (no-ops without a verdict store) ----------
         recorder: DependencyRecorder | None = None
         inc_stats: IncrementalRunStats | None = None
         fingerprints: dict[str, FrameFingerprint] = {}
@@ -896,17 +913,22 @@ class ConfigValidator:
         if store is not None:
             inc_stats = IncrementalRunStats()
             frame_keys = [frame.describe() for frame in frames]
+            aliased = sorted(entity for entity, plan in plans.items()
+                             if not plan.usable)
+            # Two frames sharing an identity, or two rules sharing a name
+            # in one pack, would alias each other's stored verdicts; run a
+            # plain full validation instead.
             if len(set(frame_keys)) != len(frame_keys):
-                # Two frames sharing an identity would alias each other's
-                # stored verdicts; run a plain full validation instead.
+                reason = "duplicate frame identities in run"
+            elif aliased:
+                reason = ("duplicate rule names in pack "
+                          + ", ".join(map(repr, aliased)))
+            else:
+                reason = None
+            if reason is not None:
                 inc_stats.active = False
-                inc_stats.reason = (
-                    "duplicate frame identities in run; ran full validation"
-                )
-                log.warning(
-                    "incremental disabled for this run: duplicate frame "
-                    "identities"
-                )
+                inc_stats.reason = f"{reason}; ran full validation"
+                log.warning("incremental disabled for this run: %s", reason)
                 store = None
             else:
                 recorder = DependencyRecorder()
@@ -920,32 +942,7 @@ class ConfigValidator:
                     key: fingerprints[key].frame_digest()
                     for key in frame_keys
                 })
-
-        # Ruleset digests key both the verdict store's invalidation and
-        # the process-wide plan cache; computed once per run so pack
-        # mutations between runs are always picked up.
-        digests: dict[str, str] = {}
-        if store is not None or use_plans:
-            digests = {
-                manifest.entity: ruleset_digest(
-                    manifest, self.ruleset_for(manifest)
-                )
-                for manifest in self.manifests()
-                if manifest.enabled
-            }
-        if store is not None:
-            store.sync_rulesets(digests)
-        plans: dict[str, RulePlan] = {}
-        plan_stats: PlanRunStats | None = None
-        if use_plans:
-            plan_stats = PlanRunStats()
-            for manifest in self.manifests():
-                if not manifest.enabled:
-                    continue
-                plan = plan_for(manifest, self.ruleset_for(manifest),
-                                digests[manifest.entity])
-                if plan.usable:
-                    plans[manifest.entity] = plan
+                store.sync_rulesets(digests)
 
         normalizer = Normalizer(self._lenses, self._schemas,
                                 cache=self.parse_cache, timings=timings,
@@ -973,7 +970,7 @@ class ConfigValidator:
         list[RuleResult],
         int,
         set[tuple[str, str]],
-        PlanRunStats | None,
+        PlanRunStats,
     ]:
         """Every per-entity rule of one frame, against shared run state.
 
@@ -981,6 +978,9 @@ class ConfigValidator:
         path's ``validate_one`` closure and the process backend's worker
         entry (:mod:`repro.exec.worker`) call this same method, so
         reports agree byte-for-byte across executors by construction.
+        Each pack runs through its :class:`RulePlan` in one loop: replay
+        what the verdict store proves unchanged, run the pending fused
+        units, run the rest direct, and assemble results by position.
         """
         store = prep.store
         recorder = prep.recorder
@@ -990,7 +990,6 @@ class ConfigValidator:
         timings = prep.timings
         tags = prep.tags
         provenance = prep.provenance
-        plans = prep.plans
         deadline = prep.deadline
         # Monotonic stamp for the frame's deadline budget (RunDeadline
         # compares against time.monotonic, not perf_counter).
@@ -1005,7 +1004,7 @@ class ConfigValidator:
         frame_key = frame.describe()
         #: Per-frame planner stats, merged at the barrier (the
         #: run-wide object must not be mutated from workers).
-        frame_plan = PlanRunStats() if plans else None
+        frame_plan = PlanRunStats()
         #: Deferred-provenance markers, one shared tuple per
         #: route: attaching provenance costs a single attribute
         #: store per result, and the record itself is built on
@@ -1016,30 +1015,16 @@ class ConfigValidator:
         fused_ctx = ((ROUTE_FUSED, prep.excerpts, frame)
                      if provenance else None)
 
-        def run_rule(manifest: Manifest, rule: Rule) -> RuleResult:
-            """One fresh per-rule evaluation -- the planned path
-            routes fallback and non-tree rules through this same
-            body, so results (tracebacks included) are identical
-            to the unplanned engine."""
-            started = time.perf_counter()
-            if recorder is not None:
-                tape, previous = recorder.begin()
-                try:
-                    self._record_intrinsic_deps(
-                        recorder, rule, frame
-                    )
-                    result = self._evaluate_protected(
-                        rule, frame, manifest, normalizer, frame_key)
-                finally:
-                    recorder.end(previous)
-            else:
-                result = self._evaluate_protected(
-                    rule, frame, manifest, normalizer, frame_key)
-            duration = time.perf_counter() - started
+        def finish(manifest: Manifest, rule: Rule, result: RuleResult,
+                   tape, duration: float, started: float,
+                   route_ctx) -> RuleResult:
+            """The one post-processing step of every fresh per-entity
+            result, whether a fused unit, a direct or a fallback
+            evaluation produced it."""
             result.duration_s = duration
             result.started_s = started
             if provenance:
-                result._provenance = direct_ctx
+                result._provenance = route_ctx
             if store is not None:
                 if not getattr(result, "volatile", False):
                     # Volatile results (injected faults degraded to
@@ -1063,7 +1048,7 @@ class ConfigValidator:
                 continue
             if not manifest.applies_to_kind(frame.entity_kind):
                 continue
-            ruleset = self.ruleset_for(manifest)
+            plan = prep.plans[manifest.entity]
             present = None
             if store is not None:
                 present = store.fresh_presence(
@@ -1080,7 +1065,7 @@ class ConfigValidator:
                     try:
                         recorder.record_runtime_keys(frame)
                         present = self._component_present(
-                            frame, manifest, ruleset, normalizer
+                            frame, manifest, plan.rules, normalizer
                         )
                     finally:
                         recorder.end(previous)
@@ -1088,57 +1073,18 @@ class ConfigValidator:
                                        tape, fingerprints, present)
                 else:
                     present = self._component_present(
-                        frame, manifest, ruleset, normalizer
+                        frame, manifest, plan.rules, normalizer
                     )
             if not present:
                 continue  # the component is not on this entity
-            plan = plans.get(manifest.entity)
-            if plan is None:
-                # Unplanned reference path (``--no-plan``).
-                frame_results: list[RuleResult] = []
-                for rule in ruleset.enabled_rules():
-                    if isinstance(rule, CompositeRule):
-                        continue
-                    if tags and not any(
-                        rule.has_tag(tag) for tag in tags
-                    ):
-                        continue
-                    if store is not None:
-                        cached = store.fresh_result(
-                            frame_key, manifest.entity, rule,
-                            fingerprints, clean_frames,
-                            provenance=provenance,
-                        )
-                        if cached is not None:
-                            frame_results.append(cached)
-                            replayed += 1
-                            continue
-                    if deadline is not None and deadline.should_cancel(
-                            frame_clock):
-                        result = self._cancelled_result(
-                            manifest, rule, frame_key)
-                        frame_cancelled = True
-                    else:
-                        result = run_rule(manifest, rule)
-                    frame_results.append(result)
-                    fresh.append(result)
-                placements.append((manifest, frame_results))
-                continue
-
-            # ---- planned path --------------------------------
-            selected: list[Rule] = []
-            for rule in plan.rules:
-                if isinstance(rule, CompositeRule):
-                    continue
-                if tags and not any(
-                    rule.has_tag(tag) for tag in tags
-                ):
-                    continue
-                selected.append(rule)
-            results_by_name: dict[str, RuleResult] = {}
-            replayed_names: set[str] = set()
-            pending: list[Rule] = []
-            for rule in selected:
+            selected = [
+                rule for rule in plan.rules
+                if not tags or any(rule.has_tag(tag) for tag in tags)
+            ]
+            results: list[RuleResult | None] = [None] * len(selected)
+            #: Positions still to evaluate, in pack order.
+            pending: list[int] = []
+            for position, rule in enumerate(selected):
                 if store is not None:
                     cached = store.fresh_result(
                         frame_key, manifest.entity, rule,
@@ -1146,77 +1092,67 @@ class ConfigValidator:
                         provenance=provenance,
                     )
                     if cached is not None:
-                        results_by_name[rule.name] = cached
-                        replayed_names.add(rule.name)
+                        results[position] = cached
                         replayed += 1
                         continue
-                pending.append(rule)
-            fused_pending = {
-                rule.name for rule in pending if plan.is_fused(rule)
+                pending.append(position)
+            #: Pending fused rules by name (unique in a plan with units).
+            fused = {
+                selected[position].name: position
+                for position in pending
+                if plan.is_fused(selected[position])
             }
-            runtime_fallback: frozenset[str] = frozenset()
-            if fused_pending and deadline is not None and (
+            if fused and deadline is not None and (
                     deadline.should_cancel(frame_clock)):
                 # Over deadline before the fused pass: cancel the whole
                 # unit cheaply; the per-rule loop below emits a
                 # quarantined ERROR for each pending rule.
-                fused_pending = set()
-            if fused_pending:
+                fused = {}
+            fell_back: list[str] = []
+            if fused:
                 outputs, fell_back = plan.evaluate_fused(
-                    frame, manifest, normalizer, fused_pending,
+                    frame, manifest, normalizer, fused,
                     frame_key=(frame_key if store is not None
                                else None),
                     stats=frame_plan,
                 )
-                runtime_fallback = frozenset(fell_back)
-                for rule, result, tape, duration, begun in outputs:
-                    result.duration_s = duration
-                    result.started_s = begun
-                    if provenance:
-                        result._provenance = fused_ctx
-                    if store is not None:
-                        if not getattr(result, "volatile", False):
-                            store.put(frame_key, manifest.entity,
-                                      rule.name, tape, fingerprints,
-                                      result)
-                        recomputed.add(
-                            (manifest.entity, rule.name)
-                        )
-                    if timings is not None:
-                        timings.add("evaluate", duration)
-                    if result.verdict is Verdict.ERROR:
-                        log.warning(
-                            "rule %s/%s errored on %s: %s",
-                            manifest.entity, rule.name,
-                            result.target, result.message,
-                        )
-                    results_by_name[rule.name] = result
-            for rule in pending:
-                if rule.name in results_by_name:
+                for rule, result, tape, duration, started in outputs:
+                    results[fused[rule.name]] = finish(
+                        manifest, rule, result, tape, duration, started,
+                        fused_ctx)
+            for position in pending:
+                if results[position] is not None:
                     continue  # served by a fused unit
+                rule = selected[position]
                 if deadline is not None and deadline.should_cancel(
                         frame_clock):
-                    results_by_name[rule.name] = self._cancelled_result(
+                    results[position] = self._cancelled_result(
                         manifest, rule, frame_key)
                     frame_cancelled = True
                     continue
-                if (rule.name in runtime_fallback
+                if (rule.name in fell_back
                         or rule.name in plan.fallback_names):
                     frame_plan.rules_fallback += 1
                 else:
                     frame_plan.rules_direct += 1
-                results_by_name[rule.name] = run_rule(manifest, rule)
-            # Assemble in pack order so reports (and the fresh
-            # list telemetry consumes) match the unplanned path.
-            frame_results = [
-                results_by_name[rule.name] for rule in selected
-            ]
-            fresh.extend(
-                results_by_name[rule.name]
-                for rule in selected
-                if rule.name not in replayed_names
-            )
-            placements.append((manifest, frame_results))
+                started = time.perf_counter()
+                tape = None
+                if recorder is not None:
+                    tape, previous = recorder.begin()
+                    try:
+                        self._record_intrinsic_deps(recorder, rule, frame)
+                        result = self._evaluate_protected(
+                            rule, frame, manifest, normalizer, frame_key)
+                    finally:
+                        recorder.end(previous)
+                else:
+                    result = self._evaluate_protected(
+                        rule, frame, manifest, normalizer, frame_key)
+                results[position] = finish(
+                    manifest, rule, result, tape,
+                    time.perf_counter() - started, started, direct_ctx)
+            placements.append((manifest, results))
+            fresh.extend(results[position] for position in pending)
         if frame_cancelled:
             _CHAOS.account.note_frame_quarantined()
             log.warning("frame %s quarantined: deadline exceeded, "
@@ -1271,7 +1207,7 @@ class ConfigValidator:
     def _component_present(
         frame: ConfigFrame,
         manifest: Manifest,
-        ruleset: RuleSet,
+        rules: list[Rule],
         normalizer: Normalizer,
     ) -> bool:
         """A component's rules only run where the component exists: some
@@ -1285,7 +1221,7 @@ class ConfigValidator:
             return True  # nothing to scope by; run everywhere
         if normalizer.files_in_search_paths(frame, manifest.config_search_paths):
             return True
-        for rule in ruleset.enabled_rules():
+        for rule in rules:
             if isinstance(rule, ScriptRule):
                 plugin, _key = rule.plugin_and_key()
                 if plugin in frame.runtime:

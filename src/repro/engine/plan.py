@@ -20,14 +20,19 @@ once into a :class:`RulePlan`:
   incremental verdict store uses -- scan cycles and validator instances
   sharing a pack share one compiled plan.
 
+Every enabled pack runs through a plan: the engine has one evaluation
+loop, and ``--no-plan`` compiles an uncached plan with no fused units,
+so every rule runs *direct*, through the per-rule evaluator.
+
 Fused evaluation is byte-identical to the per-rule path: scope assembly
 mirrors ``evaluators._scopes`` (per-alternative dedup, ordered union),
 name matching reuses :func:`repro.augtree.path.step_segment` semantics,
 and verdict assembly goes through the shared
 :func:`repro.engine.evaluators.finalize_tree_rule` tail.  Rules the
-planner cannot prove equivalent (unparsable expressions, duplicate rule
-names, candidate-file discovery errors) fall back to the per-rule
-evaluator -- correctness never depends on fusion.
+planner cannot prove equivalent (unparsable expressions, candidate-file
+discovery errors) fall back to the per-rule evaluator, and a pack with
+duplicate rule names runs every rule direct -- correctness never
+depends on fusion.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from repro.chaos.fabric import absorbed as _chaos_absorbed
@@ -247,29 +253,34 @@ def _warm_value_patterns(rule) -> None:
 
 
 class RulePlan:
-    """A ruleset compiled for fused evaluation (immutable once built).
+    """A ruleset compiled for evaluation (immutable once built).
 
     Read-only after compilation, so one plan serves every frame and
     every worker thread of every scan cycle that shares the digest.
+    Rules outside :attr:`units` run direct; ``fuse=False`` (the
+    ``--no-plan`` reference) compiles no units at all.
     """
 
-    def __init__(self, manifest, ruleset, digest: str):
+    def __init__(self, manifest, ruleset, digest: str, *, fuse: bool = True):
         self.digest = digest
         self.entity = manifest.entity
-        #: Snapshot of the enabled rules in pack order -- the engine's
-        #: planned path iterates this instead of re-filtering the
-        #: (mutable) ruleset on every frame.
-        self.rules = list(ruleset.enabled_rules())
+        #: Snapshot of the enabled per-entity rules in pack order -- the
+        #: engine iterates this instead of re-filtering the (mutable)
+        #: ruleset on every frame.  Composites are cross-entity and run
+        #: once per validation run, outside any plan.
+        self.rules = [rule for rule in ruleset.enabled_rules()
+                      if not isinstance(rule, CompositeRule)]
         self.units: list[_FusedUnit] = []
         self._members: dict[str, tuple[_FusedUnit, _PlanMember]] = {}
-        fallback: set[str] = set()
-        #: Duplicate rule names would alias results in the planned
-        #: assembly; such packs run entirely unfused.
-        names = [r.name for r in self.rules if not isinstance(r, CompositeRule)]
+        self.fallback_names: frozenset[str] = frozenset()
+        #: Duplicate rule names would alias each other's fused outputs
+        #: and stored verdicts: such a pack runs every rule direct, and
+        #: a run containing it skips incremental replay.
+        names = [rule.name for rule in self.rules]
         self.usable = len(names) == len(set(names))
-        if not self.usable:
-            self.fallback_names = frozenset()
+        if not (fuse and self.usable):
             return
+        fallback: set[str] = set()
         units: "OrderedDict[tuple, _FusedUnit]" = OrderedDict()
         for rule in self.rules:
             if not isinstance(rule, TreeRule):
@@ -300,12 +311,12 @@ class RulePlan:
         frame,
         manifest,
         normalizer,
-        pending: set[str],
+        pending: Container[str],
         *,
         frame_key: str | None = None,
         stats: "PlanRunStats | None" = None,
     ):
-        """Evaluate every pending fused rule over ``frame``.
+        """Evaluate the fused rules named in ``pending`` over ``frame``.
 
         Returns ``(outputs, fallback)``: ``outputs`` is a list of
         ``(rule, result, tape, duration_s, started_s)`` tuples (``tape``

@@ -152,7 +152,7 @@ class ValidationReport:
     #: to keep this module free of engine imports).  None on full runs.
     incremental: object = field(default=None, repr=False, compare=False)
     #: Rule-plan statistics (:class:`repro.engine.plan.PlanRunStats`);
-    #: None when the run used the unplanned engine (``--no-plan``).
+    #: None when the run's plans had no fused units (``--no-plan``).
     #: Like ``incremental``, never rendered into reports.
     plan: object = field(default=None, repr=False, compare=False)
     #: Process-executor statistics (:class:`repro.exec.stats.ExecStats`);

@@ -81,6 +81,14 @@ class TestDemo:
         assert code in (0, 1)
         assert "# ConfigValidator report" in capsys.readouterr().out
 
+    def test_demo_fleet_no_plan_is_byte_identical(self, capsys):
+        outputs = []
+        for extra in ([], ["--no-plan"]):
+            code = main(["demo", "fleet", "--size", "2", *extra])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert "# ConfigValidator report" in outputs[0][1]
+
     def test_demo_cloud(self, capsys):
         assert main(["demo", "cloud", "--hardening", "0.0"]) == 1
 

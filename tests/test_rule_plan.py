@@ -435,11 +435,43 @@ class TestEngineFallbacks:
         assert _render_triple(planned) == _render_triple(unplanned)
         assert planned.plan.rules_fallback == 1
 
+    def test_fusion_counters_split_fused_direct_and_fallback(self):
+        rules = SVC_RULES + (
+            '---\npath_name: /etc/svc/svc.conf\npermission: 644\n'
+            '---\nconfig_name: "Broken["\npreferred_value: ["x"]\n'
+        )
+        planned, unplanned = self._pair(rules)
+        assert _render_triple(planned) == _render_triple(unplanned)
+        stats = planned.plan
+        # Port, Protocol and the app rule in units; the path rule direct;
+        # the unparsable tree rule falls back per-rule.
+        assert (stats.rules_fused, stats.rules_direct,
+                stats.rules_fallback) == (3, 1, 1)
+        assert unplanned.plan is None
+
     def test_duplicate_names_run_unfused_identically(self):
         rules = (
             'config_name: Port\npreferred_value: ["22"]\n---\n'
             'config_name: Port\npreferred_value: ["2222"]\n'
         )
         planned, unplanned = self._pair(rules)
-        assert _render_triple(planned) == _render_triple(unplanned)
-        assert planned.plan.rules_fused == 0
+        reference = _render_triple(unplanned)
+        assert _render_triple(planned) == reference
+        assert (planned.plan.rules_fused, planned.plan.rules_direct) == (0, 2)
+        # The two rules would share one verdict-store key, so incremental
+        # cycles must run as full validations instead of replaying one
+        # rule's verdict for the other.
+        for use_plans in (True, False):
+            validator = self._validator(rules, use_plans=use_plans,
+                                        verdict_store=VerdictStore())
+            for cycle in range(2):
+                report = validator.validate_frames([self._frame()],
+                                                   workers=1)
+                assert _render_triple(report) == reference, (
+                    f"plans={use_plans}, cycle {cycle}"
+                )
+                assert not report.incremental.active
+                assert report.incremental.reason == (
+                    "duplicate rule names in pack 'svc'; "
+                    "ran full validation"
+                )

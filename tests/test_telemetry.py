@@ -13,7 +13,7 @@ import urllib.request
 import pytest
 
 from repro.crawler import ContainerEntity, Crawler, DockerImageEntity, HostEntity
-from repro.cvl import Manifest, build_rule
+from repro.cvl import CompositeRule, Manifest, build_rule
 from repro.engine import Verdict, render_json, render_text
 from repro.engine.batch import BatchScanner, render_fleet_summary
 from repro.engine.evaluators import evaluate_schema
@@ -134,6 +134,29 @@ class TestScanCycleSpanTree:
             s for s in telemetry.spans.finished() if s.category == "rule"
         ]
         assert len(rule_spans) == len(summary.report)
+
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_composite_rule_telemetry(self, workers):
+        summary, telemetry = _scan(workers=workers)
+        (composite,) = [r for r in summary.report
+                        if isinstance(r.rule, CompositeRule)]
+        assert composite.entity == "mysql"
+        spans = telemetry.spans.finished()
+        by_id = {s.span_id: s for s in spans}
+        (span,) = [s for s in spans
+                   if s.category == "rule" and s.name == composite.rule.name]
+        parent = by_id[span.parent_id]
+        assert (parent.category, parent.name) == ("stage", "composite")
+        (entry,) = [e for e in telemetry.profiler.entries("rule")
+                    if e.key == f"mysql/{composite.rule.name}"]
+        assert entry.calls == 1
+        telemetry.metrics.collect()
+        evaluated = telemetry.metrics.counter(
+            "repro_rules_evaluated_total", labels=("verdict",)
+        )
+        assert sum(value for _labels, value in evaluated.samples()) == (
+            summary.report.counts()["total"]
+        )
 
 
 # ---- metrics registry --------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.cvl.manifest import Manifest
 from repro.cvl.model import PathRule, Rule, SchemaRule, ScriptRule, TreeRule
 from repro.engine.normalizer import Normalizer
 from repro.engine.results import Evidence, Outcome, RuleResult, Verdict
-from repro.schema.query import Query
 
 
 def _message(rule: Rule, outcome: Outcome) -> str:
@@ -301,7 +300,7 @@ def evaluate_schema(
             rule, entity, target, not_present_pass=rule.not_present_pass
         )
 
-    query = Query(rule.query_constraints, rule.query_columns)
+    query = normalizer.query_for(rule)
     evidence: list[Evidence] = []
     try:
         for path in files:

@@ -32,6 +32,7 @@ from repro.crawler.frame import ConfigFrame
 from repro.engine.parse_cache import ParseCache, content_digest_and_size
 from repro.engine.stages import StageTimings
 from repro.schema import (
+    Query,
     SchemaParserRegistry,
     SchemaTable,
     default_schema_registry,
@@ -119,6 +120,7 @@ class Normalizer:
         self._table_memo: dict[tuple[int, str, str], SchemaTable] = {}
         self._file_index: dict[tuple[int, tuple[str, ...]], FileTargetIndex] = {}
         self._digests: dict[tuple[int, str], tuple[str, int]] = {}
+        self._queries: dict[tuple[str, str], Query] = {}
 
     # ---- discovery --------------------------------------------------------
 
@@ -246,6 +248,21 @@ class Normalizer:
         )
         self._table_memo[memo_key] = table
         return table
+
+    def query_for(self, rule) -> Query:
+        """The schema rule's compiled query, compiled once per run.
+
+        Keyed by the query's text, so it stays with this run: rule
+        objects can outlive it in the process-wide plan cache.  A
+        malformed query raises :class:`~repro.errors.QueryError` on
+        every call; only compiled queries are kept.
+        """
+        key = (rule.query_constraints, rule.query_columns)
+        query = self._queries.get(key)
+        if query is None:
+            query = Query(*key)
+            self._queries[key] = query
+        return query
 
     def try_tree(
         self, frame: ConfigFrame, path: str, lens_name: str | None = None

@@ -10,6 +10,7 @@ validation output description and a possible suggestive action."
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from repro.engine.results import RuleResult, ValidationReport, Verdict
 
@@ -90,20 +91,86 @@ def result_to_dict(result: RuleResult) -> dict:
     return payload
 
 
-def render_json(report: ValidationReport, *, indent: int | None = 2) -> str:
-    """Machine-readable report (one document per run)."""
-    doc = {
-        "target": report.target,
-        "summary": report.counts(),
-        "results": [result_to_dict(result) for result in report],
-    }
+#: A line break and the indent of each depth of the JSON report: the
+#: top-level fields, results, a result's fields, its tags and evidence
+#: entries, and an evidence entry's fields.
+_L1, _L2, _L3, _L4, _L5 = ("\n" + "  " * depth for depth in range(1, 6))
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the depth
+    whose line break and indent is ``newline``.
+
+    Strings, nearly every value of a report, go straight to the C string
+    escaper: ``json.dumps`` with an indent runs CPython's pure-Python
+    encoder.
+    """
+    if value.__class__ is str:
+        return _escape(value)
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
+def _array(items: list[str], newline: str) -> str:
+    """A JSON array of rendered ``items`` whose brackets sit at ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
+
+
+def _result_json(result: RuleResult) -> str:
+    """:func:`result_to_dict` as ``json.dumps(doc, indent=2)`` writes it
+    in a report's results."""
+    rule = result.rule
+    tags = _array([_json(tag, _L4) for tag in rule.tags], _L3)
+    evidence = _array([
+        f'{{{_L5}"file": {_json(item.file, _L5)},'
+        f'{_L5}"location": {_json(item.location, _L5)},'
+        f'{_L5}"value": {_json(item.value, _L5)}{_L4}}}'
+        for item in result.evidence
+    ], _L3)
+    text = (
+        f'{{{_L3}"rule": {_json(rule.name, _L3)},'
+        f'{_L3}"rule_type": {_json(rule.rule_type, _L3)},'
+        f'{_L3}"entity": {_json(result.entity, _L3)},'
+        f'{_L3}"target": {_json(result.target, _L3)},'
+        f'{_L3}"verdict": {_json(result.verdict.value, _L3)},'
+        f'{_L3}"outcome": {_json(result.outcome.value, _L3)},'
+        f'{_L3}"severity": {_json(rule.severity, _L3)},'
+        f'{_L3}"message": {_json(result.message, _L3)},'
+        f'{_L3}"tags": {tags},'
+        f'{_L3}"suggested_action": {_json(rule.suggested_action, _L3)},'
+        f'{_L3}"evidence": {evidence},'
+        f'{_L3}"detail": {_json(result.detail, _L3)}'
+    )
+    provenance = result.provenance
+    if provenance is not None:
+        # Only present on --provenance runs, as in result_to_dict.
+        text += f',{_L3}"provenance": {_json(provenance.to_dict(), _L3)}'
+    return text + _L2 + "}"
+
+
+def render_json(report: ValidationReport) -> str:
+    """Machine-readable report (one document per run).
+
+    The text is what ``json.dumps(doc, indent=2)`` gives for ``doc =
+    {"target": ..., "summary": report.counts(), "results":
+    [result_to_dict(result), ...]}`` (and ``"degraded"`` and
+    ``"degradation"`` on a degraded cycle), written field by field.
+    """
+    results = _array([_result_json(result) for result in report], _L1)
+    text = (
+        f'{{{_L1}"target": {_json(report.target, _L1)},'
+        f'{_L1}"summary": {_json(report.counts(), _L1)},'
+        f'{_L1}"results": {results}'
+    )
     degradation = getattr(report, "degradation", None)
     if degradation is not None and degradation.degraded:
         # Only present on cycles that actually degraded, keeping clean
         # runs byte-identical to pre-chaos output.
-        doc["degraded"] = True
-        doc["degradation"] = degradation.to_dict()
-    return json.dumps(doc, indent=indent, sort_keys=False)
+        text += (f',{_L1}"degraded": true,'
+                 f'{_L1}"degradation": {_json(degradation.to_dict(), _L1)}')
+    return text + "\n}"
 
 
 def render_junit(report: ValidationReport, *, suite_name: str = "configvalidator") -> str:

@@ -135,10 +135,16 @@ class VirtualFilesystem(FilesystemView):
         self._link_to_parent(path)
 
     def symlink(self, path: str, target: str) -> None:
-        """Create a symlink at ``path`` pointing at ``target``."""
+        """Create a symlink at ``path`` pointing at ``target``.
+
+        Replaces a file or a symlink.  Like :meth:`write_file`, refuses to
+        replace a directory, which would cut its subtree off the root.
+        """
         path = self._norm(path)
         self._ensure_parents(path)
         existing = self._nodes.get(path)
+        if existing is not None and existing.stat.kind is FileKind.DIRECTORY:
+            raise IsADirectoryInFrame(path)
         if existing is None and self._is_whiteout_name(path):
             self._whiteout_count += 1
         if existing is None or existing.link_target is None:
@@ -191,18 +197,26 @@ class VirtualFilesystem(FilesystemView):
     # ---- read API (FilesystemView) ----------------------------------------
 
     def exists(self, path: str) -> bool:
+        path = self._norm(path)
+        if not self._symlink_count:
+            # Every stored node hangs off the root, so with no symlink to
+            # follow a path exists exactly when it is stored.
+            return path in self._nodes
         try:
-            self._resolve(self._norm(path))
+            self._resolve(path)
             return True
         except FileNotFoundInFrame:
             return False
 
     def is_dir(self, path: str) -> bool:
-        try:
-            node = self._nodes[self._resolve(self._norm(path))]
-        except FileNotFoundInFrame:
-            return False
-        return node.stat.kind is FileKind.DIRECTORY
+        path = self._norm(path)
+        if self._symlink_count:
+            try:
+                path = self._resolve(path)
+            except FileNotFoundInFrame:
+                return False
+        node = self._nodes.get(path)
+        return node is not None and node.stat.kind is FileKind.DIRECTORY
 
     def read_text(self, path: str) -> str:
         if _CHAOS.armed:

@@ -4,9 +4,11 @@ Every YAML text the program reads -- CVL rule files, entity manifests
 and the config files of the YAML lens -- is parsed here, once.  Parsing
 runs in libyaml when PyYAML was built with it (``yaml.__with_libyaml__``)
 and in PyYAML's pure-Python parser otherwise; the choice is made once,
-at import.  Values are built by PyYAML's ``SafeConstructor``, so they are
-exactly what ``yaml.safe_load`` gives, except for the types of mappings
-and sequences.
+at import.  Documents are built from the composed nodes by one walker
+(:class:`_Walker`) for both loaders and both parsers.  It hands every tag
+but ``str``, ``map`` and ``seq`` to PyYAML's ``SafeConstructor``, so
+values are exactly what ``yaml.safe_load`` gives, except for the types
+of mappings and sequences.
 
 Two loaders:
 
@@ -28,17 +30,27 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Hashable
 
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 YAMLError = yaml.YAMLError
 
 _BASE = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-_MAP_TAG = "tag:yaml.org,2002:map"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
+# The resolver's own default tags, so most tag tests are identity hits.
+_STR_TAG = _BASE.DEFAULT_SCALAR_TAG
+_SEQ_TAG = _BASE.DEFAULT_SEQUENCE_TAG
+_MAP_TAG = _BASE.DEFAULT_MAPPING_TAG
 _INT_TAG = "tag:yaml.org,2002:int"
 _FLOAT_TAG = "tag:yaml.org,2002:float"
+#: Keys ``flatten_mapping`` rewrites: merge keys (``<<``) and value keys
+#: (``=``).
+_FLATTENED_KEY_TAGS = frozenset({"tag:yaml.org,2002:merge",
+                                 "tag:yaml.org,2002:value"})
+_MISSING = object()
 
 log = logging.getLogger("repro.yamlio")
 
@@ -71,53 +83,123 @@ class MarkedList(list):
     __slots__ = ("source_line", "marks")
 
 
-def _construct_line_mapping(loader, node):
-    # Yield the container first, as SafeConstructor.construct_yaml_map
-    # does, so anchored self-references resolve.
-    mapping = LineDict()
-    mapping.source_line = node.start_mark.line + 1
-    yield mapping
-    mapping.update(loader.construct_mapping(node))
+class _Walker:
+    """Builds each document straight from its composed node graph.
+
+    PyYAML's ``construct_document`` runs a generator per collection and a
+    handful of calls per scalar.  Here a plain ``str`` scalar is its
+    ``node.value``, and the map and seq tags fill :class:`LineDict` (or
+    :class:`MarkedDict`) and lists (or :class:`MarkedList`) in one loop.
+    Every other tag goes through the loader's registered constructors,
+    whose own ``construct_object`` calls come back here; merge keys go
+    through ``flatten_mapping``.  Like PyYAML, a collection is created
+    when it is first reached and filled later, first reached first
+    filled, so aliases share one object, a collection may contain
+    itself, and the first error PyYAML would raise is the one raised.
+    """
+
+    #: Whether collections remember where their entries are (the lens
+    #: loader) or only the line a mapping starts on (CVL).
+    marked = False
+
+    def construct_document(self, node):
+        data = self.construct_object(node)
+        self._fill_collections()
+        self.constructed_objects = {}
+        self.recursive_objects = {}
+        return data
+
+    def construct_object(self, node, deep=False):
+        # ``deep`` is part of PyYAML's signature; the safe constructors
+        # never ask for deep construction.
+        data = self.constructed_objects.get(node, _MISSING)
+        if data is not _MISSING:
+            return data
+        kind = node.__class__
+        tag = node.tag
+        if kind is ScalarNode and tag == _STR_TAG:
+            return node.value
+        if kind is MappingNode and tag == _MAP_TAG:
+            data = MarkedDict() if self.marked else LineDict()
+            data.source_line = node.start_mark.line + 1
+        elif kind is SequenceNode and tag == _SEQ_TAG:
+            if self.marked:
+                data = MarkedList()
+                data.source_line = node.start_mark.line + 1
+            else:
+                data = []
+        else:
+            return super().construct_object(node, deep)
+        self.constructed_objects[node] = data
+        # Filled by _fill_collections, in the order PyYAML runs its
+        # collection generators, which also wait in this queue.
+        self.state_generators.append((node, data))
+        return data
+
+    def _fill_collections(self) -> None:
+        pending = self.state_generators
+        build = self.construct_object
+        marked = self.marked
+        index = 0
+        while index < len(pending):
+            item = pending[index]
+            index += 1
+            if item.__class__ is not tuple:
+                for _ in item:  # a registered constructor's generator
+                    pass
+                continue
+            node, data = item
+            if node.__class__ is SequenceNode:
+                children = node.value
+                data.extend([
+                    child.value
+                    if child.tag == _STR_TAG and child.__class__ is ScalarNode
+                    else build(child)
+                    for child in children])
+                if marked:
+                    data.marks = [(child.start_mark, child.end_mark)
+                                  for child in children]
+                continue
+            pairs = node.value
+            count = len(pairs)
+            for key_node, _ in pairs:
+                if key_node.tag in _FLATTENED_KEY_TAGS:
+                    self.flatten_mapping(node)
+                    break
+            for key_node, value_node in node.value:
+                if key_node.tag == _STR_TAG and key_node.__class__ is ScalarNode:
+                    key = key_node.value
+                else:
+                    key = build(key_node)
+                    if not isinstance(key, Hashable):
+                        raise ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            "found unhashable key", key_node.start_mark)
+                if value_node.tag == _STR_TAG and value_node.__class__ is ScalarNode:
+                    data[key] = value_node.value
+                else:
+                    data[key] = build(value_node)
+            if marked:
+                # Merge keys make flatten_mapping rewrite ``node.value``; a
+                # repeated key leaves fewer entries than pairs.
+                data.marks = ([(key.start_mark, value.end_mark)
+                               for key, value in pairs]
+                              if node.value is pairs and len(data) == count
+                              else None)
+        self.state_generators = []
 
 
-def _construct_marked_mapping(loader, node):
-    mapping = MarkedDict()
-    mapping.source_line = node.start_mark.line + 1
-    yield mapping
-    pairs = node.value
-    count = len(pairs)
-    mapping.update(loader.construct_mapping(node))
-    # Merge keys make construct_mapping rewrite ``node.value``; a repeated
-    # key leaves fewer entries than pairs.
-    if node.value is pairs and len(mapping) == count:
-        mapping.marks = [(key.start_mark, value.end_mark) for key, value in pairs]
-    else:
-        mapping.marks = None
-
-
-def _construct_marked_sequence(loader, node):
-    sequence = MarkedList()
-    sequence.source_line = node.start_mark.line + 1
-    yield sequence
-    sequence.extend(loader.construct_sequence(node))
-    sequence.marks = [(item.start_mark, item.end_mark) for item in node.value]
-
-
-class Loader(_BASE):
+class Loader(_Walker, _BASE):
     """Safe YAML 1.1 loading into :class:`MarkedDict`/:class:`MarkedList`."""
 
-
-Loader.add_constructor(_MAP_TAG, _construct_marked_mapping)
-Loader.add_constructor(_SEQ_TAG, _construct_marked_sequence)
+    marked = True
 
 
-class CvlLoader(_BASE):
+class CvlLoader(_Walker, _BASE):
     """Safe loading into :class:`LineDict` and lists, with CVL numbers:
     YAML 1.1 ints and floats without the leading-zero octal and base-60
     forms."""
 
-
-CvlLoader.add_constructor(_MAP_TAG, _construct_line_mapping)
 
 _CVL_NUMBERS = {
     _INT_TAG: re.compile(r"""^(?:[-+]?0b[0-1_]+
@@ -136,10 +218,9 @@ CvlLoader.yaml_implicit_resolvers = {
 
 
 def _pure_python(loader: type) -> type:
-    """``loader``'s constructors and resolvers on PyYAML's pure-Python
-    parser."""
-    return type(f"PurePython{loader.__name__}", (yaml.SafeLoader,), {
-        "yaml_constructors": loader.yaml_constructors,
+    """``loader``'s walker and resolvers on PyYAML's pure-Python parser."""
+    return type(f"PurePython{loader.__name__}", (_Walker, yaml.SafeLoader), {
+        "marked": loader.marked,
         "yaml_implicit_resolvers": loader.yaml_implicit_resolvers,
     })
 
@@ -155,10 +236,15 @@ _PURE_PYTHON = {loader: _pure_python(loader) for loader in (Loader, CvlLoader)}
 #: pure-Python parser raises RecursionError.
 _C_NESTING_LIMIT = 5000
 
-#: The head of each line: the start of the text or a YAML line break,
-#: then any indentation, block indicators (``-``, ``?``, ``:``) and
-#: byte-order marks.
-_LINE_HEAD = re.compile("(?:^|[\\r\\n\\x85\\u2028\\u2029])[\\ufeff \\t?:-]*")
+#: The head of the first line: any indentation, block indicators (``-``,
+#: ``?``, ``:``) and byte-order marks.
+_FIRST_HEAD = re.compile("[\\ufeff \\t?:-]*")
+
+
+def _longer_head(length: int) -> re.Pattern:
+    """A YAML line break and then a head of at least ``length`` indicator
+    characters (``re`` caches the compiled patterns)."""
+    return re.compile("[\\r\\n\\x85\\u2028\\u2029][\\ufeff \\t?:-]{%d,}" % length)
 
 
 def _nesting_bound(text: str) -> int:
@@ -173,7 +259,14 @@ def _nesting_bound(text: str) -> int:
     stand before it on its line.  So long lines do not raise the bound;
     long runs of indicators do, and so does every bracket, quoted or not.
     """
-    head = max(map(len, _LINE_HEAD.findall(text)))
+    # The longest line head, counting the line break before it: search
+    # on from each longer head for a longer one, so no head but those
+    # becomes a string.
+    head = _FIRST_HEAD.match(text).end()
+    found = _longer_head(head).search(text)
+    while found is not None:
+        head = found.end() - found.start()
+        found = _longer_head(head).search(text, found.end())
     return 2 * text.count("[") + text.count("{") + 2 * (head + 1)
 
 

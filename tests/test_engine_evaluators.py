@@ -266,6 +266,53 @@ class TestSchemaEvaluator:
         )
         assert result.verdict is Verdict.ERROR
 
+    def test_query_compiled_once_per_run(self, monkeypatch):
+        from repro.cvl import RuleSet
+        from repro.engine.incremental import ruleset_digest
+        from repro.schema import query as query_module
+
+        parsed = []
+        parse = query_module.parse_query
+        monkeypatch.setattr(query_module, "parse_query",
+                            lambda text: parsed.append(text) or parse(text))
+        frame = _frame(etc__fstab="/dev/sda2 /tmp ext4 nodev 0 2\n")
+        manifest = _manifest("fstab", ("/etc/fstab",))
+        rule = self._rule()
+        digest = ruleset_digest(manifest, RuleSet("fstab", [rule]))
+        before = dict(vars(rule))
+        for _run in range(2):
+            normalizer = Normalizer()
+            results = [evaluate_schema(rule, frame, manifest, normalizer)
+                       for _ in range(3)]
+            assert [r.verdict for r in results] == [Verdict.COMPLIANT] * 3
+        # Once per run: nothing is kept on the rule, which the plan cache
+        # may share with later validators, nor in its digest.
+        assert parsed == ["dir = ?"] * 2
+        assert vars(rule) == before
+        assert ruleset_digest(manifest, RuleSet("fstab", [rule])) == digest
+
+    def test_malformed_query_errors_on_every_evaluation(self):
+        from repro.engine import ConfigValidator
+
+        pack = ("config_schema_name: bad_query\n"
+                "query_constraints: \"dir = = ?\"\n"
+                "query_constraints_value: [/tmp]\n"
+                "schema_parser: fstab\n")
+        validator = ConfigValidator(resolver={"fstab.yaml": pack}.__getitem__)
+        validator.add_manifest_text(
+            "fstab: {config_search_paths: [/etc/fstab], cvl_file: fstab.yaml}\n")
+        frames = [_frame(etc__fstab="/dev/sda2 /tmp ext4 nodev 0 2\n")
+                  for _ in range(2)]
+        # Two evaluations in each of two runs.
+        results = [result for _run in range(2)
+                   for result in validator.validate_frames(frames)]
+        assert [r.verdict for r in results] == [Verdict.ERROR] * 4
+        assert "Traceback" in results[0].detail
+        assert {(r.message, r.evidence[0].location, r.detail)
+                for r in results} == {(results[0].message,
+                                       "exception:QueryError",
+                                       results[0].detail)}
+
     def test_multirow_projection_joined_with_colon(self):
         frame = _frame(etc__passwd="root:x:0:0:r:/root:/bin/bash\n")
         rule = build_rule({

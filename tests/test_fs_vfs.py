@@ -1,7 +1,10 @@
 """Unit tests for the in-memory filesystem."""
 
+import itertools
+import posixpath
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     FileNotFoundInFrame,
@@ -10,6 +13,7 @@ from repro.errors import (
     NotADirectoryInFrame,
 )
 from repro.fs import FileKind, VirtualFilesystem, format_mode
+from repro.fs.view import FilesystemView, normalize_path
 
 
 @pytest.fixture()
@@ -201,6 +205,35 @@ class TestSymlinks:
         with pytest.raises(FileNotFoundInFrame):
             fs.readlink("/f")
 
+    def test_symlink_over_directory_refused(self, fs):
+        # Replacing a directory would cut its subtree off the root: the
+        # old files would still read and be listed by flat_nodes, while
+        # listdir and walks follow the link.
+        fs.write_file("/etc/ssh/sshd_config", "Port 22\n")
+        fs.write_file("/opt/other/motd", "hi\n")
+        with pytest.raises(IsADirectoryInFrame):
+            fs.symlink("/etc/ssh", "/opt/other")
+        assert fs.lstat("/etc/ssh").kind is FileKind.DIRECTORY
+        assert fs.listdir("/etc/ssh") == ["sshd_config"]
+        assert fs.read_text("/etc/ssh/sshd_config") == "Port 22\n"
+        assert fs.flat_nodes() is not None
+        fs.mkdir("/empty")
+        with pytest.raises(IsADirectoryInFrame):
+            fs.symlink("/empty", "/opt/other")
+        with pytest.raises(IsADirectoryInFrame):
+            fs.symlink("/", "/opt/other")
+
+    def test_symlink_replaces_file_and_symlink(self, fs):
+        fs.write_file("/etc/a.conf", "a")
+        fs.write_file("/etc/b.conf", "b")
+        fs.write_file("/etc/link", "old")
+        fs.symlink("/etc/link", "/etc/a.conf")
+        assert fs.read_text("/etc/link") == "a"
+        fs.symlink("/etc/link", "/etc/b.conf")
+        assert fs.read_text("/etc/link") == "b"
+        fs.remove("/etc/link")
+        assert fs.flat_nodes() is not None
+
 
 _path_segments = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=1, max_size=4
@@ -249,3 +282,123 @@ class TestProperties:
             for name in files
         }
         assert written <= found
+
+
+# ---- probes against a reference that resolves every component ---------------
+
+_NAMES = ["a", "b", "c"]
+#: Every path up to three components deep over three names, and the root.
+_PROBES = ["/"] + ["/" + "/".join(parts) for depth in (1, 2, 3)
+                   for parts in itertools.product(_NAMES, repeat=depth)]
+
+
+def _reference_resolve(fs, path, stored, hops=0):
+    """The real path ``path`` names, or None: every component looked up
+    in ``stored`` (the stored paths), symlinks followed, a non-directory
+    ending the walk -- no shortcut for stored paths."""
+    resolved = "/"
+    parts = [part for part in path.split("/") if part]
+    for index, part in enumerate(parts):
+        if fs.lstat(resolved).kind is not FileKind.DIRECTORY:
+            return None
+        candidate = posixpath.join(resolved, part)
+        if candidate not in stored:
+            return None
+        if fs.lstat(candidate).kind is FileKind.SYMLINK:
+            if hops > VirtualFilesystem._MAX_SYMLINK_HOPS:
+                return None  # a loop, or too long a chain
+            target = fs.readlink(candidate)
+            if not target.startswith("/"):
+                target = posixpath.join(resolved, target)
+            rest = "/".join(parts[index + 1:])
+            full = posixpath.join(target, rest) if rest else target
+            return _reference_resolve(fs, posixpath.normpath(full), stored,
+                                      hops + 1)
+        resolved = candidate
+    return resolved
+
+
+class _ComponentView(FilesystemView):
+    """``fs`` probed through :func:`_reference_resolve`; listings come
+    from the stored paths."""
+
+    def __init__(self, fs):
+        self._fs = fs
+        self._stored = set(fs.paths())
+
+    def _resolve(self, path):
+        return _reference_resolve(self._fs, normalize_path(path), self._stored)
+
+    def exists(self, path):
+        return self._resolve(path) is not None
+
+    def is_dir(self, path):
+        real = self._resolve(path)
+        return real is not None \
+            and self._fs.lstat(real).kind is FileKind.DIRECTORY
+
+    def read_text(self, path):
+        return self._fs.read_text(path)
+
+    def stat(self, path):
+        return self._fs.stat(path)
+
+    def listdir(self, path):
+        real = self._resolve(path)
+        return sorted(posixpath.basename(stored) for stored in self._stored
+                      if stored != "/" and posixpath.dirname(stored) == real)
+
+
+def _assert_probes_match(fs):
+    reference = _ComponentView(fs)
+    for path in _PROBES:
+        assert fs.exists(path) == reference.exists(path), path
+        assert fs.is_dir(path) == reference.is_dir(path), path
+    # Walks from the top cover the deeper paths.
+    for path in _PROBES[:1 + len(_NAMES)]:
+        assert fs.files_under(path) == reference.files_under(path), path
+    flat = fs.flat_nodes()
+    if flat is not None:
+        walked = {posixpath.join(top, name)
+                  for top, dirs, files in reference.walk("/")
+                  for name in dirs + files} | {"/"}
+        assert [path for path, _stat, _content in flat] == sorted(walked)
+
+
+_paths = st.sampled_from(_PROBES[1:])
+_targets = st.sampled_from(_PROBES[1:] + ["b", "../a", "/missing", "."])
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _paths),
+    st.tuples(st.just("mkdir"), _paths),
+    st.tuples(st.just("symlink"), _paths, _targets),
+    st.tuples(st.just("remove"), _paths),
+), max_size=12)
+
+
+class TestProbeDifferential:
+    """``exists``, ``is_dir`` and ``files_under`` answer as if every
+    component were resolved, with and without symlinks in the tree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ops)
+    def test_probes_match_component_resolution(self, ops):
+        fs = VirtualFilesystem()
+        for op in ops:
+            try:
+                if op[0] == "write":
+                    fs.write_file(op[1], op[1])
+                elif op[0] == "mkdir":
+                    fs.mkdir(op[1])
+                elif op[0] == "symlink":
+                    fs.symlink(op[1], op[2])
+                else:
+                    fs.remove(op[1])
+            except FilesystemError:
+                continue  # refused; the tree is unchanged
+            _assert_probes_match(fs)
+        # Remove the symlinks one by one, down to a tree with none.
+        for path in fs.paths():
+            if fs.lstat(path).kind is FileKind.SYMLINK:
+                fs.remove(path)
+                _assert_probes_match(fs)
+        assert fs.flat_nodes() is not None

@@ -9,12 +9,13 @@ entities are worst, how compliance breaks down per checklist tag.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.chaos.fabric import _CHAOS
 from repro.crawler.crawler import Crawler
 from repro.crawler.entities import Entity
 from repro.crawler.frame import ConfigFrame
+from repro.engine.delta import report_token
 from repro.engine.engine import ConfigValidator
 from repro.engine.parse_cache import CacheStats
 from repro.engine.results import RuleResult, ValidationReport, Verdict
@@ -44,12 +45,13 @@ class ScanStageError(RuntimeError):
         super().__init__(f"{stage}{where}: {error}")
 
 
+#: Severity rank by name.
+_RANKS = {name: rank for rank, name in enumerate(_SEVERITY_ORDER)}
+
+
 def severity_rank(severity: str) -> int:
     """Position of ``severity`` in the escalation order (unknown -> 0)."""
-    try:
-        return _SEVERITY_ORDER.index(severity)
-    except ValueError:
-        return 0
+    return _RANKS.get(severity, 0)
 
 
 @dataclass
@@ -133,6 +135,9 @@ class FleetSummary:
     #: (:class:`repro.chaos.stats.DegradationStats`); None on clean
     #: cycles with no chaos plan armed.
     degradation: object | None = None
+    #: The report's verdict tally, in ``report.counts()``'s shape, kept
+    #: by the scanner's rollups; None on a summary built elsewhere.
+    tally: dict[str, int] | None = None
 
     @property
     def throughput(self) -> float:
@@ -174,10 +179,187 @@ class FleetSummary:
             if severity_rank(result.rule.severity) >= threshold
         ]
 
+    def counts(self) -> dict[str, int]:
+        """The report's verdict counts (``report.counts()``)."""
+        if self.tally is None:
+            return self.report.counts()
+        return dict(self.tally)
+
     def compliance_rate(self) -> float:
-        counts = self.report.counts()
+        counts = self.tally or self.report.counts()
         checked = counts["compliant"] + counts["noncompliant"]
         return counts["compliant"] / checked if checked else 1.0
+
+
+_COUNTED = (Verdict.COMPLIANT, Verdict.NONCOMPLIANT)
+
+
+class _Rollups:
+    """A scanner's rollups of the last report it summarized, kept so the
+    next report's verdict delta updates them instead of a full pass.
+
+    Every field is a sum over results, with three order-dependent
+    exceptions: a rule's ``message`` is its last failing result's in
+    report order, and ``entities`` and ``tag_failures`` are ordered by
+    each key's first counted result.  ``fails`` keeps each rule's
+    failing results by report position and ``ranks`` each entity's
+    failures per severity rank.  ``firsts`` holds each entity's and
+    tag's first position; a delta that would move one is not applied,
+    and the caller rebuilds.  A rebuild is the same apply step fed every
+    result of the report.
+
+    The dicts a summary shares (``rules``, ``entities``,
+    ``tag_failures``) and the rollup objects in them are copied before
+    an update changes them, so earlier summaries never change.
+    """
+
+    def __init__(self) -> None:
+        self.token: object = None
+        self.rules: dict[tuple[str, str], RuleRollup] = {}
+        self.entities: dict[str, EntityRollup] = {}
+        self.tag_failures: dict[str, int] = {}
+        self.tally = dict.fromkeys(Verdict, 0)
+        self.fails: dict[tuple[str, str], dict[int, str]] = {}
+        self.ranks: dict[str, list[int]] = {}
+        self.firsts: dict[object, int] = {}
+        #: (target, entity, rule) -> report position; kept only for
+        #: reports of incremental runs, the ones a delta can follow.
+        self.positions: dict[tuple[str, str, str], int] | None = None
+
+    @classmethod
+    def build(cls, report: ValidationReport) -> "_Rollups":
+        rollups = cls()
+        rollups.token = report_token(report)
+        rollups._apply(((position, result, 1)
+                        for position, result in enumerate(report)), None)
+        if report.delta is not None:
+            rollups.positions = {
+                (result.target, result.entity, result.rule.name): position
+                for position, result in enumerate(report)
+            }
+        return rollups
+
+    def update(self, delta) -> bool:
+        """Apply ``delta`` (based on this state's report); False, with
+        nothing changed, when it would reorder an entity or a tag."""
+        positions = self.positions
+        entries = []
+        for key, (before, after) in delta.changes.items():
+            position = positions[key]
+            if not self._order_kept(position, before, after):
+                return False
+            entries.append((position, before, -1))
+            entries.append((position, after, 1))
+        self.rules = dict(self.rules)
+        self.entities = dict(self.entities)
+        self.tag_failures = dict(self.tag_failures)
+        self._apply(entries, set())
+        self.token = delta.token
+        return True
+
+    def _order_kept(self, position: int, before, after) -> bool:
+        """Whether the change at ``position`` leaves every entity's and
+        tag's first counted result where it is."""
+        if (before.verdict in _COUNTED) != (after.verdict in _COUNTED):
+            first = self.firsts.get(after.target)
+            if first is None or position <= first:
+                return False
+        noncompliant = Verdict.NONCOMPLIANT
+        if (before.verdict is noncompliant) != (after.verdict is noncompliant):
+            for tag in after.rule.tags:
+                first = self.firsts.get(("tag", tag))
+                if first is None or position <= first:
+                    return False
+        return True
+
+    def _apply(self, entries, owned: set | None) -> None:
+        """Add (``sign`` 1) or remove (-1) each result's contributions.
+
+        ``owned`` is None while building, when every rollup object is
+        new and positions only grow; an update passes a set and copies
+        each shared rollup object once.  An update never adds or drops
+        an entity or a tag (:meth:`_order_kept`).
+        """
+        rules = self.rules
+        entities = self.entities
+        tag_failures = self.tag_failures
+        tally = self.tally
+        fails = self.fails
+        ranks = self.ranks
+        firsts = self.firsts
+        error = Verdict.ERROR
+        not_applicable = Verdict.NOT_APPLICABLE
+        compliant = Verdict.COMPLIANT
+        for position, result, sign in entries:
+            rule = result.rule
+            verdict = result.verdict
+            tally[verdict] += sign
+            key = (result.entity, rule.name)
+            rollup = rules.get(key)
+            if rollup is None:
+                rollup = rules[key] = RuleRollup(
+                    entity=result.entity, rule_name=rule.name,
+                    severity=rule.severity,
+                )
+            elif owned is not None and key not in owned:
+                rollup = rules[key] = replace(rollup)
+                owned.add(key)
+            if verdict is not_applicable:
+                rollup.not_applicable += sign
+                continue
+            if verdict is not compliant:
+                # The rule's message is its last failing result's.
+                failing = fails.get(key)
+                if failing is None:
+                    failing = fails[key] = {}
+                if sign > 0:
+                    failing[position] = result.message
+                else:
+                    del failing[position]
+                if owned is None:
+                    rollup.message = result.message
+                else:
+                    rollup.message = failing[max(failing)] if failing else ""
+                if verdict is error:
+                    rollup.errors += sign
+                    continue
+            target = result.target
+            entity_rollup = entities.get(target)
+            if entity_rollup is None:
+                entity_rollup = entities[target] = EntityRollup(target=target)
+                firsts[target] = position
+                ranks[target] = [0] * len(_SEVERITY_ORDER)
+            elif owned is not None and target not in owned:
+                entity_rollup = entities[target] = replace(entity_rollup)
+                owned.add(target)
+            if verdict is compliant:
+                rollup.passed += sign
+                entity_rollup.passed += sign
+            else:
+                rollup.failed += sign
+                entity_rollup.failed += sign
+                counts = ranks[target]
+                rank = _RANKS.get(rule.severity, 0)
+                counts[rank] += sign
+                if sign > 0:
+                    if rank > _RANKS[entity_rollup.worst_severity]:
+                        entity_rollup.worst_severity = rule.severity
+                else:
+                    worst = max((level for level, count in enumerate(counts)
+                                 if count), default=0)
+                    entity_rollup.worst_severity = _SEVERITY_ORDER[worst]
+                for tag in rule.tags:
+                    count = tag_failures.get(tag)
+                    if count is None:
+                        tag_failures[tag] = 1
+                        firsts[("tag", tag)] = position
+                    else:
+                        tag_failures[tag] = count + sign
+
+    def counts(self) -> dict[str, int]:
+        tally = {verdict.value: count for verdict, count in self.tally.items()}
+        tally["total"] = sum(self.tally.values())
+        return tally
 
 
 class BatchScanner:
@@ -205,6 +387,8 @@ class BatchScanner:
         self._crawler = crawler or Crawler(
             telemetry=self.telemetry, parse_cache=validator.parse_cache)
         self._workers = max(1, workers)
+        #: Rollups of the last summarized report (see :class:`_Rollups`).
+        self._rollups: _Rollups | None = None
 
     def scan_entities(self, entities: list[Entity], *,
                       tags: list[str] | None = None,
@@ -332,48 +516,23 @@ class BatchScanner:
             "scan cycle: %d entities, %d checks in %.2fs",
             entity_count, len(report), elapsed,
         )
-        for result in report:
-            key = (result.entity, result.rule.name)
-            rollup = summary.rules.get(key)
-            if rollup is None:
-                rollup = RuleRollup(
-                    entity=result.entity,
-                    rule_name=result.rule.name,
-                    severity=result.rule.severity,
-                )
-                summary.rules[key] = rollup
-            if result.verdict is Verdict.ERROR:
-                rollup.errors += 1
-                rollup.message = result.message
-                continue
-            if result.verdict is Verdict.NOT_APPLICABLE:
-                rollup.not_applicable += 1
-                continue
-            entity_rollup = summary.entities.get(result.target)
-            if entity_rollup is None:
-                entity_rollup = EntityRollup(target=result.target)
-                summary.entities[result.target] = entity_rollup
-            if result.verdict is Verdict.COMPLIANT:
-                rollup.passed += 1
-                entity_rollup.passed += 1
-            else:
-                rollup.failed += 1
-                rollup.message = result.message
-                entity_rollup.failed += 1
-                if severity_rank(result.rule.severity) > severity_rank(
-                    entity_rollup.worst_severity
-                ):
-                    entity_rollup.worst_severity = result.rule.severity
-                for tag in result.rule.tags:
-                    summary.tag_failures[tag] = (
-                        summary.tag_failures.get(tag, 0) + 1
-                    )
+        rollups = self._rollups
+        delta = report.delta
+        if (rollups is None or delta is None or delta.base is None
+                or delta.base is not rollups.token
+                or not rollups.update(delta)):
+            rollups = _Rollups.build(report)
+        self._rollups = rollups
+        summary.rules = rollups.rules
+        summary.entities = rollups.entities
+        summary.tag_failures = rollups.tag_failures
+        summary.tally = rollups.counts()
         return summary
 
 
 def render_fleet_summary(summary: FleetSummary, *, top: int = 10) -> str:
     """Dashboard text: compliance rate, top rules, worst entities, tags."""
-    counts = summary.report.counts()
+    counts = summary.counts()
     lines = [
         f"# fleet scan: {summary.entities_scanned} entities, "
         f"{counts['total']} checks in {summary.elapsed_s:.2f}s "

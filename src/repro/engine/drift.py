@@ -3,8 +3,9 @@
 Production usage (paper §5) scans entities continuously; what operators
 act on is the *delta* -- which checks regressed since the last scan, or
 how a running container diverges from the image it was started from.
-:func:`diff_reports` aligns two reports by (target, entity, rule) and
-buckets the changes; :func:`render_drift` prints the operator-facing
+:func:`diff_reports` takes the verdict delta of two reports
+(:mod:`repro.engine.delta`, aligned by (target, entity, rule)) and
+buckets its verdict changes; :func:`render_drift` prints the operator-facing
 summary and :func:`drift_to_dict` the machine-readable one (``repro
 drift --json``, the monitor's event stream).
 
@@ -18,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.results import RuleResult, ValidationReport, Verdict
-
-#: Alignment key of one rule evaluation across runs.
-DriftKey = tuple[str, str, str]   # (target, entity, rule name)
+from repro.engine.delta import delta_between
+from repro.engine.results import ValidationReport, Verdict
 
 
 @dataclass
@@ -103,24 +102,15 @@ class DriftReport:
         return len(self.entries)
 
 
-def _index(report: ValidationReport) -> dict[DriftKey, RuleResult]:
-    return {
-        (result.target, result.entity, result.rule.name): result
-        for result in report
-    }
-
-
 def diff_reports(
     baseline: ValidationReport, current: ValidationReport
 ) -> DriftReport:
     """Changes from ``baseline`` to ``current`` (aligned by
-    target+entity+rule)."""
-    before_index = _index(baseline)
-    after_index = _index(current)
+    target+entity+rule): their verdict delta, filtered to the keys whose
+    verdict changed."""
     drift = DriftReport(baseline=baseline.target, current=current.target)
-    for key in sorted(set(before_index) | set(after_index)):
-        before = before_index.get(key)
-        after = after_index.get(key)
+    for key, (before, after) in delta_between(baseline,
+                                              current).changes.items():
         before_verdict = before.verdict if before else None
         after_verdict = after.verdict if after else None
         if before_verdict == after_verdict:
@@ -133,8 +123,8 @@ def diff_reports(
                 rule_name=key[2],
                 before=before_verdict,
                 after=after_verdict,
-                message=(after.message if after else (before.message if before else "")),
-                severity=witness.rule.severity if witness else "",
+                message=witness.message,
+                severity=witness.rule.severity,
             )
         )
     return drift

@@ -51,6 +51,7 @@ from repro.engine.evaluators import (
     evaluate_script,
     evaluate_tree,
 )
+from repro.engine.delta import RunRecord, run_delta
 from repro.engine.incremental import (
     DependencyRecorder,
     IncrementalRunStats,
@@ -94,42 +95,57 @@ _VERDICT_STR = {verdict: verdict.value for verdict in Verdict}
 Resolver = Callable[[str], str]
 
 
+#: A per-entity verdict as a composite term sees it.
+_TERM_VALUE = {Verdict.COMPLIANT: True, Verdict.NONCOMPLIANT: False,
+               Verdict.NOT_APPLICABLE: None, Verdict.ERROR: None}
+
+
 class _RunContext:
-    """Composite-expression context for one validation run."""
+    """Composite-expression context for one validation run.
+
+    Recording a frame only keeps its placements; a per-entity verdict is
+    computed the first time a composite asks for it, then memoized.
+    """
 
     def __init__(self, validator: "ConfigValidator", normalizer: Normalizer):
         self._validator = validator
         self._normalizer = normalizer
-        #: (component, rule name) -> bool | None
-        self.verdicts: dict[tuple[str, str], bool | None] = {}
+        #: (component, rule name) -> bool | None, filled on request
+        self._verdicts: dict[tuple[str, str], bool | None] = {}
         #: component -> list of (frame, manifest) pairs it was evaluated on
         self.placements: dict[str, list[tuple[ConfigFrame, Manifest]]] = {}
+        #: component -> the result lists of those placements
+        self._results: dict[str, list[list[RuleResult]]] = {}
 
     def record(self, manifest: Manifest, frame: ConfigFrame,
                results: list[RuleResult]) -> None:
         self.placements.setdefault(manifest.entity, []).append((frame, manifest))
-        for result in results:
-            if result.verdict is Verdict.COMPLIANT:
-                verdict: bool | None = True
-            elif result.verdict is Verdict.NONCOMPLIANT:
-                verdict = False
-            else:
-                verdict = None
-            key = (result.entity, result.rule.name)
-            # Cross-frame merge: a composite term holds if the per-entity
-            # rule is COMPLIANT on *some* entity of the group (the paper's
-            # Listing 1 reads "is ip_forward disabled [on the host that
-            # carries sysctl]", not "on every frame in the run").
-            existing = self.verdicts.get(key)
-            if existing is True:
-                continue
-            if verdict is True or existing is None:
-                self.verdicts[key] = verdict
+        self._results.setdefault(manifest.entity, []).append(results)
 
     # -- CompositeContext protocol ------------------------------------------
 
     def rule_verdict(self, entity: str, config: str) -> bool | None:
-        return self.verdicts.get((entity, config))
+        key = (entity, config)
+        if key in self._verdicts:
+            return self._verdicts[key]
+        # Cross-frame merge: a composite term holds if the per-entity
+        # rule is COMPLIANT on *some* entity of the group (the paper's
+        # Listing 1 reads "is ip_forward disabled [on the host that
+        # carries sysctl]", not "on every frame in the run"); otherwise
+        # NONCOMPLIANT anywhere makes it False, else None.
+        verdict: bool | None = None
+        for results in self._results.get(entity, ()):
+            for result in results:
+                if result.rule.name != config or result.entity != entity:
+                    continue
+                value = _TERM_VALUE[result.verdict]
+                if value is True:
+                    self._verdicts[key] = True
+                    return True
+                if value is False:
+                    verdict = False
+        self._verdicts[key] = verdict
+        return verdict
 
     def lookup_value(
         self, entity: str, config: str, config_path: str | None
@@ -183,12 +199,16 @@ class _RunPrep:
     makes cross-backend reports byte-identical by construction.
     ``plans`` holds a :class:`RulePlan` for every enabled pack, fused or
     not (``use_plans=False``); ``plan_stats`` is None when unfused.
+    ``block_key`` is what a frame's replay block is stored under besides
+    its whole-frame digest (``frame_digests``): the ruleset digests,
+    tags and provenance flag.
     """
 
     __slots__ = (
         "tags", "use_plans", "provenance", "excerpts", "store", "recorder",
         "inc_stats", "fingerprints", "clean_frames", "digests", "plans",
-        "plan_stats", "normalizer", "timings", "deadline",
+        "plan_stats", "normalizer", "timings", "deadline", "frame_digests",
+        "block_key",
     )
 
     def __init__(self, **fields):
@@ -610,6 +630,10 @@ class ConfigValidator:
                 position-independent and always fold through this
                 thread-identical path (the capture does not carry
                 them)."""
+                if store is not None:
+                    # The worker replaced this frame's entries; its old
+                    # block no longer replays them.
+                    store.drop_block(frame.describe())
                 if enabled:
                     flush_rule_telemetry(freport.fresh,
                                          record_spans=not counted)
@@ -666,6 +690,7 @@ class ConfigValidator:
                     else:
                         inc_stats.frames_clean += 1
 
+            composite_results: list[RuleResult] = []
             if include_composites:
                 with spans.span("composite", category="stage"):
                     fresh_composites: list[RuleResult] = []
@@ -681,6 +706,7 @@ class ConfigValidator:
                             )
                             if cached is not None:
                                 report.add(cached)
+                                composite_results.append(cached)
                                 inc_stats.composites_replayed += 1
                                 continue
                         started = time.perf_counter()
@@ -722,6 +748,7 @@ class ConfigValidator:
                             )
                             inc_stats.composites_evaluated += 1
                         report.add(result)
+                        composite_results.append(result)
                         fresh_composites.append(result)
                         if timings is not None:
                             timings.add("composite", duration)
@@ -730,6 +757,17 @@ class ConfigValidator:
                         # "composite".
                         flush_rule_telemetry(fresh_composites)
 
+        if store is not None:
+            run = RunRecord(
+                token=object(),
+                signature=(tuple(frame.describe() for frame in frames),
+                           prep.block_key, include_composites),
+                frames=[placements for placements, *_rest in per_frame],
+                composites=composite_results,
+                provenance=provenance,
+            )
+            report.delta = run_delta(store.last_run, run)
+            store.last_run = run
         if inc_stats is not None:
             if store is not None:
                 inc_stats.store = store.stats()
@@ -909,6 +947,7 @@ class ConfigValidator:
         recorder: DependencyRecorder | None = None
         inc_stats: IncrementalRunStats | None = None
         fingerprints: dict[str, FrameFingerprint] = {}
+        frame_digests: dict[str, str] = {}
         clean_frames: frozenset[str] = frozenset()
         if store is not None:
             inc_stats = IncrementalRunStats()
@@ -937,13 +976,17 @@ class ConfigValidator:
                     for key, frame in zip(frame_keys, frames)
                 }
                 # One whole-frame digest per frame: frames it proves
-                # unchanged skip all per-dependency verification below.
-                clean_frames = store.begin_cycle({
+                # unchanged replay their block or skip all per-dependency
+                # verification below.
+                frame_digests = {
                     key: fingerprints[key].frame_digest()
                     for key in frame_keys
-                })
+                }
+                clean_frames = store.begin_cycle(frame_digests)
                 store.sync_rulesets(digests)
 
+        block_key = (tuple(sorted(digests.items())), tuple(tags or ()),
+                     provenance)
         normalizer = Normalizer(self._lenses, self._schemas,
                                 cache=self.parse_cache, timings=timings,
                                 telemetry=self.telemetry, recorder=recorder)
@@ -960,7 +1003,8 @@ class ConfigValidator:
             inc_stats=inc_stats, fingerprints=fingerprints,
             clean_frames=clean_frames, digests=digests, plans=plans,
             plan_stats=plan_stats, normalizer=normalizer, timings=timings,
-            deadline=deadline,
+            deadline=deadline, frame_digests=frame_digests,
+            block_key=block_key,
         )
 
     def _evaluate_frame_rules(
@@ -981,8 +1025,19 @@ class ConfigValidator:
         Each pack runs through its :class:`RulePlan` in one loop: replay
         what the verdict store proves unchanged, run the pending fused
         units, run the rest direct, and assemble results by position.
+        A frame whose whole-frame digest is unchanged first tries its
+        stored block, which replays every pack at once.
         """
         store = prep.store
+        frame_key = frame.describe()
+        block_key = None
+        if store is not None:
+            block_key = (prep.frame_digests[frame_key], prep.block_key)
+            if frame_key in prep.clean_frames:
+                block = store.fresh_block(frame_key, block_key)
+                if block is not None:
+                    return (block.placements, [], block.rules, set(),
+                            PlanRunStats())
         recorder = prep.recorder
         fingerprints = prep.fingerprints
         clean_frames = prep.clean_frames
@@ -1001,7 +1056,6 @@ class ConfigValidator:
         fresh: list[RuleResult] = []
         replayed = 0
         recomputed: set[tuple[str, str]] = set()
-        frame_key = frame.describe()
         #: Per-frame planner stats, merged at the barrier (the
         #: run-wide object must not be mutated from workers).
         frame_plan = PlanRunStats()
@@ -1157,6 +1211,14 @@ class ConfigValidator:
             _CHAOS.account.note_frame_quarantined()
             log.warning("frame %s quarantined: deadline exceeded, "
                         "remaining rules cancelled", frame_key)
+        if store is not None:
+            # Volatile results (injected faults, deadline cancellations)
+            # are never stored, so neither is a block holding one.
+            if any(getattr(result, "volatile", False) for result in fresh):
+                store.drop_block(frame_key)
+            else:
+                store.put_block(frame_key, block_key, placements,
+                                replayed + len(fresh), provenance)
         return placements, fresh, replayed, recomputed, frame_plan
 
     def _evaluate_protected(

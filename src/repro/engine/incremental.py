@@ -22,6 +22,13 @@ Three pieces cooperate:
 * :func:`ruleset_digest` -- content hash of a manifest + its rules, so
   editing a rule pack invalidates exactly that entity's entries.
 
+A frame whose whole-frame digest is unchanged skips even the per-rule
+lookups: the store keeps each frame's placements as one *block*, stored
+under the frame digest, the run's ruleset digests, its tag selection and
+its provenance flag, and replays it with one lookup while all of them
+match.  A block holds each result exactly as per-rule replay would
+return it, and a frame with a volatile result stores none.
+
 Replayed results are byte-identical to a fresh evaluation: the payload
 keeps every field the renderers consume (verdict, outcome, message,
 evidence, detail, target) and the ``rule`` object is re-bound to the
@@ -54,6 +61,7 @@ from repro.crawler.fingerprint import (
     listing_arg,
     normalize_file_arg,
 )
+from repro.engine.delta import RunRecord
 from repro.engine.provenance import ROUTE_REPLAYED, ProvenanceRecord
 from repro.engine.results import Evidence, Outcome, RuleResult, Verdict
 
@@ -423,6 +431,16 @@ class _CompositeEntry:
                                           compare=False)
 
 
+@dataclass
+class _Block:
+    """One frame's placements, replayable while ``key`` -- (frame
+    digest, ruleset digests, tags, provenance flag) -- is unchanged."""
+
+    key: tuple
+    placements: list
+    rules: int
+
+
 class VerdictStore:
     """Thread-safe store of per-rule verdicts keyed by dependency digests.
 
@@ -441,6 +459,10 @@ class VerdictStore:
         self._ruleset_digests: dict[str, str] = {}
         #: frame key -> whole-frame digest as of the last cycle.
         self._frame_digests: dict[str, str] = {}
+        #: frame key -> the frame's placements as one replayable block.
+        self._blocks: dict[str, _Block] = {}
+        #: The last incremental run: the next run's delta is based on it.
+        self.last_run: RunRecord | None = None
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -539,6 +561,8 @@ class VerdictStore:
             self._composites.clear()
             self._presence.clear()
             self._frame_digests.clear()
+            self._blocks.clear()
+            self.last_run = None
 
     # ---- per-entity verdicts -----------------------------------------------
 
@@ -603,6 +627,46 @@ class VerdictStore:
         self._entries[(frame_key, entity, rule_name)] = _Entry(
             deps=deps, payload=None, cached=result,
         )
+
+    # ---- whole-frame blocks ------------------------------------------------
+
+    def fresh_block(self, frame_key: str, key: tuple) -> _Block | None:
+        """The frame's stored block iff it was stored under ``key``.
+
+        The caller only asks for frames whose whole-frame digest is
+        unchanged since the last cycle.  A hit counts one hit per rule,
+        as the per-rule lookups it replaces would.
+        """
+        block = self._blocks.get(frame_key)
+        if block is None or block.key != key:
+            return None
+        self._hits += block.rules
+        return block
+
+    def put_block(self, frame_key: str, key: tuple, placements: list,
+                  rules: int, provenance: bool) -> None:
+        """Keep a frame's placements as the block its next clean cycle
+        replays, each result as per-rule replay would return it: under
+        provenance, the entry's ``replayed`` twin."""
+        if provenance:
+            twins = []
+            for manifest, results in placements:
+                replayed = []
+                for result in results:
+                    entry = self._entries.get(
+                        (frame_key, manifest.entity, result.rule.name))
+                    if entry is None or not _entry_has_provenance(entry):
+                        self.drop_block(frame_key)
+                        return
+                    replayed.append(
+                        _replay(entry, result.rule, want_provenance=True))
+                twins.append((manifest, replayed))
+            placements = twins
+        # Unlocked for the same reason as :meth:`put`.
+        self._blocks[frame_key] = _Block(key, placements, rules)
+
+    def drop_block(self, frame_key: str) -> None:
+        self._blocks.pop(frame_key, None)
 
     # ---- component presence ------------------------------------------------
 

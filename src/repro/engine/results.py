@@ -164,6 +164,10 @@ class ValidationReport:
     #: JSON/JUnit output *only* when the cycle actually degraded, so
     #: clean reports stay byte-identical to pre-chaos output.
     degradation: object = field(default=None, repr=False, compare=False)
+    #: What changed since the previous run
+    #: (:class:`repro.engine.delta.VerdictDelta`); set by incremental
+    #: runs only.  Never rendered into reports.
+    delta: object = field(default=None, repr=False, compare=False)
 
     def add(self, result: RuleResult) -> None:
         self.results.append(result)

@@ -16,9 +16,9 @@ resumes mid-streak instead of re-announcing the world.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Iterable
 
+from repro.engine.delta import changes_since, report_token
 from repro.engine.results import ValidationReport, Verdict
 from repro.history.events import HealthEvent
 from repro.history.store import HistoryStore, VerdictKey
@@ -43,10 +43,17 @@ def count_transitions(series: Iterable[str]) -> int:
 class FlapDetector:
     """Sliding-window verdict-oscillation detector.
 
-    Feed it one verdict map per cycle (:meth:`observe_cycle`); it
-    returns which keys started and stopped flapping.  A key flaps while
-    its last ``window`` verdicts contain at least ``min_transitions``
-    changes; a key that leaves the fleet stops flapping implicitly.
+    Feed it one cycle at a time -- a full verdict map
+    (:meth:`observe_cycle`) or only the keys whose verdict changed
+    (:meth:`observe_changes`); it returns which keys started and stopped
+    flapping.  A key flaps while its last ``window`` verdicts contain at
+    least ``min_transitions`` changes; a key that leaves the fleet stops
+    flapping implicitly.
+
+    Each key keeps its verdict runs -- ``(observation, verdict)`` at
+    each change -- trimmed to the window, not a window of verdicts, so a
+    cycle costs the keys that changed plus those with a change still in
+    the window.
     """
 
     def __init__(self, window: int = DEFAULT_FLAP_WINDOW,
@@ -60,41 +67,81 @@ class FlapDetector:
             )
         self.window = window
         self.min_transitions = min_transitions
-        self._series: dict[VerdictKey, deque[str]] = {}
+        #: Observations so far.
+        self._now = 0
+        #: key -> its runs, oldest first: the first one is in effect at
+        #: the window's start (or began with the key's first verdict).
+        self._runs: dict[VerdictKey, list[tuple[int, str]]] = {}
+        #: Keys with a change still in the window.
+        self._changing: set[VerdictKey] = set()
         self._flapping: set[VerdictKey] = set()
 
     def seed(self, series: dict[VerdictKey, list[str]]) -> None:
-        """Rehydrate from stored history without emitting transitions."""
+        """Rehydrate from stored history without emitting transitions:
+        each key's series ends at the latest observation."""
+        now = self._now
         for key, verdicts in series.items():
-            window = deque(verdicts[-self.window:], maxlen=self.window)
-            if not window:
+            verdicts = verdicts[-self.window:]
+            if not verdicts:
                 continue
-            self._series[key] = window
-            if count_transitions(window) >= self.min_transitions:
+            start = now - len(verdicts) + 1
+            runs = [(start, verdicts[0])]
+            for offset, verdict in enumerate(verdicts[1:], start + 1):
+                if verdict != runs[-1][1]:
+                    runs.append((offset, verdict))
+            self._runs[key] = runs
+            if len(runs) > 1:
+                self._changing.add(key)
+            if len(runs) - 1 >= self.min_transitions:
                 self._flapping.add(key)
 
     def observe_cycle(
         self, verdicts: dict[VerdictKey, str]
     ) -> tuple[list[VerdictKey], list[VerdictKey]]:
-        """Fold in one cycle; returns (flap starts, flap ends), sorted."""
+        """Fold in one cycle's full verdict map; returns (flap starts,
+        flap ends), sorted.  A known key missing from the map left the
+        fleet."""
+        changes: dict[VerdictKey, str | None] = dict(verdicts)
+        for key in self._runs.keys() - verdicts.keys():
+            changes[key] = None
+        return self.observe_changes(changes)
+
+    def observe_changes(
+        self, changes: dict[VerdictKey, str | None]
+    ) -> tuple[list[VerdictKey], list[VerdictKey]]:
+        """Fold in one cycle given only what changed: ``key -> verdict``
+        (None: the key left the fleet).  Every other known key repeats
+        its verdict.  Returns (flap starts, flap ends), sorted."""
+        self._now += 1
+        now = self._now
+        runs_by_key = self._runs
         starts: list[VerdictKey] = []
         ends: list[VerdictKey] = []
-        for key in self._series.keys() - verdicts.keys():
-            del self._series[key]
-            if key in self._flapping:
-                self._flapping.discard(key)
-                ends.append(key)
-        for key, verdict in verdicts.items():
-            window = self._series.get(key)
-            if window is None:
-                window = self._series[key] = deque(maxlen=self.window)
-            elif window[-1] == verdict and key not in self._flapping:
-                # Repeating the last verdict adds no transition, so a key
-                # that is not flapping cannot start to.
-                window.append(verdict)
-                continue
-            window.append(verdict)
-            flapping = count_transitions(window) >= self.min_transitions
+        for key, verdict in changes.items():
+            runs = runs_by_key.get(key)
+            if verdict is None:
+                if runs is not None:
+                    del runs_by_key[key]
+                    self._changing.discard(key)
+                    if key in self._flapping:
+                        self._flapping.discard(key)
+                        ends.append(key)
+            elif runs is None:
+                runs_by_key[key] = [(now, verdict)]
+            elif runs[-1][1] != verdict:
+                runs.append((now, verdict))
+                self._changing.add(key)
+        # A change counts while both of its observations are in the
+        # window, so a run whose successor began at or before the
+        # window's first observation has scrolled out.
+        edge = now - self.window + 1
+        for key in list(self._changing):
+            runs = runs_by_key[key]
+            while len(runs) > 1 and runs[1][0] <= edge:
+                del runs[0]
+            if len(runs) == 1:
+                self._changing.discard(key)
+            flapping = len(runs) - 1 >= self.min_transitions
             if flapping and key not in self._flapping:
                 self._flapping.add(key)
                 starts.append(key)
@@ -107,21 +154,37 @@ class FlapDetector:
         return sorted(self._flapping)
 
     def series(self, key: VerdictKey) -> tuple[str, ...]:
-        return tuple(self._series.get(key, ()))
+        """The key's verdicts over the window (fewer for a newer key)."""
+        runs = self._runs.get(key)
+        if not runs:
+            return ()
+        out: list[str] = []
+        position = max(runs[0][0], self._now - self.window + 1)
+        for index, (_start, verdict) in enumerate(runs):
+            end = (runs[index + 1][0] if index + 1 < len(runs)
+                   else self._now + 1)
+            if end > position:
+                out.extend([verdict] * (end - position))
+                position = end
+        return tuple(out)
 
     def transitions(self, key: VerdictKey) -> int:
-        return count_transitions(self._series.get(key, ()))
+        return count_transitions(self.series(key))
 
 
 class HealthAnalyzer:
     """Turns consecutive cycles into typed health events.
 
-    Regressions and fixes come from one diff of the previous cycle's
-    verdict map against this cycle's results, with the classification
-    rules of :func:`repro.engine.drift.diff_reports`: the events match
-    what ``repro drift`` reports for the same pair of cycles.  A live
-    monitor keeps the previous map in memory; a restarted one loads it
-    from the store, so both classify the same way.
+    Each cycle applies the report's verdict delta to the previous
+    cycle's verdict map (:func:`~repro.engine.delta.changes_since`; a
+    full delta when the report's delta is not based on the report this
+    analyzer last observed).  Regressions and fixes follow the
+    classification rules of :func:`repro.engine.drift.diff_reports`, so
+    the events match what ``repro drift`` reports for the same pair of
+    cycles, and the flap detector sees the same changes.  A restarted
+    analyzer loads the last successful cycle's map from the store and
+    seeds its flap windows from the last ``flap_window`` successful
+    cycles, so it classifies like the live one it replaces.
     """
 
     def __init__(self, store: HistoryStore, *,
@@ -129,18 +192,34 @@ class HealthAnalyzer:
                  flap_min_transitions: int = DEFAULT_FLAP_MIN_TRANSITIONS):
         self.store = store
         self.detector = FlapDetector(flap_window, flap_min_transitions)
+        #: key -> verdict of the last observed cycle (None before one).
         self._prev_map: dict[VerdictKey, str] | None = None
-        windows = store.verdict_windows(flap_window)
-        if windows:
-            self.detector.seed(
-                {key: [verdict for _cycle, verdict in series]
-                 for key, series in windows.items()}
-            )
-        latest = store.latest_cycle_id()
-        if latest is not None:
-            row = store.cycle(latest)
-            if row is not None and not row.failed_cycle:
-                self._prev_map = store.verdict_map(latest)
+        #: key -> severity, for the keys of ``_prev_map`` seen in a report.
+        self._severities: dict[VerdictKey, str] = {}
+        #: target -> its number of keys in ``_prev_map``.
+        self._target_keys: dict[str, int] = {}
+        #: Token of the report ``_prev_map`` reflects.
+        self._applied: object = None
+        good = store.successful_cycle_ids(flap_window)
+        if not good:
+            return
+        # A live detector holds each key's verdicts back to where it last
+        # (re)appeared, within the last flap_window successful cycles.
+        seeded: dict[VerdictKey, list[str]] = {}
+        for key, series in store.verdict_windows(
+                flap_window, successful_only=True).items():
+            tail: list[str] = []
+            for (cycle_id, verdict), expected in zip(reversed(series),
+                                                     reversed(good)):
+                if cycle_id != expected:
+                    break
+                tail.append(verdict)
+            if tail:
+                seeded[key] = tail[::-1]
+        self.detector.seed(seeded)
+        self._prev_map = store.verdict_map(good[-1])
+        for key in self._prev_map:
+            self._target_keys[key[0]] = self._target_keys.get(key[0], 0) + 1
 
     # ---- the per-cycle entry points ---------------------------------------
 
@@ -149,31 +228,51 @@ class HealthAnalyzer:
         """Classify one completed cycle; returns its events in order
         (regressions, fixes, flaps, membership changes)."""
         now = time.time()
-        # Duplicate keys collapse last-wins, as in diff_reports and
-        # report_verdict_map.
-        results = {(r.target, r.entity, r.rule.name): r for r in report}
-        current_map = {key: result.verdict.value
-                       for key, result in results.items()}
         previous = self._prev_map
+        first = previous is None
+        current = {} if first else previous
+        severities = self._severities
+        target_keys = self._target_keys
+        changes = changes_since(report, self._applied, current)
+        # The one apply step: fold each changed key into the map.
+        verdicts: dict[VerdictKey, str | None] = {}
+        moved: dict[str, int] = {}   # target -> key count before
+        changed: list[tuple[VerdictKey, str, str]] = []
+        for key, after in changes.items():
+            before = current.get(key)
+            if after is None:
+                if before is None:
+                    continue
+                moved.setdefault(key[0], target_keys[key[0]])
+                target_keys[key[0]] -= 1
+                del current[key]
+                severities.pop(key, None)
+                verdicts[key] = None
+                continue
+            verdict = after.verdict.value
+            severities[key] = after.rule.severity
+            if before == verdict:
+                continue
+            if before is None:
+                moved.setdefault(key[0], target_keys.get(key[0], 0))
+                target_keys[key[0]] = target_keys.get(key[0], 0) + 1
+            current[key] = verdict
+            verdicts[key] = verdict
+            changed.append((key, before or "", after))
         events: list[HealthEvent] = []
-        if previous is not None:
+        if not first:
             noncompliant = Verdict.NONCOMPLIANT.value
             compliant = Verdict.COMPLIANT.value
             fixes: list[HealthEvent] = []
-            # A key only in the previous cycle has no verdict now, so it
-            # can be neither a regression nor a fix.
-            changed = sorted(key for key, after in current_map.items()
-                             if previous.get(key) != after)
-            for key in changed:
-                before = previous.get(key, "")
-                after = current_map[key]
+            for key, before, result in sorted(changed,
+                                              key=lambda item: item[0]):
+                after = result.verdict.value
                 if after == noncompliant:
                     bucket, kind = events, "regression"
                 elif before == noncompliant and after == compliant:
                     bucket, kind = fixes, "fix"
                 else:
                     continue
-                result = results[key]
                 bucket.append(HealthEvent(
                     kind=kind, cycle_id=cycle_id, ts=now,
                     target=key[0], entity=key[1], rule=key[2],
@@ -181,35 +280,37 @@ class HealthAnalyzer:
                     severity=result.rule.severity, message=result.message,
                 ))
             events.extend(fixes)
-        flap_starts, flap_ends = self.detector.observe_cycle(current_map)
+        flap_starts, flap_ends = self.detector.observe_changes(verdicts)
         for kind, keys in (("flap_start", flap_starts),
                            ("flap_end", flap_ends)):
             for key in keys:
                 series = self.detector.series(key)
-                result = results.get(key)
                 events.append(HealthEvent(
                     kind=kind, cycle_id=cycle_id, ts=now,
                     target=key[0], entity=key[1], rule=key[2],
-                    severity=result.rule.severity if result else "",
+                    severity=severities.get(key, ""),
                     message=(
                         f"{count_transitions(series)} transitions in last "
                         f"{len(series)} cycles: {' -> '.join(series)}"
                         if series else "left the fleet"
                     ),
                 ))
-        if previous is not None:
-            before_targets = {key[0] for key in previous}
-            after_targets = {key[0] for key in current_map}
-            for kind, targets in (
-                ("entity_appeared", sorted(after_targets - before_targets)),
-                ("entity_disappeared",
-                 sorted(before_targets - after_targets)),
-            ):
+        if not first:
+            appeared = sorted(target for target, count in moved.items()
+                              if not count and target_keys[target])
+            disappeared = sorted(target for target, count in moved.items()
+                                 if count and not target_keys[target])
+            for kind, targets in (("entity_appeared", appeared),
+                                  ("entity_disappeared", disappeared)):
                 for target in targets:
                     events.append(HealthEvent(
                         kind=kind, cycle_id=cycle_id, ts=now, target=target,
                     ))
-        self._prev_map = current_map
+        for target, count in moved.items():
+            if not target_keys[target]:
+                del target_keys[target]
+        self._prev_map = current
+        self._applied = report_token(report)
         return events
 
     def observe_error(self, cycle_id: int, message: str) -> list[HealthEvent]:

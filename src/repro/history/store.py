@@ -1,5 +1,5 @@
-"""Durable fleet-health history: one SQLite row per (cycle, target,
-entity, rule) verdict plus per-cycle rollups.
+"""Durable fleet-health history: verdict runs per (target, entity,
+rule) plus per-cycle rollups.
 
 The paper's production story (§5) is *continuous* scanning -- operators
 watch a fleet across many cycles, and the operator-facing artifact is
@@ -9,29 +9,33 @@ the append-only time axis under that: every scan cycle lands as
 * a ``cycles`` row -- counts, compliance score, stage timings, and the
   incremental/parse-cache effectiveness numbers imported from
   :class:`~repro.engine.batch.FleetSummary`;
-* one ``verdicts`` row per (target, entity, rule) -- the raw material
-  for flap detection, streaks, and offline drilldowns;
-* one ``entity_rollups`` row per scanned frame.
+* a ``verdict_runs`` row for each (target, entity, rule) whose verdict
+  or message changed -- a run covers the cycles from its first to its
+  last (open while it lasts) in which the key kept one verdict and
+  message, so a steady fleet writes no verdict rows at all;
+* an ``entity_runs`` row for each scanned frame whose pass/fail rollup
+  changed, the same way.
+
+Every reader expands runs back into the per-cycle rows it always
+returned.  Cycles that failed before producing a report hold no
+verdicts and do not break a run; a successful cycle without the key
+ends it.  A database written in the older one-row-per-cycle layout
+(``verdicts`` and ``entity_rollups`` tables) is converted to runs, one
+way, when it is opened.
 
 Storage is stdlib :mod:`sqlite3` in WAL mode.  A single connection
 (``check_same_thread=False``) is shared behind one lock, so scanner
 threads, the HTTP endpoint, and offline readers coexist.
 
-The write path is engineered against the <5% cycle-overhead budget that
-``benchmarks/bench_history.py`` enforces (a steady-state warm-cache
-scan cycle is tens of milliseconds, so the append must stay in the low
-single digits):
+The write path applies the report's verdict delta
+(:mod:`repro.engine.delta`) to the open runs kept in memory:
 
-* verdict keys are normalized into a ``series`` dimension table, so the
-  per-cycle hot loop inserts ``(cycle_id, series_id, verdict_code)``
-  integer rows instead of four-column text keys -- in steady state the
-  dimension is fully cached in memory and never touched;
-* verdicts are stored as 1-byte integer codes, decoded on read;
+* verdict keys are normalized into a ``series`` dimension table, and
+  verdicts are stored as 1-byte integer codes, decoded on read;
 * messages are persisted only for noncompliant/error verdicts (a
   passing check's message restates the rule);
-* each cycle is a single transaction (``executemany`` batches), and
-  retention pruning deletes child rows explicitly so per-row foreign-key
-  enforcement stays off.
+* each cycle is a single transaction, and retention pruning deletes
+  child rows explicitly so per-row foreign-key enforcement stays off.
 
 Retention is bounded: ``retain_cycles`` prunes the oldest cycles after
 every write, and incremental vacuum hands the freed pages back so a
@@ -40,6 +44,7 @@ long-running monitor's database stops growing once the window is full.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import sqlite3
@@ -50,15 +55,17 @@ from dataclasses import dataclass
 from repro.chaos.fabric import _CHAOS, absorbed as _chaos_absorbed
 from repro.chaos.quarantine import is_corruption, quarantine_database
 from repro.engine.batch import FleetSummary
+from repro.engine.delta import (
+    VerdictKey,
+    changes_since,
+    index_report,
+    report_token,
+)
 from repro.engine.results import ValidationReport, Verdict
 from repro.engine.stages import STAGES
 from repro.telemetry import get_logger
 
 log = get_logger("history")
-
-#: Alignment key of one verdict across cycles (matches
-#: :mod:`repro.engine.drift`).
-VerdictKey = tuple[str, str, str]   # (target, entity, rule name)
 
 #: Stable on-disk encoding of verdict values.  Append-only: codes are
 #: part of the database format and must never be renumbered.
@@ -129,24 +136,30 @@ CREATE TABLE IF NOT EXISTS series (
     UNIQUE (target, entity, rule)
 );
 
--- Deliberately index-free beyond the PK: the write path is the hot
--- path, and every reader either scans a cycle range (PK prefix) or is
--- an offline drilldown bounded by retention.
-CREATE TABLE IF NOT EXISTS verdicts (
-    cycle_id  INTEGER NOT NULL,
-    series_id INTEGER NOT NULL,
-    verdict   INTEGER NOT NULL,
-    message   TEXT    NOT NULL DEFAULT '',
-    PRIMARY KEY (cycle_id, series_id)
+-- One row per run of a series: the successful cycles from first_cycle
+-- to last_cycle (NULL while the run is open) in which the series kept
+-- one verdict and message.  Deliberately index-free beyond the PK: a
+-- cycle writes only the series that changed, and readers are offline
+-- drilldowns bounded by retention.
+CREATE TABLE IF NOT EXISTS verdict_runs (
+    series_id   INTEGER NOT NULL,
+    first_cycle INTEGER NOT NULL,
+    last_cycle  INTEGER,
+    verdict     INTEGER NOT NULL,
+    message     TEXT    NOT NULL DEFAULT '',
+    PRIMARY KEY (series_id, first_cycle)
 ) WITHOUT ROWID;
 
-CREATE TABLE IF NOT EXISTS entity_rollups (
-    cycle_id INTEGER NOT NULL,
-    target   TEXT    NOT NULL,
-    passed   INTEGER NOT NULL DEFAULT 0,
-    failed   INTEGER NOT NULL DEFAULT 0,
-    worst_severity TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (cycle_id, target)
+-- One row per run of a scanned frame's pass/fail rollup, like
+-- verdict_runs.
+CREATE TABLE IF NOT EXISTS entity_runs (
+    target         TEXT    NOT NULL,
+    first_cycle    INTEGER NOT NULL,
+    last_cycle     INTEGER,
+    passed         INTEGER NOT NULL DEFAULT 0,
+    failed         INTEGER NOT NULL DEFAULT 0,
+    worst_severity TEXT    NOT NULL DEFAULT '',
+    PRIMARY KEY (target, first_cycle)
 ) WITHOUT ROWID;
 
 -- Verdict provenance (``--provenance`` cycles only): the serialized
@@ -169,11 +182,39 @@ _CYCLE_COLUMNS = (
     "scan_error", "exec_json", "scan_error_stage", "scan_error_frame",
 )
 
-_VERDICT_SELECT = (
-    "SELECT v.cycle_id, s.target, s.entity, s.rule, v.verdict,"
-    " s.severity, v.message FROM verdicts v"
-    " JOIN series s ON s.series_id = v.series_id"
+#: The successful cycles a run ``r`` covers, as a join on ``cycles c``.
+_COVERED = (
+    "c.cycle_id >= r.first_cycle AND (r.last_cycle IS NULL"
+    " OR c.cycle_id <= r.last_cycle) AND c.scan_error = ''"
 )
+
+#: The run tables: (table, key column, value columns, the older
+#: one-row-per-cycle table it replaces).
+_RUN_TABLES = (
+    ("verdict_runs", "series_id", ("verdict", "message"), "verdicts"),
+    ("entity_runs", "target", ("passed", "failed", "worst_severity"),
+     "entity_rollups"),
+)
+
+
+def _convert_to_runs(table: str, key: str, values: tuple[str, ...],
+                     old: str) -> str:
+    """The query converting ``old``'s one row per (cycle, key) to runs:
+    successful cycles are numbered, and a key's rows with equal values
+    in consecutively numbered cycles share ``n - ROW_NUMBER()``."""
+    columns = ", ".join(values)
+    return f"""
+INSERT INTO {table} ({key}, first_cycle, last_cycle, {columns})
+SELECT {key}, MIN(cycle_id), MAX(cycle_id), {columns} FROM (
+    SELECT o.*, g.n - ROW_NUMBER() OVER (
+        PARTITION BY o.{key}, {columns} ORDER BY o.cycle_id) AS island
+    FROM {old} o JOIN (
+        SELECT cycle_id, ROW_NUMBER() OVER (ORDER BY cycle_id) AS n
+        FROM cycles WHERE scan_error = ''
+    ) g ON g.cycle_id = o.cycle_id
+)
+GROUP BY {key}, {columns}, island
+"""
 
 
 @dataclass
@@ -320,15 +361,12 @@ class HistoryStoreStats:
 def report_verdict_map(report: ValidationReport) -> dict[VerdictKey, str]:
     """Report -> {(target, entity, rule): verdict value}.
 
-    Duplicate keys collapse last-wins, mirroring how
-    :func:`repro.engine.drift.diff_reports` indexes reports, so history
-    rows and drift entries always agree.
+    Built on :func:`repro.engine.delta.index_report`, the index
+    :func:`repro.engine.drift.diff_reports` uses too (duplicate keys
+    collapse last-wins), so history rows and drift entries always agree.
     """
-    return {
-        (result.target, result.entity, result.rule.name):
-            result.verdict.value
-        for result in report
-    }
+    return {key: result.verdict.value
+            for key, result in index_report(report).items()}
 
 
 class HistoryStore:
@@ -360,14 +398,7 @@ class HistoryStore:
                 "%s, starting a fresh database", self.path, error, moved)
             self._conn = self._open()
         self._stats = HistoryStoreStats()
-        #: In-memory twin of the ``series`` table; in steady state every
-        #: verdict key hits this cache and the dimension is never read.
-        self._series_ids: dict[VerdictKey, int] = {
-            (row["target"], row["entity"], row["rule"]): row["series_id"]
-            for row in self._conn.execute(
-                "SELECT series_id, target, entity, rule FROM series"
-            )
-        }
+        self._load_state()
 
     def _open(self) -> sqlite3.Connection:
         """Connect, apply pragmas, and bring the schema up to date."""
@@ -394,8 +425,70 @@ class HistoryStore:
                     f"ALTER TABLE cycles ADD COLUMN {column} TEXT NOT NULL"
                     " DEFAULT ''"
                 )
+        for table, key, values, old in _RUN_TABLES:
+            if not conn.execute("SELECT 1 FROM sqlite_master WHERE type ="
+                                " 'table' AND name = ?", (old,)).fetchone():
+                continue
+            # The one-row-per-cycle layout: convert it to runs, one way.
+            # Runs that reach the newest successful cycle are open.
+            conn.execute(_convert_to_runs(table, key, values, old))
+            conn.execute(
+                f"UPDATE {table} SET last_cycle = NULL WHERE last_cycle ="
+                " (SELECT MAX(cycle_id) FROM cycles WHERE scan_error = '')"
+            )
+            conn.execute(f"DROP TABLE {old}")
         conn.commit()
         return conn
+
+    def _load_state(self) -> None:
+        """Read the writer's in-memory state back from the database."""
+        conn = self._conn
+        #: In-memory twin of the ``series`` table; in steady state every
+        #: verdict key hits this cache and the dimension is never read.
+        self._series_ids: dict[VerdictKey, int] = {
+            (row["target"], row["entity"], row["rule"]): row["series_id"]
+            for row in conn.execute(
+                "SELECT series_id, target, entity, rule FROM series"
+            )
+        }
+        #: key -> (series id, verdict code, message) of its open run.
+        self._open_runs: dict[VerdictKey, tuple[int, int, str]] = {
+            (row["target"], row["entity"], row["rule"]):
+                (row["series_id"], row["verdict"], row["message"])
+            for row in conn.execute(
+                "SELECT s.target, s.entity, s.rule, r.series_id, r.verdict,"
+                " r.message FROM verdict_runs r JOIN series s"
+                " ON s.series_id = r.series_id WHERE r.last_cycle IS NULL"
+            )
+        }
+        #: target -> (passed, failed, worst severity) of its open run.
+        self._open_rollups: dict[str, tuple[int, int, str]] = {
+            row["target"]: (row["passed"], row["failed"],
+                            row["worst_severity"])
+            for row in conn.execute(
+                "SELECT target, passed, failed, worst_severity FROM"
+                " entity_runs WHERE last_cycle IS NULL"
+            )
+        }
+        row = conn.execute(
+            "SELECT MAX(cycle_id) AS newest, MAX(CASE WHEN scan_error = ''"
+            " THEN cycle_id END) AS good FROM cycles"
+        ).fetchone()
+        #: The newest cycle and the newest successful one (which every
+        #: open run reaches).
+        self._newest_cycle: int | None = row["newest"]
+        self._last_good: int | None = row["good"]
+        #: Token of the report the open runs reflect (None: unknown, so
+        #: the next cycle applies a full delta).
+        self._applied: object = None
+
+    def _sync_locked(self) -> None:
+        """Reload the writer state if another writer appended a cycle
+        since this one last did: its open runs are the truth now."""
+        row = self._conn.execute(
+            "SELECT MAX(cycle_id) AS newest FROM cycles").fetchone()
+        if row["newest"] != self._newest_cycle:
+            self._load_state()
 
     # ---- write path --------------------------------------------------------
 
@@ -414,34 +507,21 @@ class HistoryStore:
             rules_evaluated = inc.rules_evaluated + inc.composites_evaluated
             frames_clean = inc.frames_clean
             frames_dirty = inc.frames_dirty
-        # Single pass over the report: verdict counts (same tallies as
-        # ``report.counts()``) and the row set.  Duplicate keys collapse
-        # last-wins exactly as report_verdict_map / diff_reports index
-        # reports.
-        codes = _CODES_BY_MEMBER
-        keep_message = _MESSAGE_CODES
-        tally = [0, 0, 0, 0]   # indexed by verdict code
-        observed: dict[VerdictKey, tuple[int, str, str]] = {}
+        report = summary.report
+        counts = summary.counts()
         records: dict[VerdictKey, str] = {}
-        for result in summary.report:
-            rule = result.rule
-            code = codes[result.verdict]
-            tally[code] += 1
-            key = (result.target, result.entity, rule.name)
-            observed[key] = (
-                code,
-                result.message if code in keep_message else "",
-                rule.severity,
-            )
+        delta = report.delta
+        if delta is None or delta.provenance:
             # Direct field read: the common no-record case must not pay
-            # the property descriptor on every result (record_cycle is
-            # inside the monitor's <5% write budget).  A deferred marker
+            # the property descriptor on every result.  A deferred marker
             # is truthy, so provenance-on rows still materialize below.
-            if result._provenance is not None:
-                records[key] = json.dumps(result.provenance.to_dict(),
-                                          separators=(",", ":"))
-        compliant = tally[VERDICT_CODES[Verdict.COMPLIANT.value]]
-        noncompliant = tally[VERDICT_CODES[Verdict.NONCOMPLIANT.value]]
+            for result in report:
+                if result._provenance is not None:
+                    records[(result.target, result.entity,
+                             result.rule.name)] = json.dumps(
+                        result.provenance.to_dict(), separators=(",", ":"))
+        compliant = counts[Verdict.COMPLIANT.value]
+        noncompliant = counts[Verdict.NONCOMPLIANT.value]
         checked = compliant + noncompliant
         exec_doc: dict = {}
         exec_stats = getattr(summary, "exec_stats", None)
@@ -454,92 +534,156 @@ class HistoryStore:
                      if exec_doc else "")
         started = time.perf_counter()
         with self._lock:
-            new_series = 0
-            series_ids = self._series_ids
-            missing = [key for key in observed if key not in series_ids]
-            for key in missing:
+            self._sync_locked()
+            try:
                 cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO series (target, entity, rule,"
-                    " severity) VALUES (?,?,?,?)",
-                    (*key, observed[key][2]),
+                    "INSERT INTO cycles (started_at, elapsed_s, entities,"
+                    " checks, compliant, noncompliant, errors,"
+                    " not_applicable, compliance, crawl_s, discover_s,"
+                    " parse_s, evaluate_s, composite_s, parse_hits,"
+                    " parse_misses, parse_hit_rate, rules_skipped,"
+                    " rules_evaluated, frames_clean, frames_dirty,"
+                    " scan_error, exec_json)"
+                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                    (
+                        summary.started_at or time.time(),
+                        summary.elapsed_s,
+                        summary.entities_scanned,
+                        counts["total"],
+                        compliant,
+                        noncompliant,
+                        counts[Verdict.ERROR.value],
+                        counts[Verdict.NOT_APPLICABLE.value],
+                        compliant / checked if checked else 1.0,
+                        stage["crawl"], stage["discover"], stage["parse"],
+                        stage["evaluate"], stage["composite"],
+                        cache.hits if cache else 0,
+                        cache.misses if cache else 0,
+                        cache.hit_rate if cache else 0.0,
+                        rules_skipped, rules_evaluated,
+                        frames_clean, frames_dirty,
+                        "", exec_json,
+                    ),
                 )
-                if cursor.lastrowid:
-                    series_ids[key] = cursor.lastrowid
-                    new_series += 1
-            cursor = self._conn.execute(
-                "INSERT INTO cycles (started_at, elapsed_s, entities,"
-                " checks, compliant, noncompliant, errors, not_applicable,"
-                " compliance, crawl_s, discover_s, parse_s, evaluate_s,"
-                " composite_s, parse_hits, parse_misses, parse_hit_rate,"
-                " rules_skipped, rules_evaluated, frames_clean,"
-                " frames_dirty, scan_error, exec_json)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (
-                    summary.started_at or time.time(),
-                    summary.elapsed_s,
-                    summary.entities_scanned,
-                    sum(tally),
-                    compliant,
-                    noncompliant,
-                    tally[VERDICT_CODES[Verdict.ERROR.value]],
-                    tally[VERDICT_CODES[Verdict.NOT_APPLICABLE.value]],
-                    compliant / checked if checked else 1.0,
-                    stage["crawl"], stage["discover"], stage["parse"],
-                    stage["evaluate"], stage["composite"],
-                    cache.hits if cache else 0,
-                    cache.misses if cache else 0,
-                    cache.hit_rate if cache else 0.0,
-                    rules_skipped, rules_evaluated,
-                    frames_clean, frames_dirty,
-                    "", exec_json,
-                ),
-            )
-            cycle_id = cursor.lastrowid
-            self._bulk_insert_locked(
-                "INSERT INTO verdicts (cycle_id, series_id, verdict,"
-                " message) VALUES ",
-                4,
-                [
-                    (cycle_id, series_ids[key], code, message)
-                    for key, (code, message, _severity)
-                    in observed.items()
-                ],
-            )
-            self._bulk_insert_locked(
-                "INSERT INTO entity_rollups (cycle_id, target, passed,"
-                " failed, worst_severity) VALUES ",
-                5,
-                [
-                    (cycle_id, rollup.target, rollup.passed, rollup.failed,
-                     rollup.worst_severity)
-                    for rollup in summary.entities.values()
-                ],
-            )
-            if records:
-                self._bulk_insert_locked(
-                    "INSERT INTO provenance (cycle_id, series_id, record)"
-                    " VALUES ",
-                    3,
-                    [
-                        (cycle_id, series_ids[key], record)
-                        for key, record in records.items()
-                    ],
-                )
-            self._conn.commit()
+                cycle_id = cursor.lastrowid
+                self._newest_cycle = cycle_id
+                written = self._apply_locked(cycle_id, report)
+                written += self._apply_rollups_locked(cycle_id,
+                                                      summary.entities)
+                if records:
+                    series_ids = self._series_ids
+                    self._bulk_insert_locked(
+                        "INSERT INTO provenance (cycle_id, series_id,"
+                        " record) VALUES ",
+                        3,
+                        [
+                            (cycle_id, series_ids[key], record)
+                            for key, record in records.items()
+                        ],
+                    )
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                self._load_state()
+                raise
+            self._last_good = cycle_id
+            self._applied = report_token(report)
             pruned = self._prune_locked()
             self._stats.cycles_recorded += 1
-            self._stats.rows_written += (
-                1 + new_series + len(observed) + len(summary.entities)
-                + len(records)
-            )
+            self._stats.rows_written += 1 + written + len(records)
             self._stats.cycles_pruned += pruned
             self._stats.write_seconds += time.perf_counter() - started
         return cycle_id
 
+    def _apply_locked(self, cycle_id: int, report: ValidationReport) -> int:
+        """Bring the open runs to ``report``'s verdicts as of
+        ``cycle_id``; returns the series and run rows written.
+
+        The one apply step: the report's verdict delta when it is based
+        on the report last recorded, else every key of the report and
+        each open run it lacks (:func:`~repro.engine.delta.changes_since`).
+        A series whose verdict code or stored message changed closes its
+        open run at the previous successful cycle and opens one here.
+        """
+        codes = _CODES_BY_MEMBER
+        keep_message = _MESSAGE_CODES
+        open_runs = self._open_runs
+        series_ids = self._series_ids
+        closed: list[int] = []
+        opened: list[tuple] = []
+        new_series = 0
+        for key, after in changes_since(report, self._applied,
+                                        open_runs).items():
+            current = open_runs.get(key)
+            if after is None:
+                if current is not None:
+                    closed.append(current[0])
+                    del open_runs[key]
+                continue
+            code = codes[after.verdict]
+            message = after.message if code in keep_message else ""
+            if current is not None:
+                if current[1] == code and current[2] == message:
+                    continue
+                closed.append(current[0])
+            series_id = series_ids.get(key)
+            if series_id is None:
+                cursor = self._conn.execute(
+                    "INSERT INTO series (target, entity, rule, severity)"
+                    " VALUES (?,?,?,?)",
+                    (*key, after.rule.severity),
+                )
+                series_id = series_ids[key] = cursor.lastrowid
+                new_series += 1
+            open_runs[key] = (series_id, code, message)
+            opened.append((series_id, cycle_id, code, message))
+        return new_series + self._write_runs_locked(_RUN_TABLES[0], closed,
+                                                    opened)
+
+    def _apply_rollups_locked(self, cycle_id: int, entities: dict) -> int:
+        """Bring the open rollup runs to this cycle's entity rollups;
+        returns the run rows written."""
+        open_rollups = self._open_rollups
+        closed = [target for target in open_rollups
+                  if target not in entities]
+        for target in closed:
+            del open_rollups[target]
+        opened: list[tuple] = []
+        for target, rollup in entities.items():
+            values = (rollup.passed, rollup.failed, rollup.worst_severity)
+            current = open_rollups.get(target)
+            if current == values:
+                continue
+            if current is not None:
+                closed.append(target)
+            open_rollups[target] = values
+            opened.append((target, cycle_id, *values))
+        return self._write_runs_locked(_RUN_TABLES[1], closed, opened)
+
+    def _write_runs_locked(self, spec: tuple, closed: list,
+                           opened: list[tuple]) -> int:
+        """Close the open runs of ``closed`` keys at the previous
+        successful cycle and insert ``opened`` (key, first cycle,
+        values...) rows; returns the rows written."""
+        table, key, values, _old = spec
+        if closed:
+            self._conn.executemany(
+                f"UPDATE {table} SET last_cycle = ? WHERE {key} = ?"
+                " AND last_cycle IS NULL",
+                [(self._last_good, item) for item in closed],
+            )
+        self._bulk_insert_locked(
+            f"INSERT INTO {table} ({key}, first_cycle, {', '.join(values)})"
+            " VALUES ",
+            2 + len(values),
+            opened,
+        )
+        return len(closed) + len(opened)
+
     #: Rows per multi-VALUES INSERT.  225 rows x <=5 columns stays under
     #: SQLite's historical 999 bound-parameter limit; a single chunked
-    #: statement is ~2x faster than executemany for the hot verdict
-    #: append (one bytecode dispatch per chunk instead of per row).
+    #: statement is ~2x faster than executemany for a bulk append (one
+    #: bytecode dispatch per chunk instead of per row).
     _INSERT_CHUNK_ROWS = 225
 
     def _bulk_insert_locked(self, prefix: str, ncols: int,
@@ -568,10 +712,12 @@ class HistoryStore:
         ``stage`` names where the pipeline failed (``crawl``,
         ``validate``, ``store``...) and ``frame`` the target being
         processed when known, so operators can tell a crawl failure
-        from a store failure straight from ``repro history``.
+        from a store failure straight from ``repro history``.  The open
+        runs stay open: a failed cycle holds no verdicts.
         """
         started = time.perf_counter()
         with self._lock:
+            self._sync_locked()
             cursor = self._conn.execute(
                 "INSERT INTO cycles (started_at, elapsed_s, scan_error,"
                 " scan_error_stage, scan_error_frame)"
@@ -582,6 +728,7 @@ class HistoryStore:
             )
             self._conn.commit()
             cycle_id = cursor.lastrowid
+            self._newest_cycle = cycle_id
             pruned = self._prune_locked()
             self._stats.cycles_recorded += 1
             self._stats.error_cycles_recorded += 1
@@ -605,13 +752,13 @@ class HistoryStore:
         if cursor.rowcount <= 0:
             return 0
         # Explicit cascade (per-row FK enforcement stays off for write
-        # speed); the series dimension is intentionally retained.
-        self._conn.execute(
-            "DELETE FROM verdicts WHERE cycle_id <= ?", (horizon,)
-        )
-        self._conn.execute(
-            "DELETE FROM entity_rollups WHERE cycle_id <= ?", (horizon,)
-        )
+        # speed); the series dimension is intentionally retained.  A run
+        # reaching past the horizon stays: readers only expand runs over
+        # cycles still present.
+        for table, *_rest in _RUN_TABLES:
+            self._conn.execute(
+                f"DELETE FROM {table} WHERE last_cycle <= ?", (horizon,)
+            )
         self._conn.execute(
             "DELETE FROM provenance WHERE cycle_id <= ?", (horizon,)
         )
@@ -650,6 +797,16 @@ class HistoryStore:
             ).fetchone()
         return row["latest"]
 
+    def successful_cycle_ids(self, last: int) -> list[int]:
+        """The newest ``last`` cycles that produced a report, oldest
+        first."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT cycle_id FROM cycles WHERE scan_error = ''"
+                " ORDER BY cycle_id DESC LIMIT ?", (max(0, last),)
+            ).fetchall()
+        return [row["cycle_id"] for row in reversed(rows)]
+
     def cycles(self, last: int | None = None) -> list[CycleRow]:
         """The newest ``last`` cycles (all when None), oldest first."""
         query = f"SELECT {', '.join(_CYCLE_COLUMNS)} FROM cycles"
@@ -681,8 +838,11 @@ class HistoryStore:
     def verdicts(self, cycle_id: int) -> list[VerdictRow]:
         with self._lock:
             rows = self._conn.execute(
-                f"{_VERDICT_SELECT} WHERE v.cycle_id = ?"
-                " ORDER BY s.target, s.entity, s.rule",
+                "SELECT c.cycle_id, s.target, s.entity, s.rule, r.verdict,"
+                " s.severity, r.message FROM cycles c"
+                f" JOIN verdict_runs r ON {_COVERED}"
+                " JOIN series s ON s.series_id = r.series_id"
+                " WHERE c.cycle_id = ? ORDER BY s.target, s.entity, s.rule",
                 (cycle_id,),
             ).fetchall()
         return [
@@ -701,31 +861,48 @@ class HistoryStore:
         return {row.key: row.verdict for row in self.verdicts(cycle_id)}
 
     def verdict_windows(
-        self, window: int
+        self, window: int, *, successful_only: bool = False
     ) -> dict[VerdictKey, list[tuple[int, str]]]:
         """Per-key verdict series over the newest ``window`` cycles,
-        oldest first -- the flap detector's working set."""
+        oldest first; ``successful_only`` counts only cycles that
+        produced a report (the flap detector's working set).  Keys come
+        in order of their first cycle in the window."""
         with self._lock:
+            where = " WHERE scan_error = ''" if successful_only else ""
             row = self._conn.execute(
                 "SELECT MIN(cycle_id) AS low FROM (SELECT cycle_id FROM"
-                " cycles ORDER BY cycle_id DESC LIMIT ?)",
+                f" cycles{where} ORDER BY cycle_id DESC LIMIT ?)",
                 (max(1, window),),
             ).fetchone()
-            if row["low"] is None:
+            low = row["low"]
+            if low is None:
                 return {}
-            rows = self._conn.execute(
-                "SELECT v.cycle_id, s.target, s.entity, s.rule, v.verdict"
-                " FROM verdicts v JOIN series s ON s.series_id ="
-                " v.series_id WHERE v.cycle_id >= ? ORDER BY v.cycle_id",
-                (row["low"],),
+            ids = [item["cycle_id"] for item in self._conn.execute(
+                "SELECT cycle_id FROM cycles WHERE cycle_id >= ? AND"
+                " scan_error = '' ORDER BY cycle_id", (low,))]
+            runs = self._conn.execute(
+                "SELECT r.series_id, s.target, s.entity, s.rule,"
+                " r.first_cycle, r.last_cycle, r.verdict FROM verdict_runs r"
+                " JOIN series s ON s.series_id = r.series_id"
+                " WHERE r.last_cycle IS NULL OR r.last_cycle >= ?",
+                (low,),
             ).fetchall()
-        series: dict[VerdictKey, list[tuple[int, str]]] = {}
-        for item in rows:
-            key = (item["target"], item["entity"], item["rule"])
-            series.setdefault(key, []).append(
-                (item["cycle_id"], _VERDICT_NAMES[item["verdict"]])
-            )
-        return series
+        found: dict[VerdictKey, tuple[int, list[tuple[int, str]]]] = {}
+        for run in runs:
+            start = bisect.bisect_left(ids, run["first_cycle"])
+            end = (len(ids) if run["last_cycle"] is None
+                   else bisect.bisect_right(ids, run["last_cycle"]))
+            if start >= end:
+                continue
+            key = (run["target"], run["entity"], run["rule"])
+            verdict = _VERDICT_NAMES[run["verdict"]]
+            entry = found.setdefault(key, (run["series_id"], []))
+            entry[1].extend((cycle_id, verdict) for cycle_id in ids[start:end])
+        for _series_id, series in found.values():
+            series.sort()
+        ordered = sorted(found.items(),
+                         key=lambda item: (item[1][1][0][0], item[1][0]))
+        return {key: series for key, (_series_id, series) in ordered}
 
     def rule_history(self, target: str, entity: str, rule: str,
                      last: int | None = None) -> list[tuple[int, str]]:
@@ -735,15 +912,13 @@ class HistoryStore:
             if series_id is None:
                 return []
             query = (
-                "SELECT cycle_id, verdict FROM verdicts WHERE"
-                " series_id = ? ORDER BY cycle_id"
+                "SELECT c.cycle_id, r.verdict FROM verdict_runs r"
+                f" JOIN cycles c ON {_COVERED} WHERE r.series_id = ?"
+                " ORDER BY c.cycle_id"
             )
             params: tuple = (series_id,)
             if last is not None:
-                query = (
-                    "SELECT cycle_id, verdict FROM verdicts WHERE"
-                    " series_id = ? ORDER BY cycle_id DESC LIMIT ?"
-                )
+                query += " DESC LIMIT ?"
                 params = (series_id, max(0, last))
             rows = self._conn.execute(query, params).fetchall()
         out = [(row["cycle_id"], _VERDICT_NAMES[row["verdict"]])
@@ -789,16 +964,14 @@ class HistoryStore:
                      last: int | None = None) -> list[EntityTrendRow]:
         """Per-cycle pass/fail trend of one scanned frame, oldest first."""
         query = (
-            "SELECT r.cycle_id, c.started_at, r.target, r.passed,"
-            " r.failed, r.worst_severity FROM entity_rollups r"
-            " JOIN cycles c ON c.cycle_id = r.cycle_id"
-            " WHERE r.target = ? ORDER BY r.cycle_id"
+            "SELECT c.cycle_id, c.started_at, r.target, r.passed,"
+            " r.failed, r.worst_severity FROM entity_runs r"
+            f" JOIN cycles c ON {_COVERED}"
+            " WHERE r.target = ? ORDER BY c.cycle_id"
         )
         params: tuple = (target,)
         if last is not None:
-            query = query.replace(
-                "ORDER BY r.cycle_id", "ORDER BY r.cycle_id DESC LIMIT ?"
-            )
+            query += " DESC LIMIT ?"
             params = (target, max(0, last))
         with self._lock:
             rows = self._conn.execute(query, params).fetchall()
@@ -811,7 +984,8 @@ class HistoryStore:
         """Every frame ever rolled up, sorted."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT DISTINCT target FROM entity_rollups ORDER BY target"
+                "SELECT DISTINCT target FROM entity_runs r WHERE EXISTS"
+                f" (SELECT 1 FROM cycles c WHERE {_COVERED}) ORDER BY target"
             ).fetchall()
         return [row["target"] for row in rows]
 
@@ -854,8 +1028,8 @@ class HistoryStore:
         )
         rows_total = registry.counter(
             "repro_history_rows_written_total",
-            "Rows written to the history store (cycles + verdicts +"
-            " entity rollups).",
+            "Rows written to the history store (cycles + verdict and"
+            " entity-rollup runs opened or closed).",
         )
         write_seconds = registry.counter(
             "repro_history_write_seconds_total",

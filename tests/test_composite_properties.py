@@ -108,3 +108,62 @@ class TestRoundTrip:
         result = evaluate_composite(ast.render(), context)
         leaves = ast.render().count("==") + ast.render().count("!=")
         assert len(result.term_results) >= max(1, leaves)
+
+
+# ---- the run context's cross-frame merge ------------------------------------
+
+
+def _eager_merge(placements):
+    """The per-entity verdict map as the engine built it eagerly, result
+    by result, before verdicts were computed on request."""
+    from repro.engine.results import Verdict
+
+    verdicts = {}
+    for _entity, results in placements:
+        for result in results:
+            if result.verdict is Verdict.COMPLIANT:
+                verdict = True
+            elif result.verdict is Verdict.NONCOMPLIANT:
+                verdict = False
+            else:
+                verdict = None
+            key = (result.entity, result.rule.name)
+            existing = verdicts.get(key)
+            if existing is True:
+                continue
+            if verdict is True or existing is None:
+                verdicts[key] = verdict
+    return verdicts
+
+
+@given(st.lists(
+    st.tuples(_entities, st.lists(st.tuples(
+        _configs, st.sampled_from(["compliant", "noncompliant",
+                                   "not_applicable", "error"])),
+        max_size=6)),
+    max_size=8))
+def test_lazy_rule_verdict_matches_eager_merge(placed):
+    """COMPLIANT on some frame wins, else NONCOMPLIANT anywhere, else
+    None -- computed on first request and memoized."""
+    from repro.cvl.manifest import Manifest
+    from repro.cvl.model import Rule
+    from repro.engine.engine import _RunContext
+    from repro.engine.results import Outcome, RuleResult, Verdict
+
+    context = _RunContext(None, None)
+    placements = []
+    for entity, rows in placed:
+        results = [RuleResult(rule=Rule(name=config), entity=entity,
+                              target="host:h", verdict=Verdict(verdict),
+                              outcome=Outcome.MATCHED)
+                   for config, verdict in rows]
+        context.record(Manifest(entity=entity, cvl_file=f"{entity}.yaml"),
+                       None, results)
+        placements.append((entity, results))
+    expected = _eager_merge(placements)
+    for entity in ["mysql", "nginx", "sysctl", "docker"]:
+        for config in ["ssl-ca", "listen", "net.ipv4.ip_forward", "user",
+                       "icc"]:
+            for _repeat in range(2):
+                assert context.rule_verdict(entity, config) == expected.get(
+                    (entity, config))

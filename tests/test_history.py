@@ -134,21 +134,28 @@ class TestRetention:
             rows = store.cycles()
             assert [row.cycle_id for row in rows] == ids[-3:]
             assert store.stats().cycles_pruned == 4
-            # Cascade: no verdict or rollup rows for pruned cycles.
+            # Cascade: no verdict run or rollup row lies wholly in pruned
+            # cycles, and readers see only the retained ones.
             conn = sqlite3.connect(path)
             try:
                 orphans = conn.execute(
-                    "SELECT COUNT(*) FROM verdicts WHERE cycle_id < ?",
+                    "SELECT COUNT(*) FROM verdict_runs WHERE last_cycle < ?",
                     (ids[-3],),
                 ).fetchone()[0]
                 rollup_orphans = conn.execute(
-                    "SELECT COUNT(*) FROM entity_rollups WHERE cycle_id < ?",
+                    "SELECT COUNT(*) FROM entity_runs WHERE last_cycle < ?",
                     (ids[-3],),
                 ).fetchone()[0]
             finally:
                 conn.close()
             assert orphans == 0
             assert rollup_orphans == 0
+            key = next(iter(report_verdict_map(summary.report)))
+            assert [cycle for cycle, _v in store.rule_history(*key)] \
+                == ids[-3:]
+            target = next(iter(summary.entities))
+            assert [row.cycle_id for row in store.entity_trend(target)] \
+                == ids[-3:]
 
     def test_explicit_prune(self, summary):
         with HistoryStore() as store:
@@ -189,6 +196,21 @@ class TestConcurrency:
             expected = report_verdict_map(summary.report)
             for row in store.cycles():
                 assert store.verdict_map(row.cycle_id) == expected
+
+    def test_two_writers_share_one_database(self, summary, tmp_path):
+        """Each writer picks up the other's open runs before appending,
+        so interleaved cycles read back exactly once each."""
+        path = str(tmp_path / "history.sqlite")
+        expected = report_verdict_map(summary.report)
+        with HistoryStore(path) as first, HistoryStore(path) as second:
+            ids = [first.record_cycle(summary), second.record_cycle(summary),
+                   first.record_cycle(summary)]
+            for cycle_id in ids:
+                rows = first.verdicts(cycle_id)
+                assert len(rows) == len(expected)
+                assert {row.key: row.verdict for row in rows} == expected
+            key = next(iter(expected))
+            assert [cycle for cycle, _v in second.rule_history(*key)] == ids
 
     def test_reader_coexists_with_writer(self, summary, tmp_path):
         path = str(tmp_path / "history.sqlite")

@@ -437,6 +437,52 @@ class TestAnalyzerRehydration:
                                       flap_min_transitions=3)
             assert analyzer.flapping() == flapping_before
 
+    def test_restart_after_scan_error_diffs_against_last_good(
+            self, base_blobs):
+        """Cycles good -> scan error -> regressed sshd: a monitor
+        restarted after the error loads the last good cycle's map and
+        emits the live monitor's regressions."""
+        def provider(cycle_no):
+            if cycle_no == 2:
+                raise RuntimeError("crawler exploded")
+            return _fleet_state(base_blobs, 1 if cycle_no == 1 else 2)
+
+        live, restarted = [], []
+        with HistoryStore() as store:
+            _make_monitor(base_blobs, store, cycles=3, reports=live,
+                          provider=provider).run()
+        with HistoryStore() as store:
+            _make_monitor(base_blobs, store, cycles=2, reports=restarted,
+                          provider=provider).run()
+            _make_monitor(base_blobs, store, cycles=1, reports=restarted,
+                          provider=lambda _n: provider(3)).run()
+        live_events = _event_tuples(live[-1][2])
+        assert [event[0] for event in live_events] == ["regression"] * 2
+        assert _event_tuples(restarted[-1][2]) == live_events
+
+    def test_restart_seeds_flap_windows_from_successful_cycles(
+            self, base_blobs):
+        """Window 4, 3 transitions, cycles a, b, a, scan error, b: the
+        live analyzer flags the oscillating keys, and so does one
+        restarted from the store (the failed cycle is no observation)."""
+        def provider(cycle_no):
+            if cycle_no == 4:
+                raise RuntimeError("crawler exploded")
+            return _fleet_state(base_blobs, 2 if cycle_no in (2, 5) else 1)
+
+        with HistoryStore() as store:
+            live = _make_monitor(base_blobs, store, cycles=5,
+                                 provider=provider, flap_window=4,
+                                 flap_min_transitions=3)
+            live.run()
+            flapping = live.analyzer.flapping()
+            assert len(flapping) == 2
+            restarted = HealthAnalyzer(store, flap_window=4,
+                                       flap_min_transitions=3)
+            assert restarted.flapping() == flapping
+            assert restarted.flapping_details() == \
+                live.analyzer.flapping_details()
+
 
 class TestMonitorCli:
     def test_monitor_cli_end_to_end(self, tmp_path):

@@ -19,11 +19,9 @@ bench:
 # throughput on the 16x ruleset, no 1x regression, byte-identical reports.
 # bench_provenance.py asserts the provenance gates: <= 5% overhead for
 # --provenance cycles, byte-identical provenance-off output.
-# bench_executor.py asserts the executor gates: warm-store cold-process
-# cycle >= 3x a storeless one, process >= 2x thread at 8 workers (only
-# on >= 4 cores), byte-identical reports across backends.
-# bench_trace.py asserts the trace-fabric gate: telemetry-on process
-# cycles <= 5% wall-clock over telemetry-off, byte-identical reports.
+# bench_executor.py times thread fan-out at 1/4/8 workers and asserts
+# the artifact-store warm-start gate: a fresh validator's cycle against
+# a warm store >= 3x a storeless one, byte-identical reports.
 bench-check:
 	python benchmarks/compare_results.py
 

@@ -46,13 +46,11 @@ BENCH_FILES = (
     # Enforces the <= 5% provenance-on overhead budget and off-mode
     # byte-identity (ISSUE 7) via in-test assertions.
     "bench_provenance.py",
-    # Enforces the executor gates (ISSUE 8): warm-store cold-process
-    # cycle >= 3x a storeless one, process >= 2x thread at 8 workers
-    # (on >= 4 cores), byte-identical reports across backends.
+    # Times thread fan-out at 1/4/8 workers, and enforces the
+    # artifact-store warm-start gate (a fresh validator's cycle against
+    # a warm store >= 3x a storeless one, byte-identical reports) via an
+    # in-test assertion.
     "bench_executor.py",
-    # Enforces the <= 5% cross-process trace-fabric overhead budget
-    # (ISSUE 9) and on/off byte-identity via in-test assertions.
-    "bench_trace.py",
     # Enforces the <= 2% armed-null-plan chaos-fabric overhead budget
     # (ISSUE 10) and armed/disarmed byte-identity via in-test assertions.
     "bench_chaos.py",

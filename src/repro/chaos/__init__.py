@@ -14,7 +14,6 @@ armed (enforced by ``benchmarks/bench_chaos.py``).
 
 from repro.chaos.deadline import RunDeadline
 from repro.chaos.fabric import (
-    CHAOS_ENV,
     SITES,
     ChaosAccount,
     ChaosFabric,
@@ -23,7 +22,6 @@ from repro.chaos.fabric import (
     FaultRule,
     _CHAOS,
     absorbed,
-    arm_from_env,
     arm_plan,
     chaos_site,
     delta_is_empty,
@@ -35,7 +33,6 @@ from repro.chaos.quarantine import is_corruption, quarantine_database
 from repro.chaos.stats import DegradationStats
 
 __all__ = [
-    "CHAOS_ENV",
     "SITES",
     "ChaosAccount",
     "ChaosFabric",
@@ -47,7 +44,6 @@ __all__ = [
     "RunDeadline",
     "_CHAOS",
     "absorbed",
-    "arm_from_env",
     "arm_plan",
     "chaos_site",
     "delta_is_empty",

@@ -26,9 +26,8 @@ log = logging.getLogger("repro.chaos")
 class RunDeadline:
     """Soft deadlines for one validation cycle.
 
-    Passive checks work in any process (worker processes enforce the
-    frame deadline without a watchdog); :meth:`start`/:meth:`stop`
-    bracket the parent-side watchdog thread.
+    Passive checks need no watchdog; :meth:`start`/:meth:`stop` bracket
+    the watchdog thread.
     """
 
     def __init__(self, *, cycle_s: float | None = None,
@@ -84,9 +83,3 @@ class RunDeadline:
 
     def should_cancel(self, frame_started: float) -> bool:
         return self.cycle_expired or self.frame_expired(frame_started)
-
-    def remaining_s(self) -> float | None:
-        """Seconds left in the cycle budget (None when unbounded)."""
-        if self.cycle_s is None:
-            return None
-        return max(0.0, self.cycle_s - (time.monotonic() - self.started))

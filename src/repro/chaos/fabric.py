@@ -3,9 +3,9 @@
 Fault handling in a fleet validator is only trustworthy if it can be
 *exercised*: this module arms a process-wide :class:`FaultPlan` whose
 named injection sites are threaded through the scanner's hot paths
-(filesystem reads, lens parses, rule evaluation, shard dispatch, sqlite
-stores, webhook delivery, wall clocks).  Every site costs one attribute
-read and a branch when no plan is armed::
+(filesystem reads, lens parses, rule evaluation, sqlite stores, webhook
+delivery, wall clocks).  Every site costs one attribute read and a
+branch when no plan is armed::
 
     if _CHAOS.armed:
         _CHAOS.fire("fs.read", path)
@@ -14,13 +14,9 @@ Determinism is the point.  Fire decisions are not drawn from a shared
 sequential RNG (which would make them depend on thread scheduling);
 each draw hashes ``(seed, site, key, n)`` where ``n`` is a per-(site,
 key) counter.  Two runs of the same plan over the same frames make the
-same draws regardless of worker count or executor backend, which is
-what lets ``repro chaos`` assert that unaffected frames are
-byte-identical to a fault-free run.
-
-Plans propagate to forked/spawned worker processes through the
-``REPRO_CHAOS_PLAN`` environment variable: :func:`arm_plan` exports the
-plan JSON, and the pool initializer calls :func:`arm_from_env`.
+same draws regardless of worker count, which is what lets
+``repro chaos`` assert that unaffected frames are byte-identical to a
+fault-free run.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -37,9 +32,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import EngineError, FileNotFoundInFrame, LensError, SchemaError
 
-#: Environment variable carrying the armed plan JSON into worker processes.
-CHAOS_ENV = "REPRO_CHAOS_PLAN"
-
 #: Every injection site the fabric knows about.  Site code passes these
 #: names verbatim; plans referencing unknown sites are rejected up front
 #: so a typo'd plan fails loudly instead of silently injecting nothing.
@@ -47,14 +39,13 @@ SITES = (
     "fs.read",        # FilesystemView.read_text (real + virtual)
     "lens.parse",     # Normalizer tree/table parse, keyed by frame|path
     "rule.eval",      # per-rule evaluation, keyed by frame|entity/rule
-    "exec.worker",    # shard dispatch (parent side), keyed by shard-N
     "store.sqlite",   # artifact-store operations, keyed by path|op
     "webhook.send",   # webhook delivery attempts, keyed by url
-    "clock.skew",     # wall-clock reads (cycle start, shard start)
+    "clock.skew",     # wall-clock reads (cycle start)
     "retry",          # retry_with_backoff attempts, keyed by caller label
 )
 
-_MODES = ("error", "exit", "delay", "skew")
+_MODES = ("error", "delay", "skew")
 
 
 class ChaosPlanError(ValueError):
@@ -142,7 +133,7 @@ class FaultRule:
     match: str = "*"          # fnmatch pattern over the site key
     probability: float = 1.0  # per-draw fire probability
     count: int = 0            # max fires (0 = unlimited)
-    mode: str = "error"       # error | exit | delay | skew
+    mode: str = "error"       # error | delay | skew
     delay_s: float = 0.0      # mode=delay: injected latency
     skew_s: float = 0.0       # mode=skew: injected clock offset
 
@@ -159,8 +150,6 @@ class FaultRule:
         mode = doc.get("mode", "skew" if site == "clock.skew" else "error")
         if mode not in _MODES:
             raise ChaosPlanError(f"unknown fault mode {mode!r} for site {site!r}")
-        if mode == "exit" and site != "exec.worker":
-            raise ChaosPlanError("mode 'exit' is only valid for exec.worker")
         probability = float(doc.get("probability", 1.0))
         if not 0.0 <= probability <= 1.0:
             raise ChaosPlanError(f"probability must be in [0, 1], got {probability}")
@@ -246,8 +235,8 @@ class ChaosAccount:
     """Thread-safe degradation counters for one process.
 
     Always present (deadline cancellations count even with no plan
-    armed); worker processes ship a :meth:`delta_since` back with each
-    shard result so the parent's account covers the whole cycle.
+    armed); a validation run reports the :meth:`delta_since` a snapshot
+    taken at its start.
     """
 
     def __init__(self) -> None:
@@ -309,20 +298,6 @@ class ChaosAccount:
                                        - before["deadline_cancellations"]),
         }
 
-    def merge_delta(self, delta: dict) -> None:
-        """Fold a worker-process delta into this (parent) account."""
-        if not delta:
-            return
-        with self._lock:
-            for site, n in delta.get("injected", {}).items():
-                self.injected[site] = self.injected.get(site, 0) + n
-            for site, n in delta.get("absorbed", {}).items():
-                self.absorbed[site] = self.absorbed.get(site, 0) + n
-            self.fired.extend(tuple(item) for item in delta.get("fired", ()))
-            self.stores_quarantined += delta.get("stores_quarantined", 0)
-            self.frames_quarantined += delta.get("frames_quarantined", 0)
-            self.deadline_cancellations += delta.get("deadline_cancellations", 0)
-
 
 def _dict_delta(now: dict, before: dict) -> dict:
     out = {}
@@ -360,7 +335,7 @@ class ChaosFabric:
 
     # -- arming ----------------------------------------------------------
 
-    def arm(self, plan: FaultPlan, *, export_env: bool = True) -> None:
+    def arm(self, plan: FaultPlan) -> None:
         with self._lock:
             self.plan = plan
             by_site: dict[str, list[FaultRule]] = {}
@@ -377,8 +352,6 @@ class ChaosFabric:
             self._fires = {}
             self.account = ChaosAccount()
             self.armed = True
-        if export_env:
-            os.environ[CHAOS_ENV] = plan.to_json()
 
     def disarm(self) -> None:
         with self._lock:
@@ -387,15 +360,6 @@ class ChaosFabric:
             self._rules_by_site = {}
             self._draws = {}
             self._fires = {}
-        os.environ.pop(CHAOS_ENV, None)
-
-    def arm_from_env(self) -> bool:
-        """Arm from ``REPRO_CHAOS_PLAN`` if set (worker initializer)."""
-        text = os.environ.get(CHAOS_ENV)
-        if not text:
-            return False
-        self.arm(FaultPlan.from_json(text), export_env=False)
-        return True
 
     # -- draws -----------------------------------------------------------
 
@@ -404,8 +368,7 @@ class ChaosFabric:
 
         The draw hashes ``(seed, site, key, n)`` with ``n`` a per-(site,
         key) counter, so decisions depend only on how many times this
-        exact site/key pair has been reached -- not on thread or shard
-        interleaving.
+        exact site/key pair has been reached -- not on thread interleaving.
         """
         rules = self._rules_by_site.get(site)
         if not rules:
@@ -451,14 +414,6 @@ class ChaosFabric:
         factory = error if error is not None else _SITE_ERRORS[site]
         raise factory(key)
 
-    def decide(self, site: str, key: str) -> FaultRule | None:
-        """Query-style site: return the drawn fault rule for the caller
-        to apply (worker kill modes, clock offsets)."""
-        rule = self._draw(site, key)
-        if rule is not None:
-            self.account.note_injected(site, key)
-        return rule
-
     def skew(self, key: str) -> float:
         """Injected clock offset in seconds (0.0 when none drawn)."""
         rule = self._draw("clock.skew", key)
@@ -478,16 +433,14 @@ def fabric() -> ChaosFabric:
     return _CHAOS
 
 
-def arm_plan(plan: FaultPlan, *, export_env: bool = True) -> None:
-    _CHAOS.arm(plan, export_env=export_env)
+def arm_plan(plan: FaultPlan, *, export_env: bool = False) -> None:
+    """Arm ``plan`` process-wide.  ``export_env`` is accepted for older
+    callers and ignored: plans never leave the process."""
+    _CHAOS.arm(plan)
 
 
 def disarm() -> None:
     _CHAOS.disarm()
-
-
-def arm_from_env() -> bool:
-    return _CHAOS.arm_from_env()
 
 
 def chaos_site(error: BaseException) -> str | None:

@@ -38,16 +38,6 @@ NAMED_PLANS: dict[str, dict] = {
             {"site": "lens.parse", "match": "*/etc/mysql/my.cnf"},
         ],
     },
-    # OOM-killed worker: shard 0's process dies without unwinding; the
-    # backend respawns and re-evaluates, so the report is unchanged.
-    "worker-kill": {
-        "name": "worker-kill",
-        "seed": 307,
-        "rules": [
-            {"site": "exec.worker", "match": "shard-0",
-             "mode": "exit", "count": 1},
-        ],
-    },
     # Corrupt artifact store: the first store operation reports a
     # malformed database; the guard quarantines the file and reopens
     # cold.  Verdicts never depend on the store, so no frame changes.
@@ -58,8 +48,8 @@ NAMED_PLANS: dict[str, dict] = {
             {"site": "store.sqlite", "match": "*", "count": 1},
         ],
     },
-    # A wall clock two minutes fast: cycle and shard start stamps skew,
-    # exercising every duration computation.  Fully absorbed.
+    # A wall clock two minutes fast: cycle start stamps skew, exercising
+    # every duration computation.  Fully absorbed.
     "clock-skew": {
         "name": "clock-skew",
         "seed": 503,
@@ -88,7 +78,6 @@ NAMED_PLANS: dict[str, dict] = {
             {"site": "fs.read", "probability": 0.0},
             {"site": "lens.parse", "probability": 0.0},
             {"site": "rule.eval", "probability": 0.0},
-            {"site": "exec.worker", "probability": 0.0},
             {"site": "store.sqlite", "probability": 0.0},
             {"site": "webhook.send", "probability": 0.0},
             {"site": "clock.skew", "probability": 0.0, "mode": "skew"},

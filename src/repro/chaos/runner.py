@@ -131,9 +131,9 @@ def _affected_frames(plan: FaultPlan, degradation,
 
     File-keyed sites (``fs.read`` / ``lens.parse``) affect any frame
     holding a matching path; ``rule.eval`` keys carry the frame key
-    outright; worker kills fall back to in-parent evaluation and store
-    faults fall back to re-parsing, so neither may change results.  A
-    cycle with deadline cancellations has an unbounded blast radius.
+    outright; store faults fall back to re-parsing, so they may not
+    change results.  A cycle with deadline cancellations has an
+    unbounded blast radius.
     """
     affected: set[str] = set()
     if degradation is None:
@@ -160,7 +160,7 @@ def _affected_frames(plan: FaultPlan, degradation,
 
 
 def _scan_once(frames, *, kwargs: dict, store_dir: str | None,
-               workers: int, fast_process: bool = False):
+               workers: int):
     """One full scan cycle (batch-scanner path, so every injection site
     a monitor cycle crosses is on this code path too)."""
     from repro.engine.batch import BatchScanner
@@ -169,15 +169,6 @@ def _scan_once(frames, *, kwargs: dict, store_dir: str | None,
     run_kwargs = dict(kwargs)
     if store_dir is not None:
         run_kwargs["artifact_store"] = os.path.join(store_dir, "artifacts.db")
-    backend = None
-    if fast_process and run_kwargs.get("executor") == "process":
-        # A killed worker is only detected by the shard timeout; the
-        # harness shortens it so the kill/respawn/heal sequence runs in
-        # seconds, not the production 30s-per-attempt budget.
-        from repro.exec import ProcessBackend
-
-        backend = ProcessBackend(timeout_s=5.0, max_respawns=1)
-        run_kwargs["executor"] = backend
     validator = load_builtin_validator(**run_kwargs)
     started = time.perf_counter()
     try:
@@ -185,37 +176,29 @@ def _scan_once(frames, *, kwargs: dict, store_dir: str | None,
     finally:
         elapsed = time.perf_counter() - started
         validator.close()
-        if backend is not None:
-            backend.close()
     return summary, elapsed
 
 
-def run_chaos(plan_ref: str, *, workers: int = 1, executor: str = "thread",
+def run_chaos(plan_ref: str, *, workers: int = 1,
               deadline_s: float | None = None,
               frame_deadline_s: float | None = None,
               size: int = 4, use_plans: bool = True) -> ChaosRunResult:
     """Run the resilience harness under one fault plan.
 
     The harness provisions what the plan needs to actually bite: plans
-    with ``exec.worker`` rules run on the process backend, plans with
-    ``store.sqlite`` rules get a throwaway artifact store (one fresh
+    with ``store.sqlite`` rules get a throwaway artifact store (one fresh
     store per run, so the clean baseline stays symmetric).
     """
     from repro.engine.report import render_json
 
     plan = resolve_plan(plan_ref)
     result = ChaosRunResult(plan=plan.name)
-    sites = {rule.site for rule in plan.rules}
-    if "exec.worker" in sites and executor == "thread":
-        executor = "process"
-    needs_store = "store.sqlite" in sites
+    needs_store = any(rule.site == "store.sqlite" for rule in plan.rules)
 
     frames = _build_frames(size)
     frame_paths = _frame_paths(frames)
 
     kwargs: dict = {"workers": workers, "use_plans": use_plans}
-    if executor != "thread":
-        kwargs["executor"] = executor
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         # ---- clean run: the byte-identity baseline --------------------
@@ -223,10 +206,8 @@ def run_chaos(plan_ref: str, *, workers: int = 1, executor: str = "thread",
         baseline_store = os.path.join(tmp, "clean") if needs_store else None
         if baseline_store is not None:
             os.makedirs(baseline_store)
-        fast_process = "exec.worker" in sites
         baseline_summary, result.baseline_elapsed_s = _scan_once(
-            frames, kwargs=kwargs, store_dir=baseline_store, workers=workers,
-            fast_process=fast_process)
+            frames, kwargs=kwargs, store_dir=baseline_store, workers=workers)
         baseline_docs = _per_frame_docs(baseline_summary.report)
 
         # ---- armed run ------------------------------------------------
@@ -243,7 +224,7 @@ def run_chaos(plan_ref: str, *, workers: int = 1, executor: str = "thread",
         try:
             summary, result.elapsed_s = _scan_once(
                 frames, kwargs=armed_kwargs, store_dir=armed_store,
-                workers=workers, fast_process=fast_process)
+                workers=workers)
         finally:
             # The harness-wide delta, not the report's: it also catches
             # faults fired outside validate_frames (cycle clock skew,

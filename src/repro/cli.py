@@ -62,7 +62,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             telemetry=telemetry, verdict_store=store,
             use_plans=not args.no_plan,
             provenance=args.provenance,
-            **_executor_kwargs_from_args(args),
+            **_validator_kwargs_from_args(args),
         )
         if args.targets:
             wanted = set(args.targets.split(","))
@@ -77,7 +77,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             verdict_store=store,
             use_plans=not args.no_plan,
             provenance=args.provenance,
-            **_executor_kwargs_from_args(args),
+            **_validator_kwargs_from_args(args),
         )
     timings = _make_timings(args)
     server = _start_metrics_server(args, telemetry)
@@ -89,7 +89,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _finish_incremental(report, store, state_dir)
     _print_stage_timings(args, timings, validator)
     _print_plan_stats(args, report)
-    _print_exec_stats(args, report)
     _print_degradation(args, report)
     if args.json:
         print(render_json(report))
@@ -150,16 +149,10 @@ def _finish_incremental(report, store, state_dir: str) -> None:
         print(stats.render(), file=sys.stderr)
 
 
-def _executor_kwargs_from_args(args: argparse.Namespace) -> dict:
-    """Validator kwargs for the --executor/--shard-size/--artifact-store
-    flags (empty dict when every flag is at its default)."""
+def _validator_kwargs_from_args(args: argparse.Namespace) -> dict:
+    """Validator kwargs for the --artifact-store and deadline flags
+    (empty dict when every flag is at its default); arms --chaos-plan."""
     kwargs: dict = {}
-    executor = getattr(args, "executor", "thread")
-    if executor != "thread":
-        kwargs["executor"] = executor
-    shard_size = getattr(args, "shard_size", None)
-    if shard_size is not None:
-        kwargs["shard_size"] = shard_size
     raw = getattr(args, "artifact_store", "")
     if raw == "auto":
         state_dir = getattr(args, "state_dir", "")
@@ -184,11 +177,7 @@ def _executor_kwargs_from_args(args: argparse.Namespace) -> dict:
 
 
 def _arm_chaos_from_args(args: argparse.Namespace) -> None:
-    """Arm the process-wide fault fabric when --chaos-plan was given.
-
-    Arming exports the plan to the environment too, so worker processes
-    spawned later inherit it (:func:`repro.chaos.fabric.arm_from_env`).
-    """
+    """Arm the process-wide fault fabric when --chaos-plan was given."""
     plan_ref = getattr(args, "chaos_plan", "")
     if not plan_ref:
         return
@@ -301,15 +290,6 @@ def _print_stage_timings(args, timings, validator) -> None:
         print(store.stats().render(), file=sys.stderr)
 
 
-def _print_exec_stats(args, report) -> None:
-    """Process-executor shard stats on stderr (with --stage-timings)."""
-    if not getattr(args, "stage_timings", False):
-        return
-    stats = getattr(report, "exec_stats", None)
-    if stats is not None:
-        print(stats.render(), file=sys.stderr)
-
-
 def _print_plan_stats(args, report) -> None:
     """Rule-plan fusion stats on stderr (with --stage-timings)."""
     if not getattr(args, "stage_timings", False):
@@ -376,7 +356,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         cache_size=args.cache_size, workers=args.workers, telemetry=telemetry,
         verdict_store=store, use_plans=not args.no_plan,
         provenance=args.provenance,
-        **_executor_kwargs_from_args(args),
+        **_validator_kwargs_from_args(args),
     )
     timings = _make_timings(args)
     server = _start_metrics_server(args, telemetry)
@@ -403,7 +383,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     _finish_incremental(report, store, state_dir)
     _print_stage_timings(args, timings, validator)
     _print_plan_stats(args, report)
-    _print_exec_stats(args, report)
     _print_degradation(args, report)
     _emit_telemetry(args, telemetry, server)
     validator.close()
@@ -421,7 +400,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workers=args.workers,
         telemetry=telemetry,
         use_plans=not args.no_plan,
-        **_executor_kwargs_from_args(args),
+        **_validator_kwargs_from_args(args),
     )
     if args.root:
         entities = [HostEntity(args.name, RealFilesystem(args.root))]
@@ -446,8 +425,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     summary = scanner.scan_entities(entities, workers=args.workers)
     print(
         f"# profiled {summary.entities_scanned} entities, "
-        f"{len(summary.report)} checks in {summary.elapsed_s:.2f}s "
-        f"[executor: {getattr(args, 'executor', 'thread')}]"
+        f"{len(summary.report)} checks in {summary.elapsed_s:.2f}s"
     )
     print()
     print(telemetry.profiler.render(top=args.top))
@@ -455,8 +433,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("stage latency (aggregate worker-seconds):")
     print(summary.stage_timings.render_extended())
     print(validator.cache_stats().render())
-    if summary.exec_stats is not None:
-        print(summary.exec_stats.render())
     if summary.artifact_stats is not None:
         print(summary.artifact_stats.render())
     _emit_telemetry(args, telemetry, server)
@@ -465,7 +441,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Analyze an exported trace: critical path, lanes, shard breakdown."""
+    """Analyze an exported trace: critical path and worker lanes."""
     import json
 
     from repro.telemetry.traceview import (
@@ -596,7 +572,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         verdict_store=verdict_store,
         use_plans=not args.no_plan,
         provenance=args.provenance,
-        **_executor_kwargs_from_args(args),
+        **_validator_kwargs_from_args(args),
     )
     scanner = BatchScanner(validator, workers=args.workers,
                            cache_size=args.cache_size, telemetry=telemetry)
@@ -694,8 +670,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     print(history.stats().render(), file=sys.stderr)
     # Telemetry before close: the history and artifact-store gauges are
     # pull-style and scrape live sqlite connections.  (On an uncaught
-    # error the executor pool and stores are reclaimed by their
-    # finalizers at interpreter exit.)
+    # error the stores are reclaimed by their finalizers at interpreter
+    # exit.)
     _emit_telemetry(args, telemetry)
     history.close()
     validator.close()
@@ -723,7 +699,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         result = run_chaos(
             args.plan,
             workers=args.workers,
-            executor=args.executor,
             deadline_s=args.deadline,
             frame_deadline_s=args.frame_deadline,
             size=args.size,
@@ -1054,16 +1029,6 @@ def _add_scaling_flags(subparser: argparse.ArgumentParser) -> None:
         help="print per-stage wall time and parse-cache stats on stderr",
     )
     subparser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="fan-out backend: 'thread' runs frames on an in-process "
-             "pool; 'process' shards them across worker processes "
-             "(reports are byte-identical either way)",
-    )
-    subparser.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="frames per process shard (default: auto-sized per cycle)",
-    )
-    subparser.add_argument(
         "--artifact-store", nargs="?", const="auto", default="",
         metavar="PATH",
         help="persistent content-addressed store for parsed artifacts "
@@ -1249,12 +1214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="analyze an exported trace: critical path, worker lanes, shards",
+        help="analyze an exported trace: critical path, worker lanes",
     )
     trace.add_argument("trace", help="trace file written by --trace-out")
     trace.add_argument("--top", type=int, default=10,
-                       help="rows per section (critical path, lanes, "
-                            "stragglers)")
+                       help="rows per section (critical path, lanes)")
     trace.add_argument("--json", action="store_true",
                        help="emit the analysis as JSON")
     trace.set_defaults(func=_cmd_trace)
@@ -1403,11 +1367,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--list", action="store_true",
                        help="list the shipped fault plans and exit")
     chaos.add_argument("--workers", type=int, default=2,
-                       help="worker threads/processes for both runs")
-    chaos.add_argument("--executor", choices=("thread", "process"),
-                       default="thread",
-                       help="fan-out backend (plans with exec.worker "
-                            "rules force 'process')")
+                       help="worker threads for both runs")
     chaos.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="cycle deadline for the armed run")

@@ -117,30 +117,13 @@ class Crawler:
         features: tuple[str, ...] = ALL_FEATURES,
         *,
         workers: int = 1,
-        executor=None,
-        init_source=None,
         strict_plugins: bool = False,
     ) -> list[ConfigFrame]:
         """Snapshot a fleet (document order preserved).
 
         ``workers > 1`` fans entities out on a thread pool; the returned
         frame list still matches ``entities`` position-for-position.
-        ``executor`` may be a :class:`~repro.exec.ProcessBackend` to
-        crawl in worker processes instead (frames come back through the
-        ``repro.crawler.serialize`` round-trip); unpicklable entities or
-        worker failures fall back to the thread path.  ``init_source``
-        is the validator whose state seeds the worker pool when none is
-        alive yet.
         """
-        if executor is not None and len(entities) > 1:
-            run_crawl = getattr(executor, "run_crawl", None)
-            if run_crawl is not None:
-                frames = run_crawl(
-                    self, entities, features, workers,
-                    validator=init_source, strict_plugins=strict_plugins,
-                )
-                if frames is not None:
-                    return frames
         # Captured before the fan-out: pool threads have no span stack,
         # so each crawl span is parented to the caller's span explicitly.
         parent = self.telemetry.spans.current()

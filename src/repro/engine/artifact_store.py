@@ -1,16 +1,15 @@
 """Persistent content-addressed artifact store behind the ParseCache.
 
 The in-memory :class:`~repro.engine.parse_cache.ParseCache` dedupes
-parses *within* one process; it evaporates when the process exits and is
-never shared between the worker processes of ``--executor process``.
+parses *within* one process and evaporates when the process exits.
 This module adds the durable tier the fleet actually wants: an on-disk
 sqlite database (WAL mode, safe for concurrent readers/writers across
 processes) keyed by ``(sha256(content), artifact kind, parser name,
 lens version)`` holding pickled :class:`~repro.augtree.tree.ConfigTree`
 and :class:`~repro.schema.table.SchemaTable` artifacts.  Duplicate
 content then parses once per fleet *ever* -- not once per process per
-run -- which is what makes cold worker processes and repeated monitor
-cycles cheap.
+run -- which is what makes fresh validators and repeated monitor cycles
+cheaper.
 
 Design points:
 
@@ -73,11 +72,7 @@ CREATE INDEX IF NOT EXISTS artifacts_lru ON artifacts (last_used);
 
 @dataclass
 class ArtifactStoreStats:
-    """Point-in-time counters of one :class:`ArtifactStore`.
-
-    Mutable (unlike ``CacheStats``) so the process executor can merge
-    per-shard worker deltas into one fleet-wide rollup with :meth:`add`.
-    """
+    """Point-in-time counters of one :class:`ArtifactStore`."""
 
     hits: int = 0
     misses: int = 0
@@ -98,33 +93,6 @@ class ArtifactStoreStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def add(self, other: "ArtifactStoreStats") -> None:
-        """Fold another stats snapshot's counters into this one.
-
-        Gauges (``entries``/``disk_bytes``) take the max rather than the
-        sum -- every process sees the same shared database, so summing
-        them would multiply the table by the worker count.
-        """
-        for f in fields(self):
-            if f.name in ("entries", "disk_bytes"):
-                setattr(self, f.name,
-                        max(getattr(self, f.name), getattr(other, f.name)))
-            else:
-                setattr(self, f.name,
-                        getattr(self, f.name) + getattr(other, f.name))
-
-    def delta_since(self, base: "ArtifactStoreStats") -> "ArtifactStoreStats":
-        """Counters accumulated since ``base`` (gauges keep the current
-        value) -- how workers report per-shard store activity."""
-        out = ArtifactStoreStats()
-        for f in fields(self):
-            if f.name in ("entries", "disk_bytes"):
-                setattr(out, f.name, getattr(self, f.name))
-            else:
-                setattr(out, f.name,
-                        getattr(self, f.name) - getattr(base, f.name))
-        return out
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -141,8 +109,8 @@ class ArtifactStore:
     """Durable second tier for parsed config artifacts.
 
     Thread-safe within a process (one connection guarded by a lock);
-    safe across processes via sqlite WAL + busy timeout.  Each worker
-    process opens its own store on the same path.
+    safe across processes via sqlite WAL + busy timeout, so concurrent
+    runs can share one store path.
     """
 
     def __init__(self, path: str | Path, *,
@@ -363,24 +331,6 @@ class ArtifactStore:
                 entries=int(entries),
                 disk_bytes=int(disk),
             )
-
-    def absorb_counters(self, delta: "ArtifactStoreStats | None") -> None:
-        """Fold a worker process's counter deltas into this store's
-        in-memory tallies, so :meth:`stats` and the pull-style metrics
-        reflect fleet-wide activity rather than just the parent's own
-        lookups.  Gauges (entries, disk bytes) stay local -- they are
-        read from sqlite, which the workers share."""
-        if delta is None:
-            return
-        with self._lock:
-            self._hits += delta.hits
-            self._misses += delta.misses
-            self._stored += delta.stored
-            self._evictions += delta.evictions
-            self._load_errors += delta.load_errors
-            self._store_errors += delta.store_errors
-            self._bytes_loaded += delta.bytes_loaded
-            self._bytes_stored += delta.bytes_stored
 
     def attach_to(self, registry) -> None:
         """Register pull-style ``repro_artifact_*`` metrics (same

@@ -124,9 +124,6 @@ class FleetSummary:
     #: (:class:`repro.engine.plan.PlanRunStats`); None when the cycle ran
     #: with ``--no-plan`` (plans without fused units).
     plan: object | None = None
-    #: Process-executor stats for this cycle
-    #: (:class:`repro.exec.ExecStats`); None on the thread backend.
-    exec_stats: object | None = None
     #: Parent-side artifact-store counters snapshotted at the end of the
     #: cycle (:class:`repro.engine.artifact_store.ArtifactStoreStats`);
     #: None when the validator runs without a persistent store.
@@ -410,10 +407,7 @@ class BatchScanner:
             with timings.timer("crawl"):
                 try:
                     frames = self._crawler.crawl_many(
-                        entities, workers=workers,
-                        executor=self._validator._resolve_backend(None),
-                        init_source=self._validator,
-                    )
+                        entities, workers=workers)
                 except ScanStageError:
                     raise
                 except Exception as error:
@@ -505,7 +499,6 @@ class BatchScanner:
             profile=telemetry.profiler if telemetry.enabled else None,
             incremental=report.incremental,
             plan=report.plan,
-            exec_stats=report.exec_stats,
             artifact_stats=(
                 self._validator.artifact_store.stats()
                 if self._validator.artifact_store is not None else None
@@ -590,9 +583,6 @@ def render_fleet_summary(summary: FleetSummary, *, top: int = 10) -> str:
     if summary.plan is not None:
         lines.append("")
         lines.append(summary.plan.render())
-    if summary.exec_stats is not None:
-        lines.append("")
-        lines.append(summary.exec_stats.render())
     if summary.artifact_stats is not None:
         lines.append("")
         lines.append(summary.artifact_stats.render())

@@ -185,20 +185,14 @@ class _RunContext:
         return None
 
 
-#: Default-argument sentinel for :meth:`ConfigValidator._prepare_run`.
-_UNSET = object()
-
-
 class _RunPrep:
     """Everything one validation run's per-frame evaluation needs.
 
     Built by :meth:`ConfigValidator._prepare_run` and consumed by
-    :meth:`ConfigValidator._evaluate_frame_rules` -- both the thread
-    path's closures and the process backend's worker entry
-    (:mod:`repro.exec.worker`) go through the same pair, which is what
-    makes cross-backend reports byte-identical by construction.
-    ``plans`` holds a :class:`RulePlan` for every enabled pack, fused or
-    not (``use_plans=False``); ``plan_stats`` is None when unfused.
+    :meth:`ConfigValidator._evaluate_frame_rules` for every frame, at
+    any worker count.  ``plans`` holds a :class:`RulePlan` for every
+    enabled pack, fused or not (``use_plans=False``); ``plan_stats`` is
+    None when unfused.
     ``block_key`` is what a frame's replay block is stored under besides
     its whole-frame digest (``frame_digests``): the ruleset digests,
     tags and provenance flag.
@@ -233,8 +227,6 @@ class ConfigValidator:
         verdict_store: VerdictStore | None = None,
         use_plans: bool = True,
         provenance: bool = False,
-        executor: str = "thread",
-        shard_size: int | None = None,
         artifact_store: ArtifactStore | str | Path | None = None,
         deadline_s: float | None = None,
         frame_deadline_s: float | None = None,
@@ -264,15 +256,6 @@ class ConfigValidator:
         self.parse_cache = parse_cache
         self._crawler = crawler or Crawler(telemetry=self.telemetry,
                                            parse_cache=parse_cache)
-        #: Execution backend for frame fan-out: ``"thread"`` (the
-        #: default -- GIL threads, cheap, I/O overlap) or ``"process"``
-        #: (shards frames across worker processes; see
-        #: :mod:`repro.exec`).  An :class:`~repro.exec.ExecutorBackend`
-        #: instance is accepted too.
-        self.executor = executor
-        #: Frames per process shard (None = auto-sized per cycle).
-        self.shard_size = shard_size
-        self._exec_backend = None
         #: Frames' result lists awaiting scrape-time tallying into the
         #: per-rule counter/histogram (see :meth:`_collect_rule_metrics`).
         self._pending_rule_metrics: list[list[RuleResult]] = []
@@ -306,30 +289,9 @@ class ConfigValidator:
         self.frame_deadline_s = frame_deadline_s
 
     def close(self) -> None:
-        """Release process pools and store connections (idempotent)."""
-        backend, self._exec_backend = self._exec_backend, None
-        if backend is not None:
-            backend.close()
+        """Release the artifact-store connection (idempotent)."""
         if self.artifact_store is not None:
             self.artifact_store.close()
-
-    def _resolve_backend(self, executor):
-        """Map an ``executor`` setting to a backend instance (or None
-        for the built-in thread path)."""
-        if executor is None:
-            executor = self.executor
-        if executor is None or executor == "thread":
-            return None
-        if executor == "process":
-            if self._exec_backend is None:
-                from repro.exec import ProcessBackend
-
-                self._exec_backend = ProcessBackend(
-                    shard_size=self.shard_size)
-            return self._exec_backend
-        if isinstance(executor, str):
-            raise EngineError(f"unknown executor backend {executor!r}")
-        return executor
 
     def _collect_rule_metrics(self) -> None:
         """Fold pending per-rule results into counters/histograms.
@@ -473,7 +435,6 @@ class ConfigValidator:
         timings: StageTimings | None = None,
         use_plans: bool | None = None,
         provenance: bool | None = None,
-        executor: str | None = None,
     ) -> ValidationReport:
         """Validate a group of frames together.
 
@@ -498,13 +459,6 @@ class ConfigValidator:
         :class:`~repro.engine.provenance.ProvenanceRecord` to every
         result; text/JSON/JUnit output is unchanged unless the renderer
         is asked to embed them.
-
-        ``executor`` (default: the constructor setting) picks the
-        fan-out backend: ``"thread"`` runs frames on a thread pool in
-        this process; ``"process"`` shards them across worker processes
-        (:mod:`repro.exec`) and falls back to the thread path when a
-        payload cannot cross the process boundary.  Reports are
-        byte-identical across backends and worker counts.
         """
         workers = self.workers if workers is None else max(1, workers)
         use_plans = self.use_plans if use_plans is None else bool(use_plans)
@@ -529,8 +483,7 @@ class ConfigValidator:
             # daemon bounded by the budget, so the no-stop exception
             # path cannot leak it past one cycle length.
             prep.deadline.start()
-        # Degradation accounting: the delta over this run (including
-        # worker-process deltas folded in by the backend) becomes the
+        # Degradation accounting: the delta over this run becomes the
         # report's DegradationStats.  One snapshot per cycle -- nothing
         # on the per-rule path.
         chaos_before = _CHAOS.account.snapshot()
@@ -563,8 +516,7 @@ class ConfigValidator:
                             continue
                         composites.append((manifest, rule))
 
-            def flush_rule_telemetry(results: list[RuleResult], *,
-                                     record_spans: bool = True) -> None:
+            def flush_rule_telemetry(results: list[RuleResult]) -> None:
                 """Three list appends per frame, nothing per rule.
 
                 The results the frame just produced already carry
@@ -573,18 +525,13 @@ class ConfigValidator:
                 reference: the counter/histogram tally happens at scrape
                 time (:meth:`_collect_rule_metrics`), span expansion at
                 export time, profile aggregation at read time.
-
-                ``record_spans=False`` skips only the span batch -- used
-                for worker frames whose rule spans arrived inside the
-                shard's telemetry capture (on worker pid lanes).
                 """
                 if not results:
                     return
                 with self._pending_rule_lock:
                     self._pending_rule_metrics.append(results)
                 telemetry.profiler.record_rules(results)
-                if record_spans:
-                    spans.record_rules(results)
+                spans.record_rules(results)
 
             def validate_one(frame: ConfigFrame) -> tuple[
                 list[tuple[Manifest, list[RuleResult]]],
@@ -610,63 +557,14 @@ class ConfigValidator:
                     busy_total.inc(time.perf_counter() - frame_started)
                 return placements, replayed, recomputed, frame_plan
 
-            def integrate_worker_frame(frame: ConfigFrame, freport,
-                                       counted: bool = False) -> tuple[
-                list[tuple[Manifest, list[RuleResult]]],
-                int,
-                set[tuple[str, str]],
-                PlanRunStats | None,
-            ]:
-                """Fold one worker-evaluated frame back into this run:
-                the same telemetry effects as :func:`validate_one`,
-                minus the evaluation itself (that happened in a worker
-                process; ``freport`` is its deserialized FrameReport).
-
-                ``counted=True`` means the shard shipped a telemetry
-                capture whose spans the backend already merged -- the
-                rule spans will expand on the worker's pid lane, so only
-                the span batch is skipped here.  Metric tallies,
-                profiler rows, and the frame/busy counters are
-                position-independent and always fold through this
-                thread-identical path (the capture does not carry
-                them)."""
-                if store is not None:
-                    # The worker replaced this frame's entries; its old
-                    # block no longer replays them.
-                    store.drop_block(frame.describe())
-                if enabled:
-                    flush_rule_telemetry(freport.fresh,
-                                         record_spans=not counted)
-                    frames_total.inc()
-                    busy_total.inc(freport.busy_s)
-                placements = [
-                    (self.manifest(entity), results)
-                    for entity, results in freport.placements
-                ]
-                return (placements, freport.replayed,
-                        set(freport.recomputed), freport.plan)
-
-            per_frame = None
-            exec_stats = None
-            backend = self._resolve_backend(executor)
-            if backend is not None and frames:
-                per_frame, exec_stats = backend.run_cycle(
-                    self, frames, prep,
-                    validate_one=validate_one,
-                    integrate=integrate_worker_frame,
-                    workers=workers,
-                )
-            if per_frame is None:
-                # Thread path: also the process backend's whole-cycle
-                # fallback when a payload cannot cross processes.
-                if workers > 1 and len(frames) > 1:
-                    with ThreadPoolExecutor(
-                        max_workers=min(workers, len(frames)),
-                        thread_name_prefix="validate",
-                    ) as pool:
-                        per_frame = list(pool.map(validate_one, frames))
-                else:
-                    per_frame = [validate_one(frame) for frame in frames]
+            if workers > 1 and len(frames) > 1:
+                with ThreadPoolExecutor(
+                    max_workers=min(workers, len(frames)),
+                    thread_name_prefix="validate",
+                ) as pool:
+                    per_frame = list(pool.map(validate_one, frames))
+            else:
+                per_frame = [validate_one(frame) for frame in frames]
 
             # Deterministic merge barrier: document order, not completion
             # order.
@@ -817,10 +715,6 @@ class ConfigValidator:
                     units=str(plan_stats.units_evaluated),
                     traversals_saved=str(plan_stats.traversals_saved),
                 )
-        if exec_stats is not None:
-            report.exec_stats = exec_stats
-            if enabled:
-                exec_stats.publish(telemetry)
         if prep.deadline is not None:
             prep.deadline.stop()
         chaos_delta = _CHAOS.account.delta_since(chaos_before)
@@ -884,16 +778,11 @@ class ConfigValidator:
         """Crawl and validate a group of entities together (composites see
         the whole group)."""
         workers = self.workers if workers is None else max(1, workers)
-        backend = self._resolve_backend(None)
         if timings is not None:
             with timings.timer("crawl"):
-                frames = self._crawler.crawl_many(
-                    entities, workers=workers, executor=backend,
-                    init_source=self)
+                frames = self._crawler.crawl_many(entities, workers=workers)
         else:
-            frames = self._crawler.crawl_many(
-                entities, workers=workers, executor=backend,
-                init_source=self)
+            frames = self._crawler.crawl_many(entities, workers=workers)
         return self.validate_frames(frames, tags=tags, workers=workers,
                                     timings=timings)
 
@@ -907,17 +796,10 @@ class ConfigValidator:
         use_plans: bool,
         provenance: bool,
         timings: StageTimings | None,
-        store=_UNSET,
     ) -> _RunPrep:
-        """Build the shared per-run evaluation state (:class:`_RunPrep`).
-
-        ``store`` overrides the validator's verdict store; the process
-        backend's workers pass the shard-local slice they were shipped
-        (:meth:`~repro.engine.incremental.VerdictStore.import_slice`).
-        """
+        """Build the shared per-run evaluation state (:class:`_RunPrep`)."""
         excerpts = ExcerptReader() if provenance else None
-        if store is _UNSET:
-            store = self.verdict_store
+        store = self.verdict_store
         packs = [manifest for manifest in self.manifests()
                  if manifest.enabled]
         # Ruleset digests key both the verdict store's invalidation and
@@ -990,9 +872,8 @@ class ConfigValidator:
         normalizer = Normalizer(self._lenses, self._schemas,
                                 cache=self.parse_cache, timings=timings,
                                 telemetry=self.telemetry, recorder=recorder)
-        # Passive deadline checks ride in the prep so both backends see
-        # them (worker processes get frame_deadline_s via InitConfig);
-        # the parent's validate_frames starts the watchdog thread.
+        # Passive deadline checks ride in the prep; validate_frames
+        # starts the watchdog thread.
         deadline = None
         if self.deadline_s is not None or self.frame_deadline_s is not None:
             deadline = RunDeadline(cycle_s=self.deadline_s,
@@ -1018,13 +899,10 @@ class ConfigValidator:
     ]:
         """Every per-entity rule of one frame, against shared run state.
 
-        The single evaluation path behind both backends: the thread
-        path's ``validate_one`` closure and the process backend's worker
-        entry (:mod:`repro.exec.worker`) call this same method, so
-        reports agree byte-for-byte across executors by construction.
-        Each pack runs through its :class:`RulePlan` in one loop: replay
-        what the verdict store proves unchanged, run the pending fused
-        units, run the rest direct, and assemble results by position.
+        The single evaluation path behind ``validate_one``, at any worker
+        count.  Each pack runs through its :class:`RulePlan` in one loop:
+        replay what the verdict store proves unchanged, run the pending
+        fused units, run the rest direct, and assemble results by position.
         A frame whose whole-frame digest is unchanged first tries its
         stored block, which replays every pack at once.
         """

@@ -787,122 +787,6 @@ class VerdictStore:
         with self._lock:
             self._composites[(entity, rule.name)] = entry
 
-    # ---- process-shard slices ----------------------------------------------
-
-    def export_slice(
-        self, frame_keys: Iterable[str], *, include_counters: bool = False
-    ) -> dict:
-        """JSON-shaped document of this store's state for ``frame_keys``.
-
-        The process executor ships one slice per shard so workers can
-        replay unchanged verdicts exactly as the thread path would.
-        Deliberately excluded:
-
-        - **whole-frame digests** -- a worker must not take the
-          clean-frame shortcut (the parent only ships frames it could
-          not prove clean), so every replay in the worker verifies its
-          per-dependency digests;
-        - **composites** -- they aggregate the whole run and always
-          evaluate in the parent.
-
-        ``include_counters`` adds this store's hit/miss tallies; workers
-        use it so the parent can absorb their lookup counts.
-        """
-        keys = frozenset(frame_keys)
-        with self._lock:
-            doc: dict = {
-                "format": FORMAT_VERSION,
-                "rulesets": dict(self._ruleset_digests),
-                "presence": [
-                    {
-                        "frame": key[0],
-                        "entity": key[1],
-                        "deps": [list(dep) for dep in entry.deps],
-                        "present": bool(entry.payload["present"]),
-                    }
-                    for key, entry in self._presence.items()
-                    if key[0] in keys
-                ],
-                "entries": [
-                    {
-                        "frame": key[0],
-                        "entity": key[1],
-                        "rule": key[2],
-                        "deps": [list(dep) for dep in entry.deps],
-                        "payload": _entry_payload(entry),
-                    }
-                    for key, entry in self._entries.items()
-                    if key[0] in keys
-                ],
-            }
-            if include_counters:
-                doc["counters"] = {
-                    "hits": self._hits,
-                    "misses": self._misses,
-                }
-        return doc
-
-    @classmethod
-    def import_slice(cls, doc: dict) -> "VerdictStore":
-        """Build a shard-local store from :meth:`export_slice` output.
-
-        Malformed documents yield an empty store -- the shard then just
-        runs a full evaluation, which is correct (only slower).
-        """
-        store = cls()
-        if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
-            return store
-        try:
-            store._ruleset_digests = dict(doc.get("rulesets", {}))
-            for raw in doc.get("presence", []):
-                store._presence[(raw["frame"], raw["entity"])] = _Entry(
-                    deps=[tuple(dep) for dep in raw["deps"]],
-                    payload={"present": bool(raw["present"])},
-                )
-            for raw in doc.get("entries", []):
-                key = (raw["frame"], raw["entity"], raw["rule"])
-                store._entries[key] = _Entry(
-                    deps=[tuple(dep) for dep in raw["deps"]],
-                    payload=raw["payload"],
-                )
-        except (KeyError, TypeError, ValueError):
-            return cls()
-        return store
-
-    def absorb_slice(self, doc: dict) -> None:
-        """Merge a worker's exported slice back into this store.
-
-        Entries and presence decisions replace this store's rows for the
-        same keys (the worker's row is strictly newer -- it either
-        replayed the parent's entry or re-evaluated the rule this
-        cycle); worker counter deltas fold into the hit/miss tallies.
-        Malformed slices are dropped -- the affected frames simply
-        evaluate fresh next cycle.
-        """
-        if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
-            return
-        try:
-            presence = [
-                ((raw["frame"], raw["entity"]),
-                 _Entry(deps=[tuple(dep) for dep in raw["deps"]],
-                        payload={"present": bool(raw["present"])}))
-                for raw in doc.get("presence", [])
-            ]
-            entries = [
-                ((raw["frame"], raw["entity"], raw["rule"]),
-                 _Entry(deps=[tuple(dep) for dep in raw["deps"]],
-                        payload=raw["payload"]))
-                for raw in doc.get("entries", [])
-            ]
-        except (KeyError, TypeError, ValueError):
-            return
-        counters = doc.get("counters") or {}
-        with self._lock:
-            self._presence.update(presence)
-            self._entries.update(entries)
-            self._hits += int(counters.get("hits", 0))
-            self._misses += int(counters.get("misses", 0))
-
     # ---- persistence -------------------------------------------------------
 
     def save(self, state_dir: str) -> str:

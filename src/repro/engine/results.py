@@ -155,10 +155,6 @@ class ValidationReport:
     #: None when the run's plans had no fused units (``--no-plan``).
     #: Like ``incremental``, never rendered into reports.
     plan: object = field(default=None, repr=False, compare=False)
-    #: Process-executor statistics (:class:`repro.exec.stats.ExecStats`);
-    #: None on thread-backend runs.  Never rendered into reports, so
-    #: output stays byte-identical across backends.
-    exec_stats: object = field(default=None, repr=False, compare=False)
     #: Degradation accounting (:class:`repro.chaos.stats.DegradationStats`);
     #: None on clean runs with no chaos plan armed.  Rendered into
     #: JSON/JUnit output *only* when the cycle actually degraded, so

@@ -367,19 +367,12 @@ class FleetMonitor:
         })
 
     def _exec_status(self) -> dict | None:
-        """Executor/artifact-store stats of the most recent cycle (None
-        until a cycle completes under a sharded backend)."""
-        summary = self.last_summary
-        if summary is None:
+        """Artifact-store stats of the most recent cycle (None until a
+        cycle completes with a persistent store)."""
+        artifact_stats = getattr(self.last_summary, "artifact_stats", None)
+        if artifact_stats is None:
             return None
-        out: dict = {}
-        exec_stats = getattr(summary, "exec_stats", None)
-        if exec_stats is not None:
-            out["exec"] = exec_stats.to_dict()
-        artifact_stats = getattr(summary, "artifact_stats", None)
-        if artifact_stats is not None:
-            out["artifact_store"] = artifact_stats.to_dict()
-        return out or None
+        return {"artifact_store": artifact_stats.to_dict()}
 
     def _route_history(self) -> tuple[int, str, bytes]:
         rows = self.store.cycles(last=self.config.status_cycles)

@@ -113,9 +113,9 @@ CREATE TABLE IF NOT EXISTS cycles (
     frames_clean   INTEGER NOT NULL DEFAULT 0,
     frames_dirty   INTEGER NOT NULL DEFAULT 0,
     scan_error     TEXT    NOT NULL DEFAULT '',
-    -- Executor/artifact-store rollup for the cycle as a JSON document
-    -- ({"exec": ExecStats.to_dict(), "artifact_store": ...}); empty for
-    -- thread-backend cycles and rows written before the column existed.
+    -- Artifact-store rollup for the cycle as a JSON document
+    -- ({"artifact_store": ...}); empty for cycles without a store and
+    -- rows written before the column existed.
     exec_json      TEXT    NOT NULL DEFAULT '',
     -- Where a failed cycle died: the pipeline stage ("crawl", "validate",
     -- "store", ...) and, when known, the frame being processed.  Empty
@@ -257,8 +257,8 @@ class CycleRow:
 
     @property
     def exec_summary(self) -> dict | None:
-        """The cycle's executor/artifact-store rollup, decoded (None for
-        thread-backend cycles and pre-column rows)."""
+        """The cycle's artifact-store rollup, decoded (None for cycles
+        without a store and pre-column rows)."""
         if not self.exec_json:
             return None
         try:
@@ -523,15 +523,10 @@ class HistoryStore:
         compliant = counts[Verdict.COMPLIANT.value]
         noncompliant = counts[Verdict.NONCOMPLIANT.value]
         checked = compliant + noncompliant
-        exec_doc: dict = {}
-        exec_stats = getattr(summary, "exec_stats", None)
-        if exec_stats is not None:
-            exec_doc["exec"] = exec_stats.to_dict()
         artifact_stats = getattr(summary, "artifact_stats", None)
-        if artifact_stats is not None:
-            exec_doc["artifact_store"] = artifact_stats.to_dict()
-        exec_json = (json.dumps(exec_doc, separators=(",", ":"))
-                     if exec_doc else "")
+        exec_json = (json.dumps({"artifact_store": artifact_stats.to_dict()},
+                                separators=(",", ":"))
+                     if artifact_stats is not None else "")
         started = time.perf_counter()
         with self._lock:
             self._sync_locked()

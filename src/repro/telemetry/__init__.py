@@ -27,14 +27,6 @@ Structured logging is orthogonal (stdlib ``logging`` under the
 
 from __future__ import annotations
 
-from repro.telemetry.capture import (
-    FamilyDelta,
-    TelemetryCapture,
-    capture_telemetry,
-    merge_metrics,
-    merge_shard_capture,
-    reset_capture,
-)
 from repro.telemetry.logs import (
     JsonLogFormatter,
     PlainLogFormatter,
@@ -75,7 +67,6 @@ DISABLED = Telemetry(enabled=False)
 __all__ = [
     "Counter",
     "DISABLED",
-    "FamilyDelta",
     "Gauge",
     "Histogram",
     "JsonLogFormatter",
@@ -89,11 +80,6 @@ __all__ = [
     "Span",
     "SpanCollector",
     "Telemetry",
-    "TelemetryCapture",
-    "capture_telemetry",
     "configure_logging",
     "get_logger",
-    "merge_metrics",
-    "merge_shard_capture",
-    "reset_capture",
 ]

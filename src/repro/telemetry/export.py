@@ -30,20 +30,14 @@ def to_chrome_trace(collector: SpanCollector) -> dict:
     Every span becomes one complete ("X") event; timestamps are
     microseconds relative to the collector's origin, so the earliest
     span sits near t=0 in the viewer.  Thread ids are remapped to small
-    stable integers per process and labelled with metadata events so
-    Perfetto shows ``worker-0``, ``worker-1``, ... lanes instead of raw
-    ids.  Spans merged from worker processes carry their originating
-    pid (:attr:`~repro.telemetry.spans.Span.pid`) and land on distinct
-    process lanes, named and sorted so the parent process lists first.
+    stable integers and labelled with metadata events so Perfetto shows
+    ``worker-0``, ``worker-1``, ... lanes instead of raw ids.
     """
     spans = sorted(collector.finished(), key=lambda s: (s.start_s, s.span_id))
-    own_pid = os.getpid()
-    #: per-process thread-id remapping: pid -> {thread_id: small tid}
-    lanes: dict[int, dict[int, int]] = {}
+    pid = os.getpid()
+    tids: dict[int, int] = {}
     events: list[dict] = []
     for span in spans:
-        pid = span.pid if span.pid is not None else own_pid
-        tids = lanes.setdefault(pid, {})
         tid = tids.setdefault(span.thread_id, len(tids))
         args = {"span_id": span.span_id}
         if span.parent_id is not None:
@@ -61,39 +55,16 @@ def to_chrome_trace(collector: SpanCollector) -> dict:
                 "args": args,
             }
         )
-    meta: list[dict] = []
-    worker_ordinal = 0
-    for pid in sorted(lanes, key=lambda p: (p != own_pid, p)):
-        if pid == own_pid:
-            process_name, sort_index = "repro (parent)", 0
-        else:
-            worker_ordinal += 1
-            process_name = f"repro worker (pid {pid})"
-            sort_index = worker_ordinal
-        meta.append({
-            "name": "process_name",
+    meta = [
+        {
+            "name": "thread_name",
             "ph": "M",
             "pid": pid,
-            "tid": 0,
-            "args": {"name": process_name},
-        })
-        meta.append({
-            "name": "process_sort_index",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"sort_index": sort_index},
-        })
-        meta.extend(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": f"worker-{tid}"},
-            }
-            for tid in sorted(lanes[pid].values())
-        )
+            "tid": tid,
+            "args": {"name": f"worker-{tid}"},
+        }
+        for tid in sorted(tids.values())
+    ]
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 

@@ -219,43 +219,6 @@ class Histogram(_Family):
             if high > child.max:
                 child.max = high
 
-    def merge_child(self, label_values, bucket_counts, total: float,
-                    count: int, min_value: float, max_value: float) -> None:
-        """Fold another accumulator's exact per-bucket state into this
-        family (the cross-process metric merge: worker histograms travel
-        as ``(bucket_counts, sum, count, min, max)`` deltas).  Falls
-        back to the mean-bucket approximation of
-        :meth:`observe_aggregate` when the bucket schema differs.
-        """
-        if count <= 0:
-            return
-        key = tuple(str(value) for value in label_values)
-        if len(bucket_counts) != len(self.buckets) + 1:
-            self.observe_aggregate(total, count, min_value, max_value,
-                                   **dict(zip(self.label_names, key)))
-            return
-        with self._lock:
-            child = self._child(key)
-            counts = child.bucket_counts
-            for index, value in enumerate(bucket_counts):
-                counts[index] += value
-            child.total += total
-            child.count += count
-            if min_value < child.min:
-                child.min = min_value
-            if max_value > child.max:
-                child.max = max_value
-
-    def clear(self) -> None:
-        """Drop every child of the family (label schema stays).
-
-        Worker processes drain their push-style families into a shard's
-        telemetry capture and clear them, so each capture carries exact
-        per-shard deltas with no cross-shard double counting.
-        """
-        with self._lock:
-            self._children.clear()
-
     # ---- accessors --------------------------------------------------------
 
     def _snap(self, labels: dict[str, str]) -> _HistogramChild | None:
@@ -380,8 +343,6 @@ class _NoopInstrument:
     def observe_batch(self, values, **labels) -> None: ...
     def observe_aggregate(self, total, count, min_value=None,
                           max_value=None, **labels) -> None: ...
-    def merge_child(self, label_values, bucket_counts, total, count,
-                    min_value, max_value) -> None: ...
     def value(self, **labels) -> float:
         return 0.0
     def sum(self, **labels) -> float:

@@ -110,27 +110,6 @@ class RuleProfiler:
                     entry.errors += 1
         self._pending.clear()
 
-    def merge_entries(self, rows) -> None:
-        """Fold already-aggregated entries into this profiler.
-
-        ``rows`` yields ``(kind, key, calls, errors, total_s, max_s)``
-        tuples -- the pickle-safe shape a worker process's shard capture
-        carries -- so the parent profiler reports worker-evaluated rules
-        exactly as if they had run in-process.
-        """
-        with self._lock:
-            self._drain_locked()
-            entries = self._entries
-            for kind, key, calls, errors, total_s, max_s in rows:
-                entry = entries.get((kind, key))
-                if entry is None:
-                    entry = entries[(kind, key)] = ProfileEntry(kind, key)
-                entry.calls += calls
-                entry.errors += errors
-                entry.total_s += total_s
-                if max_s > entry.max_s:
-                    entry.max_s = max_s
-
     # ---- ranking ----------------------------------------------------------
 
     def entries(self, kind: str | None = None) -> list[ProfileEntry]:
@@ -212,9 +191,6 @@ class NoopProfiler:
         return None
 
     def record_rules(self, records) -> None:
-        return None
-
-    def merge_entries(self, rows) -> None:
         return None
 
     def entries(self, kind=None) -> list:

@@ -46,10 +46,6 @@ class Span:
     start_s: float               # perf_counter-based, collector-relative
     duration_s: float = 0.0
     attrs: dict[str, str] = field(default_factory=dict)
-    #: Originating process id for spans merged from worker processes
-    #: (None = recorded in this process).  Drives the exporter's
-    #: per-process lanes.
-    pid: int | None = None
 
     def __enter__(self) -> "Span":
         return self
@@ -91,18 +87,11 @@ class SpanCollector:
         #: Whole-frame rule batches from :meth:`record_rules`; expanded
         #: into rule spans lazily by :meth:`finished`.
         self._rule_batches: list[tuple] = []
-        #: Worker-shard captures from :meth:`adopt_capture`; re-keyed
-        #: into this collector's id space and re-based onto its clock
-        #: lazily by :meth:`finished` -- a steady-state cycle that never
-        #: exports a trace pays nothing for the merge.
-        self._adoptions: list[tuple] = []
         #: ``next()`` on an itertools counter is atomic under the GIL.
         self._ids = itertools.count(1)
         self._local = threading.local()
         #: perf_counter origin; span starts are relative to this.
         self.origin_perf = time.perf_counter()
-        #: wall-clock time of the origin (for export timestamps).
-        self.origin_wall = time.time()
 
     # ---- recording --------------------------------------------------------
 
@@ -215,66 +204,6 @@ class SpanCollector:
             records,
         ))
 
-    # ---- cross-process merge ----------------------------------------------
-
-    def new_id(self) -> int:
-        """Allocate a span id from this collector's counter.
-
-        Used by the cross-process merge to re-key worker spans into the
-        parent's id space (worker collectors number from 1 too, so raw
-        ids would collide)."""
-        return next(self._ids)
-
-    def adopt(self, spans: list[Span]) -> None:
-        """Append externally built spans (the cross-process merge path).
-
-        Callers are responsible for id uniqueness (:meth:`new_id`) and
-        for re-basing ``start_s`` onto this collector's origin."""
-        with self._lock:
-            self._spans.extend(spans)
-
-    def drain_capture(self) -> tuple[list[tuple], list[tuple]]:
-        """Drain everything recorded so far, unexpanded, for a worker
-        shard capture.
-
-        Returns ``(rows, rule_batches)``: ``rows`` are raw span tuples
-        (closed :class:`Span` objects flattened, plus the
-        :meth:`record` tuples verbatim) and ``rule_batches`` are the
-        deferred :meth:`record_rules` entries as recorded.  Nothing is
-        expanded -- the rule-result objects in the batches also travel
-        in the shard's reports, so pickling the capture alongside them
-        costs only back-references -- and the collector is left empty
-        for the next shard.
-        """
-        with self._lock:
-            spans, self._spans = self._spans, []
-            raw, self._raw = self._raw, []
-            batches, self._rule_batches = self._rule_batches, []
-        rows = [
-            (span.name, span.category, span.span_id, span.parent_id,
-             span.thread_id, span.start_s, span.duration_s, span.attrs)
-            for span in spans
-        ]
-        rows.extend(raw)
-        return rows, batches
-
-    def adopt_capture(self, *, rows: list[tuple], rule_batches: list[tuple],
-                      offset_s: float, origin_perf: float,
-                      pid: int | None, parent_id: int | None) -> None:
-        """Queue one worker shard capture for lazy merge.
-
-        ``offset_s`` re-bases the capture's clock onto this collector's
-        origin; ``origin_perf`` is the *worker* collector's perf origin
-        (rule batches carry raw worker ``perf_counter`` stamps);
-        ``parent_id`` is the span the capture's roots re-parent under
-        (the shard span).  Expansion -- id re-keying included -- happens
-        in :meth:`finished`.
-        """
-        with self._lock:
-            self._adoptions.append(
-                (rows, rule_batches, offset_s, origin_perf, pid, parent_id)
-            )
-
     # ---- inspection -------------------------------------------------------
 
     def current(self) -> Span | None:
@@ -288,7 +217,6 @@ class SpanCollector:
             spans = list(self._spans)
             raw = list(self._raw)
             batches = list(self._rule_batches)
-            adoptions = list(self._adoptions)
         spans.extend(
             Span(
                 name=name, category=category, span_id=span_id,
@@ -313,40 +241,6 @@ class SpanCollector:
                 )
                 for result in records
             )
-        for (rows, rule_batches, offset_s, worker_origin, pid,
-             root_id) in adoptions:
-            # Re-key the capture into this collector's id space (worker
-            # collectors number from 1 too); unreferenced parents --
-            # i.e. worker-side roots -- re-parent under the shard span.
-            id_map = {row[2]: next(ids) for row in rows}
-            spans.extend(
-                Span(
-                    name=name, category=category, span_id=id_map[span_id],
-                    parent_id=(id_map.get(parent_id, root_id)
-                               if parent_id is not None else root_id),
-                    thread_id=thread_id,
-                    start_s=start_s + offset_s, duration_s=duration_s,
-                    attrs=attrs, pid=pid,
-                )
-                for (name, category, span_id, parent_id, thread_id,
-                     start_s, duration_s, attrs) in rows
-            )
-            for parent_id, thread_id, records in rule_batches:
-                mapped = (id_map.get(parent_id, root_id)
-                          if parent_id is not None else root_id)
-                spans.extend(
-                    Span(
-                        name=result.rule.name, category="rule",
-                        span_id=next(ids),
-                        parent_id=mapped, thread_id=thread_id,
-                        start_s=result.started_s - worker_origin + offset_s,
-                        duration_s=result.duration_s,
-                        attrs={"entity": result.entity,
-                               "verdict": result.verdict.value},
-                        pid=pid,
-                    )
-                    for result in records
-                )
         return spans
 
     def clear(self) -> None:
@@ -354,7 +248,6 @@ class SpanCollector:
             self._spans.clear()
             self._raw.clear()
             self._rule_batches.clear()
-            self._adoptions.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -362,12 +255,6 @@ class SpanCollector:
                 len(self._spans) + len(self._raw)
                 + sum(len(records) for _p, _t, records
                       in self._rule_batches)
-                + sum(
-                    len(rows) + sum(len(records) for _p, _t, records
-                                    in rule_batches)
-                    for (rows, rule_batches, _o, _w, _pid, _r)
-                    in self._adoptions
-                )
             )
 
 
@@ -389,19 +276,6 @@ class NoopSpanCollector:
         return None
 
     def record_rules(self, records, *, parent=None) -> None:
-        return None
-
-    def new_id(self) -> int:
-        return 0
-
-    def adopt(self, spans) -> None:
-        return None
-
-    def drain_capture(self) -> tuple[list, list]:
-        return [], []
-
-    def adopt_capture(self, *, rows, rule_batches, offset_s=0.0,
-                      origin_perf=0.0, pid=None, parent_id=None) -> None:
         return None
 
     def current(self) -> None:

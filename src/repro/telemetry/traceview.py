@@ -1,21 +1,14 @@
 """Offline scan-trace analysis: the ``repro trace`` subcommand.
 
-Consumes a Chrome ``trace_event`` file written by ``--trace-out`` (any
-backend; the interesting case is a merged process-executor trace with
-per-worker pid lanes) and answers the operator questions a raw Perfetto
-timeline makes you eyeball:
+Consumes a Chrome ``trace_event`` file written by ``--trace-out`` and
+answers the operator questions a raw Perfetto timeline makes you
+eyeball:
 
 - **critical path** -- the chain of spans that determines the cycle's
   end-to-end latency (at each level, the child that finishes last);
-- **worker utilization / gantt** -- per process+thread lane, how much of
-  the trace window was spent inside spans, and where the lane's work
-  sat on the timeline;
-- **queue-wait vs execution** -- from the ``shard-N`` spans' dispatch ->
-  completion windows and their ``queue_s`` / ``exec_s`` attributes, how
-  much shard wall time went to waiting for a worker, evaluating, and
-  dispatch/IPC overhead;
-- **straggler shards** -- shards well above the median, the load-balance
-  signal that decides ``--shard-size``.
+- **worker utilization / gantt** -- per thread lane, how much of the
+  trace window was spent inside spans, and where the lane's work sat on
+  the timeline.
 
 Everything here is pure post-processing of the JSON file -- no live
 telemetry objects involved -- so it works on traces captured on another
@@ -27,10 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-#: A shard is flagged as a straggler when it runs longer than this
-#: multiple of the median shard duration.
-STRAGGLER_FACTOR = 1.5
-
 _BAR_WIDTH = 40
 
 
@@ -40,7 +29,6 @@ class TraceEvent:
 
     name: str
     cat: str
-    pid: int
     tid: int
     ts: float                    # microseconds
     dur: float                   # microseconds
@@ -82,7 +70,6 @@ def load_trace(path: str) -> list[TraceEvent]:
         out.append(TraceEvent(
             name=str(event.get("name", "")),
             cat=str(event.get("cat", "")),
-            pid=int(event.get("pid", 0)),
             tid=int(event.get("tid", 0)),
             ts=float(event.get("ts", 0.0)),
             dur=float(event.get("dur", 0.0)),
@@ -127,7 +114,6 @@ def _critical_path(events: list[TraceEvent], root: TraceEvent) -> list[dict]:
         path.append({
             "name": node.name,
             "category": node.cat,
-            "pid": node.pid,
             "start_ms": round((node.ts - root.ts) / 1000.0, 3),
             "duration_ms": round(node.dur / 1000.0, 3),
             "pct_of_root": round(100.0 * node.dur / root_dur, 1),
@@ -142,29 +128,20 @@ def _critical_path(events: list[TraceEvent], root: TraceEvent) -> list[dict]:
     return path
 
 
-def _lane_label(event_pid: int, root_pid: int) -> str:
-    return "parent" if event_pid == root_pid else f"worker pid {event_pid}"
-
-
-def _worker_lanes(events: list[TraceEvent], root: TraceEvent,
+def _worker_lanes(events: list[TraceEvent],
                   extent: tuple[float, float]) -> list[dict]:
-    lanes: dict[tuple[int, int], list[TraceEvent]] = {}
+    lanes: dict[int, list[TraceEvent]] = {}
     for event in events:
-        lanes.setdefault((event.pid, event.tid), []).append(event)
+        lanes.setdefault(event.tid, []).append(event)
     start_us, end_us = extent
     window = max(end_us - start_us, 1.0)
     out = []
-    for (pid, tid), lane_events in sorted(lanes.items(),
-                                          key=lambda kv: (
-                                              kv[0][0] != root.pid,
-                                              kv[0])):
+    for tid, lane_events in sorted(lanes.items()):
         busy = _union_us([(e.ts, e.end) for e in lane_events])
         first = min(e.ts for e in lane_events)
         last = max(e.end for e in lane_events)
         out.append({
-            "pid": pid,
             "tid": tid,
-            "label": _lane_label(pid, root.pid),
             "spans": len(lane_events),
             "busy_ms": round(busy / 1000.0, 3),
             "utilization": round(busy / window, 4),
@@ -189,64 +166,21 @@ def _gantt_bar(first: float, last: float, busy: float,
             + "." * (_BAR_WIDTH - left - extent))
 
 
-def _shard_breakdown(events: list[TraceEvent], top: int) -> dict | None:
-    shards = [e for e in events if e.cat == "shard"]
-    if not shards:
-        return None
-    durs = sorted(e.dur for e in shards)
-    median = durs[len(durs) // 2]
-    queue_us = sum(float(e.args.get("queue_s", 0.0)) * 1e6 for e in shards)
-    exec_us = sum(float(e.args.get("exec_s", 0.0)) * 1e6 for e in shards)
-    span_us = sum(e.dur for e in shards)
-    threshold = STRAGGLER_FACTOR * median
-    stragglers = sorted(
-        (e for e in shards if len(shards) > 1 and e.dur > threshold),
-        key=lambda e: -e.dur,
-    )[:top]
-    return {
-        "count": len(shards),
-        "total_ms": round(span_us / 1000.0, 3),
-        "queue_wait_ms": round(queue_us / 1000.0, 3),
-        "execution_ms": round(exec_us / 1000.0, 3),
-        # Dispatch/IPC/pickle time: the part of a shard's dispatch ->
-        # completion window that was neither queueing nor evaluating.
-        "overhead_ms": round(max(0.0, span_us - queue_us - exec_us)
-                             / 1000.0, 3),
-        "median_ms": round(median / 1000.0, 3),
-        "straggler_threshold_ms": round(threshold / 1000.0, 3),
-        "stragglers": [
-            {
-                "name": e.name,
-                "duration_ms": round(e.dur / 1000.0, 3),
-                "frames": int(e.args.get("frames", 0)),
-                "queue_wait_ms": round(
-                    float(e.args.get("queue_s", 0.0)) * 1000.0, 3),
-                "worker_pid": e.args.get("worker_pid"),
-            }
-            for e in stragglers
-        ],
-    }
-
-
 def analyze_trace(events: list[TraceEvent], *, top: int = 10) -> dict:
-    """Full analysis of one trace: critical path, lanes, shards."""
+    """Full analysis of one trace: critical path and lanes."""
     if not events:
         raise TraceError("trace contains no complete span events")
     roots = [e for e in events if e.parent_id is None]
     root = max(roots or events, key=lambda e: e.dur)
     start_us = min(e.ts for e in events)
     end_us = max(e.end for e in events)
-    worker_pids = sorted({e.pid for e in events if e.pid != root.pid})
     return {
         "spans": len(events),
         "root": {"name": root.name, "category": root.cat,
                  "duration_ms": round(root.dur / 1000.0, 3)},
         "duration_ms": round((end_us - start_us) / 1000.0, 3),
-        "processes": 1 + len(worker_pids),
-        "worker_pids": worker_pids,
         "critical_path": _critical_path(events, root)[:max(top, 1)],
-        "workers": _worker_lanes(events, root, (start_us, end_us)),
-        "shards": _shard_breakdown(events, top),
+        "workers": _worker_lanes(events, (start_us, end_us)),
     }
 
 
@@ -257,55 +191,25 @@ def render_trace_analysis(analysis: dict, *, top: int = 10) -> str:
     lines: list[str] = []
     root = analysis["root"]
     lines.append(
-        f"{analysis['spans']} spans over {analysis['duration_ms']:.1f} ms, "
-        f"{analysis['processes']} process(es)"
-        + (f" (workers: {', '.join(str(p) for p in analysis['worker_pids'])})"
-           if analysis["worker_pids"] else "")
+        f"{analysis['spans']} spans over {analysis['duration_ms']:.1f} ms"
     )
     lines.append("")
     lines.append(
         f"critical path (root {root['name']}, {root['duration_ms']:.1f} ms):"
     )
     for depth, hop in enumerate(analysis["critical_path"]):
-        lane = "" if hop["pid"] == analysis["critical_path"][0]["pid"] \
-            else f"  [pid {hop['pid']}]"
         lines.append(
             f"  {'  ' * depth}{hop['name']}  "
-            f"{hop['duration_ms']:.2f} ms  {hop['pct_of_root']:.1f}%{lane}"
+            f"{hop['duration_ms']:.2f} ms  {hop['pct_of_root']:.1f}%"
         )
     lines.append("")
     lines.append("worker lanes (#=busy, ==idle-in-extent, .=absent):")
     for lane in analysis["workers"][:max(top, 1)]:
         lines.append(
-            f"  {lane['label']:<18} tid {lane['tid']:<3} "
+            f"  tid {lane['tid']:<3} "
             f"|{lane['gantt']}| "
             f"{lane['busy_ms']:>9.1f} ms busy  "
             f"{lane['utilization'] * 100:5.1f}%  "
             f"({lane['spans']} spans)"
         )
-    shards = analysis["shards"]
-    if shards is not None:
-        lines.append("")
-        lines.append(
-            f"shards ({shards['count']}): "
-            f"queue-wait {shards['queue_wait_ms']:.1f} ms, "
-            f"execution {shards['execution_ms']:.1f} ms, "
-            f"dispatch/IPC overhead {shards['overhead_ms']:.1f} ms "
-            f"(median shard {shards['median_ms']:.1f} ms)"
-        )
-        if shards["stragglers"]:
-            lines.append(
-                f"  stragglers (> {STRAGGLER_FACTOR:.1f}x median = "
-                f"{shards['straggler_threshold_ms']:.1f} ms):"
-            )
-            for shard in shards["stragglers"]:
-                pid = (f"  worker {shard['worker_pid']}"
-                       if shard.get("worker_pid") else "")
-                lines.append(
-                    f"    {shard['name']:<10} {shard['duration_ms']:>9.1f} ms"
-                    f"  {shard['frames']} frame(s)"
-                    f"  queue {shard['queue_wait_ms']:.1f} ms{pid}"
-                )
-        else:
-            lines.append("  no straggler shards")
     return "\n".join(lines)

@@ -164,20 +164,6 @@ class TestCorruptionTolerance:
 
 
 class TestStats:
-    def test_add_sums_counters_maxes_gauges(self):
-        a = ArtifactStoreStats(hits=2, misses=1, entries=10, disk_bytes=100)
-        b = ArtifactStoreStats(hits=3, misses=4, entries=7, disk_bytes=300)
-        a.add(b)
-        assert (a.hits, a.misses) == (5, 5)
-        assert (a.entries, a.disk_bytes) == (10, 300)
-
-    def test_delta_since(self):
-        base = ArtifactStoreStats(hits=2, stored=1, entries=5, disk_bytes=50)
-        now = ArtifactStoreStats(hits=7, stored=3, entries=9, disk_bytes=90)
-        delta = now.delta_since(base)
-        assert (delta.hits, delta.stored) == (5, 2)
-        assert (delta.entries, delta.disk_bytes) == (9, 90)
-
     def test_render_and_dict(self):
         stats = ArtifactStoreStats(hits=3, misses=1)
         assert "3 hits / 1 misses" in stats.render()

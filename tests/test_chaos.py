@@ -4,7 +4,7 @@ The contract under test: with a fault plan armed, a scan cycle always
 terminates, every injected fault is absorbed and accounted, stores
 quarantine-and-rebuild instead of dying, and frames the plan could not
 have touched produce byte-identical results to a fault-free run -- at
-any worker count, on either executor.
+any worker count.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.chaos.fabric import (
     ChaosPlanError,
     FaultPlan,
     FaultRule,
-    arm_from_env,
     arm_plan,
     disarm,
     fabric,
@@ -74,8 +73,7 @@ class TestFabricDeterminism:
         decisions = []
         for _ in range(2):
             fab = ChaosFabric()
-            fab.arm(_plan({"site": "fs.read", "probability": 0.5}),
-                    export_env=False)
+            fab.arm(_plan({"site": "fs.read", "probability": 0.5}))
             run = [fab._draw("fs.read", f"/etc/f{i}") is not None
                    for i in range(64)]
             decisions.append(run)
@@ -87,40 +85,23 @@ class TestFabricDeterminism:
         for seed in (1, 2):
             fab = ChaosFabric()
             fab.arm(_plan({"site": "fs.read", "probability": 0.5},
-                          seed=seed), export_env=False)
+                          seed=seed))
             runs[seed] = tuple(fab._draw("fs.read", f"/etc/f{i}") is not None
                                for i in range(64))
         assert runs[1] != runs[2]
 
     def test_count_caps_fires(self):
         fab = ChaosFabric()
-        fab.arm(_plan({"site": "fs.read", "count": 3}), export_env=False)
+        fab.arm(_plan({"site": "fs.read", "count": 3}))
         fired = sum(fab._draw("fs.read", "/etc/x") is not None
                     for _ in range(10))
         assert fired == 3
 
     def test_match_scopes_fires(self):
         fab = ChaosFabric()
-        fab.arm(_plan({"site": "fs.read", "match": "*/nginx.conf"}),
-                export_env=False)
+        fab.arm(_plan({"site": "fs.read", "match": "*/nginx.conf"}))
         assert fab._draw("fs.read", "/etc/nginx/nginx.conf") is not None
         assert fab._draw("fs.read", "/etc/mysql/my.cnf") is None
-
-    def test_env_round_trip(self):
-        plan = _plan({"site": "lens.parse", "match": "*.cnf", "count": 2})
-        arm_plan(plan)
-        assert fabric().armed
-        disarm()
-        assert not fabric().armed
-        # Re-export, then arm a fresh fabric the way a worker would.
-        arm_plan(plan)
-        try:
-            fab = ChaosFabric()
-            assert fab.arm_from_env()
-            assert fab.plan == plan
-        finally:
-            disarm()
-        assert not arm_from_env()  # env cleared by disarm
 
     def test_fire_injects_typed_absorbable_error(self):
         from repro.errors import FileNotFoundInFrame
@@ -213,15 +194,13 @@ class TestRetryWithBackoff:
 
 
 # ---------------------------------------------------------------------------
-# Differential: unaffected frames byte-identical, thread x process
+# Differential: unaffected frames byte-identical, at 1 and 8 workers
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("executor", ("thread", "process"))
     @pytest.mark.parametrize("workers", (1, 8))
-    def test_fs_error_blast_radius(self, workers, executor):
-        result = run_chaos("fs-error", workers=workers, executor=executor,
-                           size=3)
+    def test_fs_error_blast_radius(self, workers):
+        result = run_chaos("fs-error", workers=workers, size=3)
         assert result.ok, result.render()
         assert result.degradation.total_injected > 0
         assert result.affected_frames  # nginx frames differ, others don't
@@ -231,15 +210,6 @@ class TestDifferential:
         result = run_chaos("parser-crash", workers=2, size=3)
         assert result.ok, result.render()
         assert result.degradation.faults_injected.get("lens.parse", 0) > 0
-
-    def test_worker_kill_full_identity(self):
-        # A killed worker respawns and the shard re-evaluates: every
-        # frame must be byte-identical, not just the unaffected ones.
-        result = run_chaos("worker-kill", workers=2, size=2)
-        assert result.ok, result.render()
-        assert result.degradation.faults_injected.get("exec.worker", 0) == 1
-        assert not result.affected_frames
-        assert not result.unexpected_diffs
 
     def test_store_corruption_quarantines_and_rebuilds(self):
         result = run_chaos("store-corruption", workers=2, size=2)
@@ -547,7 +517,7 @@ class TestNeverHang:
     @given(plan=small_plans())
     def test_cycle_terminates_and_accounts(self, plan, host_frame):
         frame = host_frame
-        arm_plan(plan, export_env=False)
+        arm_plan(plan)
         validator = load_builtin_validator()
         try:
             report = validator.validate_frame(frame)

@@ -21,7 +21,6 @@ from repro.crawler.plugins import flatten_json
 from repro.crawler.serialize import dump_frame
 from repro.engine.batch import BatchScanner
 from repro.engine.parse_cache import ParseCache
-from repro.exec import ProcessBackend
 from repro.rules import load_builtin_validator
 from repro.workloads import build_cloud_project, ubuntu_host_entity
 
@@ -254,8 +253,7 @@ class TestPluginsShareParseCache:
         assert len(parsed) == 2  # the failure was not cached
         assert len(cache) == 0
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_frames_match_bare_crawler(self, executor):
+    def test_frames_match_bare_crawler(self):
         entities = [
             ubuntu_host_entity(f"share-{i}", hardening=0.5, seed=i,
                                with_nginx=True, with_mysql=True)
@@ -263,17 +261,11 @@ class TestPluginsShareParseCache:
         ] + [_mysql_host(), _sysctl_host("bad", "not a sysctl line\n")]
         expected = [dump_frame(f) for f in Crawler().crawl_many(entities)]
         validator = load_builtin_validator()
-        backend = ProcessBackend() if executor == "process" else None
         crawler = Crawler(parse_cache=validator.parse_cache)
         try:
             for _cycle in range(2):  # cold, then warm cache
-                frames = crawler.crawl_many(entities, workers=2,
-                                            executor=backend,
-                                            init_source=validator)
+                frames = crawler.crawl_many(entities, workers=2)
                 assert [dump_frame(f) for f in frames] == expected
         finally:
-            if backend is not None:
-                backend.close()
             validator.close()
-        if executor == "thread":
-            assert validator.cache_stats().hits > 0
+        assert validator.cache_stats().hits > 0

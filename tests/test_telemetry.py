@@ -40,6 +40,11 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_metrics,
 )
+from repro.telemetry.traceview import (
+    analyze_trace,
+    load_trace,
+    render_trace_analysis,
+)
 from repro.workloads import FleetSpec, build_fleet, ubuntu_host_entity
 
 
@@ -266,6 +271,59 @@ class TestChromeTraceExport:
     def test_empty_collector_is_valid_trace(self):
         payload = to_chrome_trace(SpanCollector())
         assert payload["traceEvents"] == []
+
+
+class TestTraceAnalysis:
+    """``repro trace`` over the trace of one run on a 4-thread pool."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        telemetry = Telemetry()
+        validator = load_builtin_validator(telemetry=telemetry)
+        frames = Crawler().crawl_many(_fleet_entities(images=3))
+        validator.validate_frames(frames, workers=4)
+        path = tmp_path_factory.mktemp("trace") / "trace.json"
+        write_chrome_trace(telemetry.spans, str(path))
+        return str(path)
+
+    def test_analysis_sections(self, trace_path):
+        events = load_trace(trace_path)
+        analysis = analyze_trace(events, top=10)
+        assert analysis["root"]["name"] == "validate_frames"
+        assert analysis["spans"] == len(events)
+        path = analysis["critical_path"]
+        assert path[0]["name"] == "validate_frames"
+        # The run ends with its last frame or its composite stage.
+        assert (path[1]["category"] == "frame"
+                or path[1]["name"] == "composite")
+        assert all(hop["duration_ms"] >= 0 for hop in path)
+        lanes = analysis["workers"]
+        # The run's own thread plus at least one pool thread, and every
+        # span on exactly one lane.
+        assert len(lanes) >= 2
+        assert sum(lane["spans"] for lane in lanes) == len(events)
+        assert all(0.0 <= lane["utilization"] <= 1.0 for lane in lanes)
+        rendered = render_trace_analysis(analysis, top=10)
+        assert "critical path (root validate_frames" in rendered
+        assert "worker lanes" in rendered
+
+    def test_cli_trace_json(self, trace_path, capsys):
+        from repro.cli import main
+
+        assert main(["trace", trace_path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spans"] > 0
+        assert payload["critical_path"][0]["name"] == "validate_frames"
+        assert payload["workers"]
+
+    def test_cli_trace_text_and_errors(self, trace_path, capsys, tmp_path):
+        from repro.cli import main
+
+        assert main(["trace", trace_path]) == 0
+        assert "critical path" in capsys.readouterr().out
+        bogus = tmp_path / "not-a-trace.json"
+        bogus.write_text("{}")
+        assert main(["trace", str(bogus)]) == 2
 
 
 class TestPrometheusExport:

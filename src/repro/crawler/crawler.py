@@ -9,8 +9,10 @@ views are shared, not copied -- so frames can be produced at fleet scale
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.chaos.fabric import _CHAOS
 from repro.errors import CrawlerError, PluginError
 from repro.crawler.entities import Entity
 from repro.crawler.frame import ConfigFrame
@@ -38,6 +40,8 @@ class Crawler:
         #: files through it under the normalizer's own keys, so a file a
         #: plugin parsed is a cache hit for the engine and vice versa.
         self.parse_cache = parse_cache
+        #: id(entity) -> (entity, signature, frame), latest crawl_many.
+        self._last: dict[int, tuple] = {}
 
     @property
     def plugins(self) -> PluginRegistry:
@@ -50,6 +54,7 @@ class Crawler:
         *,
         strict_plugins: bool = False,
         parent_span=None,
+        signatures: dict | None = None,
     ) -> ConfigFrame:
         """Snapshot ``entity``.
 
@@ -58,6 +63,8 @@ class Crawler:
         namespaces are still extracted (a broken MySQL extractor must not
         block sshd validation).  ``parent_span`` nests the crawl span
         under a span opened on another thread (pool fan-out).
+        ``signatures`` maps plugin names to the signatures
+        :meth:`crawl_many` took, so no plugin reads its input twice.
         """
         unknown = set(features) - set(ALL_FEATURES)
         if unknown:
@@ -82,7 +89,8 @@ class Crawler:
                 for plugin in self._plugins.applicable(entity):
                     try:
                         frame.runtime[plugin.name] = plugin.extract_with(
-                            entity, self._parse)
+                            entity, self._parse,
+                            (signatures or {}).get(plugin.name))
                     except PluginError:
                         raise
                     except Exception as exc:  # plugin bug: isolate, don't abort
@@ -111,6 +119,23 @@ class Crawler:
         return self.parse_cache.parse("tree", lens, text, source,
                                       telemetry=self.telemetry)
 
+    def _signature(self, entity: Entity, features: tuple[str, ...],
+                   plugins: list[tuple]) -> tuple | None:
+        """Everything a crawl of ``entity`` with the registered ``(name,
+        plugin)`` pairs reads, compared with ``==``; None: cannot tell."""
+        token = entity.filesystem().change_token()
+        signatures = {}
+        for name, plugin in plugins:
+            if not plugin.kinds or entity.kind in plugin.kinds:
+                try:
+                    signatures[name] = plugin.signature(entity)
+                except Exception:
+                    return None  # the full crawl reports the failure
+        if token is None or None in signatures.values():
+            return None
+        return (entity.kind, entity.name, features, token,
+                entity.package_db().change_token(), plugins, signatures)
+
     def crawl_many(
         self,
         entities: list[Entity],
@@ -123,25 +148,55 @@ class Crawler:
 
         ``workers > 1`` fans entities out on a thread pool; the returned
         frame list still matches ``entities`` position-for-position.
+
+        An entity whose :meth:`_signature` is unchanged since the previous
+        call gets its frame back (memoized digests included), unless that
+        frame has a plugin error; an armed chaos plan crawls in full.
         """
         # Captured before the fan-out: pool threads have no span stack,
         # so each crawl span is parented to the caller's span explicitly.
         parent = self.telemetry.spans.current()
+        armed = _CHAOS.armed
+        last = self._last
+        registry = self._plugins
+        plugins = ([(name, registry.get(name)) for name in registry.names()]
+                   if "runtime" in features else [])
+
+        def crawl_one(entity: Entity) -> tuple:
+            signature = (None if armed
+                         else self._signature(entity, features, plugins))
+            previous = last.get(id(entity))
+            if signature is not None and previous and previous[1] == signature:
+                # Keep the stored signature: the new one dies young.
+                return previous[2], previous[1], True
+            frame = self.crawl(entity, features, strict_plugins=strict_plugins,
+                               parent_span=parent,
+                               signatures=signature and signature[-1])
+            if any(key.startswith("plugin_error:") for key in frame.metadata):
+                signature = None  # never reused
+            return frame, signature, False
+
         if workers > 1 and len(entities) > 1:
             with ThreadPoolExecutor(
                 max_workers=min(workers, len(entities)),
                 thread_name_prefix="crawl",
             ) as pool:
-                return list(
-                    pool.map(
-                        lambda entity: self.crawl(
-                            entity, features,
-                            strict_plugins=strict_plugins,
-                            parent_span=parent,
-                        ),
-                        entities,
-                    )
-                )
-        return [self.crawl(entity, features, strict_plugins=strict_plugins,
-                           parent_span=parent)
-                for entity in entities]
+                crawled = list(pool.map(crawl_one, entities))
+        else:
+            crawled = [crawl_one(entity) for entity in entities]
+        self._last = {id(entity): (entity, sig, frame)
+                      for entity, (frame, sig, _) in zip(entities, crawled)
+                      if sig is not None}
+        reused = Counter(frame.entity_kind for frame, _s, was_reused in crawled
+                         if was_reused)
+        if reused and self.telemetry.enabled:
+            metrics = self.telemetry.metrics
+            crawled_total = metrics.counter(
+                "repro_entities_crawled_total",
+                "Entities snapshotted into frames, by kind.", labels=("kind",))
+            for kind, count in reused.items():
+                crawled_total.inc(count, kind=kind)
+            metrics.counter("repro_frames_reused_total",
+                            "Frames reused from the previous crawl of an "
+                            "unchanged entity.").inc(reused.total())
+        return [frame for frame, _signature, _reused in crawled]

@@ -83,17 +83,26 @@ class RuntimePlugin(ABC):
     def applies_to(self, entity: Entity) -> bool:
         return not self.kinds or entity.kind in self.kinds
 
+    def signature(self, entity: Entity) -> object:
+        """What :meth:`applies_to` and :meth:`extract` read besides the
+        entity's kind and filesystem, compared with ``==`` across crawls;
+        ``None`` (the default): cannot tell, so the crawler never reuses
+        a frame of an entity this plugin's kinds admit."""
+        return None
+
     @abstractmethod
     def extract(self, entity: Entity) -> dict[str, str]:
         """Flat key-value runtime state for ``entity``."""
 
-    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn,
+                     signature: object = None) -> dict[str, str]:
         """:meth:`extract`, parsing config files with ``parse``.
 
         The crawler calls this; its ``parse`` goes through the
         validator's parse cache when it has one.  Plugins that parse
         config files override it and have :meth:`extract` call it with
-        :func:`parse_text`; the default ignores ``parse``.
+        :func:`parse_text`; the default ignores ``parse`` and
+        ``signature``, this crawl's :meth:`signature` if it was taken.
         """
         return self.extract(entity)
 
@@ -104,12 +113,22 @@ class DockerInspectPlugin(RuntimePlugin):
     name = "docker"
     kinds = ("container", "image")
 
-    def extract(self, entity: Entity) -> dict[str, str]:
+    def signature(self, entity: Entity) -> dict:
+        """The raw ``docker inspect`` document."""
         context = entity.runtime_context()
         target = context.get("container") or context.get("image")
         if target is None:
             raise PluginError(f"docker plugin: no docker object on {entity!r}")
-        return flatten_json(target.inspect())
+        return target.inspect()
+
+    def extract(self, entity: Entity) -> dict[str, str]:
+        return self.extract_with(entity, parse_text)
+
+    def extract_with(self, entity: Entity, parse: ParseFn,
+                     signature: object = None) -> dict[str, str]:
+        """Flattens the inspect document the crawl already fetched."""
+        return flatten_json(signature if signature is not None
+                            else self.signature(entity))
 
 
 class MySQLVariablesPlugin(RuntimePlugin):
@@ -145,10 +164,14 @@ class MySQLVariablesPlugin(RuntimePlugin):
 
     _CONFIG_PATHS = ("/etc/mysql/my.cnf", "/etc/my.cnf")
 
+    def signature(self, entity: Entity) -> tuple:
+        return ()  # reads nothing but the filesystem
+
     def extract(self, entity: Entity) -> dict[str, str]:
         return self.extract_with(entity, parse_text)
 
-    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn,
+                     signature: object = None) -> dict[str, str]:
         from repro.augtree.lenses.ini import IniLens
 
         variables = dict(self._DEFAULTS)
@@ -190,10 +213,15 @@ class LiveSysctlPlugin(RuntimePlugin):
         "fs.suid_dumpable": "0",
     }
 
+    def signature(self, entity: Entity) -> dict:
+        """A copy of the live kernel state the host carries."""
+        return dict(entity.runtime_context().get("live_sysctl") or {})
+
     def extract(self, entity: Entity) -> dict[str, str]:
         return self.extract_with(entity, parse_text)
 
-    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn,
+                     signature: object = None) -> dict[str, str]:
         from repro.augtree.lenses.sysctl import SysctlLens
 
         state = dict(self._DEFAULTS)
@@ -221,6 +249,9 @@ class LiveMountsPlugin(RuntimePlugin):
 
     name = "mounts"
     kinds = ("host",)
+
+    def signature(self, entity: Entity) -> tuple:
+        return ()  # reads nothing but the filesystem
 
     def extract(self, entity: Entity) -> dict[str, str]:
         from repro.schema.parsers import MountsParser

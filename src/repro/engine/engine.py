@@ -468,6 +468,10 @@ class ConfigValidator:
         enabled = telemetry.enabled
         spans = telemetry.spans
         if enabled:
+            # Fold what earlier runs left pending: a process nobody
+            # scrapes holds one run's rule results, not every run's.
+            self._collect_rule_metrics()
+            telemetry.profiler.fold()
             frames_total = telemetry.metrics.counter(
                 "repro_frames_scanned_total", "Frames validated."
             )
@@ -553,18 +557,31 @@ class ConfigValidator:
                             # to this frame's "evaluate".
                             flush_rule_telemetry(fresh)
                 if enabled:
-                    frames_total.inc()
                     busy_total.inc(time.perf_counter() - frame_started)
                 return placements, replayed, recomputed, frame_plan
 
-            if workers > 1 and len(frames) > 1:
+            # A clean frame whose stored block replays resolves here, in
+            # one lookup with no span; only the rest fan out.
+            per_frame: list = []
+            for frame in frames:
+                key = frame.describe()
+                block = key in clean_frames and store.fresh_block(
+                    key, (prep.frame_digests[key], prep.block_key))
+                per_frame.append(
+                    block and (block.placements, block.rules, set(), None))
+            pending = [frame for frame, done in zip(frames, per_frame)
+                       if not done]
+            if workers > 1 and len(pending) > 1:
                 with ThreadPoolExecutor(
-                    max_workers=min(workers, len(frames)),
+                    max_workers=min(workers, len(pending)),
                     thread_name_prefix="validate",
                 ) as pool:
-                    per_frame = list(pool.map(validate_one, frames))
+                    evaluated = iter(list(pool.map(validate_one, pending)))
             else:
-                per_frame = [validate_one(frame) for frame in frames]
+                evaluated = iter([validate_one(frame) for frame in pending])
+            per_frame = [done or next(evaluated) for done in per_frame]
+            if enabled:
+                frames_total.inc(len(frames))
 
             # Deterministic merge barrier: document order, not completion
             # order.
@@ -903,19 +920,14 @@ class ConfigValidator:
         count.  Each pack runs through its :class:`RulePlan` in one loop:
         replay what the verdict store proves unchanged, run the pending
         fused units, run the rest direct, and assemble results by position.
-        A frame whose whole-frame digest is unchanged first tries its
-        stored block, which replays every pack at once.
+        Frames whose stored block replays never get here: ``validate_frames``
+        resolves them before the fan-out.
         """
         store = prep.store
         frame_key = frame.describe()
         block_key = None
         if store is not None:
             block_key = (prep.frame_digests[frame_key], prep.block_key)
-            if frame_key in prep.clean_frames:
-                block = store.fresh_block(frame_key, block_key)
-                if block is not None:
-                    return (block.placements, [], block.rules, set(),
-                            PlanRunStats())
         recorder = prep.recorder
         fingerprints = prep.fingerprints
         clean_frames = prep.clean_frames

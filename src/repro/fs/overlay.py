@@ -50,6 +50,12 @@ class OverlayFilesystem(FilesystemView):
 
     # ---- FilesystemView --------------------------------------------------
 
+    def change_token(self) -> tuple | None:
+        """The layers' tokens: an appended layer or an edited one changes
+        it (``None`` if any layer cannot tell)."""
+        tokens = tuple([layer.change_token() for layer in self._layers])
+        return None if None in tokens else tokens
+
     def exists(self, path: str) -> bool:
         return self._locate(normalize_path(path)) is not None
 

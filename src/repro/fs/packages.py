@@ -10,6 +10,7 @@ non-digit runs compare with ``~`` sorting before everything).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -27,20 +28,31 @@ class Package:
         return f"{self.name}={self.version}"
 
 
+_db_ids = itertools.count(1)  # see PackageDatabase.change_token
+
+
 class PackageDatabase:
     """Mapping of package name to :class:`Package` with version queries."""
 
     def __init__(self, packages: list[Package] | None = None):
         self._packages: dict[str, Package] = {}
+        self._id = next(_db_ids)
+        self._mutations = 0
         for package in packages or []:
             self.install(package)
 
+    def change_token(self) -> tuple[int, int]:
+        """``(process-unique id, count of installs and removes)``."""
+        return (self._id, self._mutations)
+
     def install(self, package: Package) -> None:
         """Add or upgrade a package."""
+        self._mutations += 1
         self._packages[package.name] = package
 
     def remove(self, name: str) -> None:
         """Remove a package if installed (no error if absent)."""
+        self._mutations += 1
         self._packages.pop(name, None)
 
     def installed(self, name: str) -> bool:

@@ -9,6 +9,7 @@ size, and mtime.
 
 from __future__ import annotations
 
+import itertools
 import posixpath
 from dataclasses import dataclass, field, replace
 
@@ -21,6 +22,8 @@ from repro.errors import (
 )
 from repro.fs.meta import FileKind, FileStat, format_mode  # noqa: F401 (re-export)
 from repro.fs.view import FilesystemView
+
+_fs_ids = itertools.count(1)  # see VirtualFilesystem.change_token
 
 
 @dataclass
@@ -54,6 +57,12 @@ class VirtualFilesystem(FilesystemView):
         #: bulk-read path when this is zero, because symlink resolution can
         #: make a walk observe paths that no stored node carries.
         self._symlink_count = 0
+        self._id = next(_fs_ids)
+        self._mutations = 0  # bumped by every mutator
+
+    def change_token(self) -> tuple[int, int]:
+        """``(process-unique id, mutation count)``."""
+        return (self._id, self._mutations)
 
     @property
     def whiteout_count(self) -> int:
@@ -88,6 +97,7 @@ class VirtualFilesystem(FilesystemView):
             self._whiteout_count += 1
         if existing is not None and existing.link_target is not None:
             self._symlink_count -= 1
+        self._mutations += 1
         self._nodes[path] = _Node(
             stat=FileStat(
                 kind=FileKind.FILE,
@@ -122,6 +132,7 @@ class VirtualFilesystem(FilesystemView):
         self._ensure_parents(path)
         if self._is_whiteout_name(path):
             self._whiteout_count += 1
+        self._mutations += 1
         self._nodes[path] = _Node(
             stat=FileStat(
                 kind=FileKind.DIRECTORY,
@@ -149,6 +160,7 @@ class VirtualFilesystem(FilesystemView):
             self._whiteout_count += 1
         if existing is None or existing.link_target is None:
             self._symlink_count += 1
+        self._mutations += 1
         self._nodes[path] = _Node(
             stat=FileStat(kind=FileKind.SYMLINK, mode=0o777),
             link_target=target,
@@ -158,6 +170,7 @@ class VirtualFilesystem(FilesystemView):
     def chmod(self, path: str, mode: int) -> None:
         """Change the permission bits of an existing node."""
         node = self._require(self._norm(path))
+        self._mutations += 1
         node.stat = replace(node.stat, mode=mode)
 
     def chown(
@@ -170,6 +183,7 @@ class VirtualFilesystem(FilesystemView):
     ) -> None:
         """Change numeric (and optionally symbolic) ownership of a node."""
         node = self._require(self._norm(path))
+        self._mutations += 1
         node.stat = replace(
             node.stat,
             uid=uid,
@@ -184,6 +198,7 @@ class VirtualFilesystem(FilesystemView):
         if path == "/":
             raise FilesystemError("cannot remove the filesystem root")
         node = self._require(path)
+        self._mutations += 1
         for child in sorted(node.children):
             self.remove(posixpath.join(path, child))
         if self._is_whiteout_name(path):

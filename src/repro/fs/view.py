@@ -53,6 +53,11 @@ class FilesystemView(ABC):
     def listdir(self, path: str) -> list[str]:
         """Return the sorted child names of directory ``path``."""
 
+    def change_token(self) -> object:
+        """A value that changes whenever what this view shows may have
+        changed; ``None`` (the default) when the view cannot tell."""
+        return None
+
     # ---- derived helpers -------------------------------------------------
 
     def is_file(self, path: str) -> bool:

@@ -85,7 +85,7 @@ class FleetMonitor:
     """Continuous fleet-health monitoring loop.
 
     Exactly one fleet source must be provided: ``entities`` (static
-    list, re-crawled each cycle), ``entities_provider`` or
+    list, crawled each cycle as it changes), ``entities_provider`` or
     ``frames_provider`` (called with the 1-based cycle number each
     cycle -- the hook that lets tests mutate the fleet mid-run).
     """
@@ -170,6 +170,9 @@ class FleetMonitor:
         """One scan cycle end to end; returns its summary (None on a
         scan error, which is recorded, not raised)."""
         config = self.config
+        # One cycle's window of spans: what --trace-out writes at exit
+        # and /status counts is the last cycle's, not the whole run's.
+        self.scanner.telemetry.spans.clear()
         started_at = time.time()
         started = time.perf_counter()
         try:
@@ -361,6 +364,7 @@ class FleetMonitor:
                 time.perf_counter() - self._started_monotonic, 3
             ) if self._started_monotonic else 0.0,
             "last_cycle": last,
+            "last_cycle_spans": len(self.scanner.telemetry.spans),
             "executor": self._exec_status(),
             "flapping": self.analyzer.flapping_details(),
             "top_regressing": top,

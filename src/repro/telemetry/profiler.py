@@ -110,6 +110,10 @@ class RuleProfiler:
                     entry.errors += 1
         self._pending.clear()
 
+    def fold(self) -> None:
+        with self._lock:
+            self._drain_locked()
+
     # ---- ranking ----------------------------------------------------------
 
     def entries(self, kind: str | None = None) -> list[ProfileEntry]:
@@ -191,6 +195,9 @@ class NoopProfiler:
         return None
 
     def record_rules(self, records) -> None:
+        return None
+
+    def fold(self) -> None:
         return None
 
     def entries(self, kind=None) -> list:

@@ -2,11 +2,51 @@
 
 from __future__ import annotations
 
-import pytest
+import importlib
+import pkgutil
 
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.crawler import Crawler
 from repro.rules import load_builtin_validator
 from repro.workloads import ubuntu_host_entity
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_caches_warm():
+    """Pay Hypothesis' one-time set-up costs before any test's clock runs.
+
+    With no ``.hypothesis/`` directory, as on a fresh checkout, two
+    first draws are slow, and each counts against whichever test draws
+    first, failing its ``too_slow`` health check:
+
+    * the first ``st.text()`` draw builds the table of characters its
+      codec can encode (about a second on a 2-core VM);
+    * the first draw after ``sys.modules`` grows scans the source of
+      every new local module for literal constants.
+
+    So import every ``repro`` module once the tests are collected, then
+    draw text and integers until both have run.  A draw asks for a
+    constant with probability 0.05, so 300 draws all decline with
+    probability about 2e-7.  Only this warm-up is exempt from
+    ``too_slow``, since taking that time is its job; every test keeps
+    its own health checks.
+    """
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+
+    @settings(max_examples=300, database=None, deadline=None,
+              phases=[Phase.generate],
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.text(), st.integers())
+    def draw(_text, _number):
+        pass
+
+    draw()
 
 
 @pytest.fixture(scope="session")

@@ -123,8 +123,8 @@ _owners = st.sampled_from([_ROOT, _WWW])
 
 #: One layer: an optional root chmod/chown, files and directories with
 #: modes and owners (``/etc/sub`` can be a file in one layer and a
-#: directory in another), and sometimes a whiteout, an opaque marker or
-#: a symlink.
+#: directory in another), sometimes a whiteout, an opaque marker or a
+#: symlink, and then in-place edits: chmod, chown and remove.
 _layer_ops = st.fixed_dictionaries({
     "root": st.none() | st.tuples(_modes, _owners),
     "nodes": st.lists(st.one_of(
@@ -147,6 +147,14 @@ _layer_ops = st.fixed_dictionaries({
                       st.sampled_from(["/etc/a", "/etc/sub", "/missing"])),
         ), min_size=1, max_size=2),
     ),
+    "edits": st.lists(st.one_of(
+        st.tuples(st.just("chmod"),
+                  st.sampled_from(["/etc", "/etc/a", "/etc/sub/c"]), _modes),
+        st.tuples(st.just("chown"),
+                  st.sampled_from(["/", "/etc/b", "/opt"]), _owners),
+        st.tuples(st.just("remove"),
+                  st.sampled_from(["/etc/a", "/etc/sub", "/opt"])),
+    ), max_size=2),
 })
 
 
@@ -156,7 +164,7 @@ def _build_layer(ops) -> VirtualFilesystem:
         mode, (uid, gid, owner, group) = ops["root"]
         fs.chmod("/", mode)
         fs.chown("/", uid, gid, owner, group)
-    for op in ops["nodes"] + ops["markers"]:
+    for op in ops["nodes"] + ops["markers"] + ops.get("edits", []):
         kind, path = op[0], op[1]
         try:
             if kind == "file":
@@ -174,6 +182,13 @@ def _build_layer(ops) -> VirtualFilesystem:
                 fs.write_file(posixpath.join(path, OPAQUE_MARKER), "")
             elif kind == "symlink" and not fs.exists(path):
                 fs.symlink(path, op[2])
+            elif kind == "chmod":
+                fs.chmod(path, op[2])
+            elif kind == "chown":
+                uid, gid, owner, group = op[2]
+                fs.chown(path, uid, gid, owner, group)
+            elif kind == "remove":
+                fs.remove(path)
         except FilesystemError:
             continue  # e.g. a file under a path this layer holds as a file
     return fs

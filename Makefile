@@ -19,9 +19,8 @@ bench:
 # throughput on the 16x ruleset, no 1x regression, byte-identical reports.
 # bench_provenance.py asserts the provenance gates: <= 5% overhead for
 # --provenance cycles, byte-identical provenance-off output.
-# bench_executor.py times thread fan-out at 1/4/8 workers and asserts
-# the artifact-store warm-start gate: a fresh validator's cycle against
-# a warm store >= 3x a storeless one, byte-identical reports.
+# bench_executor.py times thread fan-out at 1/4/8 workers (throughput
+# gate only).
 bench-check:
 	python benchmarks/compare_results.py
 

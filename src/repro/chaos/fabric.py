@@ -39,7 +39,7 @@ SITES = (
     "fs.read",        # FilesystemView.read_text (real + virtual)
     "lens.parse",     # Normalizer tree/table parse, keyed by frame|path
     "rule.eval",      # per-rule evaluation, keyed by frame|entity/rule
-    "store.sqlite",   # artifact-store operations, keyed by path|op
+    "store.sqlite",   # history-store opens, keyed by path
     "webhook.send",   # webhook delivery attempts, keyed by url
     "clock.skew",     # wall-clock reads (cycle start)
     "retry",          # retry_with_backoff attempts, keyed by caller label
@@ -433,9 +433,8 @@ def fabric() -> ChaosFabric:
     return _CHAOS
 
 
-def arm_plan(plan: FaultPlan, *, export_env: bool = False) -> None:
-    """Arm ``plan`` process-wide.  ``export_env`` is accepted for older
-    callers and ignored: plans never leave the process."""
+def arm_plan(plan: FaultPlan) -> None:
+    """Arm ``plan`` process-wide."""
     _CHAOS.arm(plan)
 
 

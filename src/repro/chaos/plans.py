@@ -38,9 +38,9 @@ NAMED_PLANS: dict[str, dict] = {
             {"site": "lens.parse", "match": "*/etc/mysql/my.cnf"},
         ],
     },
-    # Corrupt artifact store: the first store operation reports a
-    # malformed database; the guard quarantines the file and reopens
-    # cold.  Verdicts never depend on the store, so no frame changes.
+    # Corrupt history store: the first store open reports a malformed
+    # database; the guard quarantines the file and reopens cold.
+    # Verdicts never depend on the store, so no frame changes.
     "store-corruption": {
         "name": "store-corruption",
         "seed": 401,

@@ -131,9 +131,9 @@ def _affected_frames(plan: FaultPlan, degradation,
 
     File-keyed sites (``fs.read`` / ``lens.parse``) affect any frame
     holding a matching path; ``rule.eval`` keys carry the frame key
-    outright; store faults fall back to re-parsing, so they may not
-    change results.  A cycle with deadline cancellations has an
-    unbounded blast radius.
+    outright; store faults hit the run's history store, which no
+    verdict reads, so they may not change results.  A cycle with
+    deadline cancellations has an unbounded blast radius.
     """
     affected: set[str] = set()
     if degradation is None:
@@ -159,23 +159,23 @@ def _affected_frames(plan: FaultPlan, degradation,
     return affected
 
 
-def _scan_once(frames, *, kwargs: dict, store_dir: str | None,
-               workers: int):
-    """One full scan cycle (batch-scanner path, so every injection site
-    a monitor cycle crosses is on this code path too)."""
+def _scan_once(frames, *, kwargs: dict, history_path: str, workers: int):
+    """One full scan cycle recorded to a fresh history store, as a
+    monitor cycle is (batch-scanner and history paths, so every
+    injection site a monitor cycle crosses is on this code path too)."""
     from repro.engine.batch import BatchScanner
+    from repro.history import HistoryStore
     from repro.rules import load_builtin_validator
 
-    run_kwargs = dict(kwargs)
-    if store_dir is not None:
-        run_kwargs["artifact_store"] = os.path.join(store_dir, "artifacts.db")
-    validator = load_builtin_validator(**run_kwargs)
+    validator = load_builtin_validator(**kwargs)
+    history = HistoryStore(history_path)
     started = time.perf_counter()
     try:
         summary = BatchScanner(validator, workers=workers).scan_frames(frames)
+        history.record_cycle(summary)
     finally:
         elapsed = time.perf_counter() - started
-        validator.close()
+        history.close()
     return summary, elapsed
 
 
@@ -185,15 +185,14 @@ def run_chaos(plan_ref: str, *, workers: int = 1,
               size: int = 4, use_plans: bool = True) -> ChaosRunResult:
     """Run the resilience harness under one fault plan.
 
-    The harness provisions what the plan needs to actually bite: plans
-    with ``store.sqlite`` rules get a throwaway artifact store (one fresh
-    store per run, so the clean baseline stays symmetric).
+    Each run records its cycle to a throwaway history store in a
+    temporary directory (one fresh store per run, so the clean baseline
+    stays symmetric); that is where ``store.sqlite`` rules bite.
     """
     from repro.engine.report import render_json
 
     plan = resolve_plan(plan_ref)
     result = ChaosRunResult(plan=plan.name)
-    needs_store = any(rule.site == "store.sqlite" for rule in plan.rules)
 
     frames = _build_frames(size)
     frame_paths = _frame_paths(frames)
@@ -203,11 +202,9 @@ def run_chaos(plan_ref: str, *, workers: int = 1,
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         # ---- clean run: the byte-identity baseline --------------------
         disarm()
-        baseline_store = os.path.join(tmp, "clean") if needs_store else None
-        if baseline_store is not None:
-            os.makedirs(baseline_store)
         baseline_summary, result.baseline_elapsed_s = _scan_once(
-            frames, kwargs=kwargs, store_dir=baseline_store, workers=workers)
+            frames, kwargs=kwargs,
+            history_path=os.path.join(tmp, "clean.sqlite"), workers=workers)
         baseline_docs = _per_frame_docs(baseline_summary.report)
 
         # ---- armed run ------------------------------------------------
@@ -216,14 +213,12 @@ def run_chaos(plan_ref: str, *, workers: int = 1,
             armed_kwargs["deadline_s"] = deadline_s
         if frame_deadline_s is not None:
             armed_kwargs["frame_deadline_s"] = frame_deadline_s
-        armed_store = os.path.join(tmp, "armed") if needs_store else None
-        if armed_store is not None:
-            os.makedirs(armed_store)
         arm_plan(plan)
         account_before = fabric().account.snapshot()
         try:
             summary, result.elapsed_s = _scan_once(
-                frames, kwargs=armed_kwargs, store_dir=armed_store,
+                frames, kwargs=armed_kwargs,
+                history_path=os.path.join(tmp, "armed.sqlite"),
                 workers=workers)
         finally:
             # The harness-wide delta, not the report's: it also catches

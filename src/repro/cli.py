@@ -99,10 +99,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         print(render_text(report, verbose=args.verbose,
                           only_failures=args.only_failures))
-    # Emit telemetry before closing: the artifact-store gauges are
-    # pull-style and scrape the live sqlite connection.
     _emit_telemetry(args, telemetry, server)
-    validator.close()
     if args.fail_on:
         from repro.engine.batch import severity_rank
 
@@ -150,22 +147,9 @@ def _finish_incremental(report, store, state_dir: str) -> None:
 
 
 def _validator_kwargs_from_args(args: argparse.Namespace) -> dict:
-    """Validator kwargs for the --artifact-store and deadline flags
-    (empty dict when every flag is at its default); arms --chaos-plan."""
+    """Validator kwargs for the deadline flags (empty dict when both are
+    at their default); arms --chaos-plan."""
     kwargs: dict = {}
-    raw = getattr(args, "artifact_store", "")
-    if raw == "auto":
-        state_dir = getattr(args, "state_dir", "")
-        if not state_dir:
-            raise SystemExit(
-                "--artifact-store without a path requires --state-dir "
-                "(or pass an explicit sqlite path)"
-            )
-        from repro.engine.artifact_store import store_path_for
-
-        kwargs["artifact_store"] = str(store_path_for(state_dir))
-    elif raw:
-        kwargs["artifact_store"] = raw
     deadline = getattr(args, "deadline", None)
     if deadline is not None:
         kwargs["deadline_s"] = deadline
@@ -285,9 +269,6 @@ def _print_stage_timings(args, timings, validator) -> None:
     print("\nstage timings (aggregate worker-seconds):", file=sys.stderr)
     print(timings.render(), file=sys.stderr)
     print(validator.cache_stats().render(), file=sys.stderr)
-    store = getattr(validator, "artifact_store", None)
-    if store is not None:
-        print(store.stats().render(), file=sys.stderr)
 
 
 def _print_plan_stats(args, report) -> None:
@@ -385,7 +366,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     _print_plan_stats(args, report)
     _print_degradation(args, report)
     _emit_telemetry(args, telemetry, server)
-    validator.close()
     return 0 if report.compliant else 1
 
 
@@ -433,10 +413,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("stage latency (aggregate worker-seconds):")
     print(summary.stage_timings.render_extended())
     print(validator.cache_stats().render())
-    if summary.artifact_stats is not None:
-        print(summary.artifact_stats.render())
     _emit_telemetry(args, telemetry, server)
-    validator.close()
     return 0
 
 
@@ -668,13 +645,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(f"verdict store saved to {path}", file=sys.stderr)
     print(stats.render())
     print(history.stats().render(), file=sys.stderr)
-    # Telemetry before close: the history and artifact-store gauges are
-    # pull-style and scrape live sqlite connections.  (On an uncaught
-    # error the stores are reclaimed by their finalizers at interpreter
-    # exit.)
+    # Telemetry before close: the history gauges are pull-style and
+    # scrape the live sqlite connection.  (On an uncaught error the
+    # store is reclaimed by its finalizer at interpreter exit.)
     _emit_telemetry(args, telemetry)
     history.close()
-    validator.close()
     return 1 if stats.scan_errors else 0
 
 
@@ -1027,13 +1002,6 @@ def _add_scaling_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--stage-timings", action="store_true",
         help="print per-stage wall time and parse-cache stats on stderr",
-    )
-    subparser.add_argument(
-        "--artifact-store", nargs="?", const="auto", default="",
-        metavar="PATH",
-        help="persistent content-addressed store for parsed artifacts "
-             "(sqlite; duplicate content parses once per fleet ever); "
-             "bare flag places it under --state-dir",
     )
     _add_plan_flag(subparser)
     _add_chaos_flags(subparser)

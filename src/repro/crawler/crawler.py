@@ -99,11 +99,15 @@ class Crawler:
                                 f"plugin {plugin.name!r} failed on "
                                 f"{entity.kind}:{entity.name}: {exc}"
                             ) from exc
+                        # Log the message, not the exception: a handler
+                        # that keeps records would pin its traceback, and
+                        # with it this frame and entity.
+                        error = str(exc)
                         log.warning(
                             "plugin %s failed on %s:%s: %s",
-                            plugin.name, entity.kind, entity.name, exc,
+                            plugin.name, entity.kind, entity.name, error,
                         )
-                        frame.metadata[f"plugin_error:{plugin.name}"] = str(exc)
+                        frame.metadata[f"plugin_error:{plugin.name}"] = error
         if telemetry.enabled:
             telemetry.metrics.counter(
                 "repro_entities_crawled_total",

@@ -1,10 +1,5 @@
 """The rule engine and output processing (paper Fig. 1, right half)."""
 
-from repro.engine.artifact_store import (
-    ArtifactStore,
-    ArtifactStoreStats,
-    store_path_for,
-)
 from repro.engine.engine import ConfigValidator
 from repro.engine.incremental import (
     DependencyRecorder,
@@ -33,9 +28,6 @@ from repro.engine.report import (
 )
 
 __all__ = [
-    "ArtifactStore",
-    "ArtifactStoreStats",
-    "store_path_for",
     "CacheStats",
     "ConfigValidator",
     "ParseCache",

@@ -124,10 +124,6 @@ class FleetSummary:
     #: (:class:`repro.engine.plan.PlanRunStats`); None when the cycle ran
     #: with ``--no-plan`` (plans without fused units).
     plan: object | None = None
-    #: Parent-side artifact-store counters snapshotted at the end of the
-    #: cycle (:class:`repro.engine.artifact_store.ArtifactStoreStats`);
-    #: None when the validator runs without a persistent store.
-    artifact_stats: object | None = None
     #: Degradation accounting for this cycle
     #: (:class:`repro.chaos.stats.DegradationStats`); None on clean
     #: cycles with no chaos plan armed.
@@ -376,7 +372,7 @@ class BatchScanner:
                 and validator.parse_cache.maxsize != cache_size):
             # Honor --cache-size exactly like `validate`: one shared
             # cache per cycle, resized in place so telemetry collectors
-            # and the artifact-store tier keep observing the same cache.
+            # and the crawler keep observing the same cache.
             validator.parse_cache.resize(cache_size)
         #: Defaults to the validator's bundle so one enabled Telemetry
         #: covers the whole cycle (crawl spans included).
@@ -499,10 +495,6 @@ class BatchScanner:
             profile=telemetry.profiler if telemetry.enabled else None,
             incremental=report.incremental,
             plan=report.plan,
-            artifact_stats=(
-                self._validator.artifact_store.stats()
-                if self._validator.artifact_store is not None else None
-            ),
             degradation=report.degradation,
         )
         log.info(
@@ -583,9 +575,6 @@ def render_fleet_summary(summary: FleetSummary, *, top: int = 10) -> str:
     if summary.plan is not None:
         lines.append("")
         lines.append(summary.plan.render())
-    if summary.artifact_stats is not None:
-        lines.append("")
-        lines.append(summary.artifact_stats.render())
     if summary.degradation is not None:
         lines.append("")
         for row in summary.degradation.render().splitlines():

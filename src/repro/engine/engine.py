@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Callable
 
 from repro.chaos.deadline import RunDeadline
@@ -43,7 +42,6 @@ from repro.cvl.model import (
     ScriptRule,
     TreeRule,
 )
-from repro.engine.artifact_store import ArtifactStore
 from repro.engine.evaluators import (
     _error_result,
     evaluate_path,
@@ -227,7 +225,6 @@ class ConfigValidator:
         verdict_store: VerdictStore | None = None,
         use_plans: bool = True,
         provenance: bool = False,
-        artifact_store: ArtifactStore | str | Path | None = None,
         deadline_s: float | None = None,
         frame_deadline_s: float | None = None,
     ):
@@ -240,18 +237,9 @@ class ConfigValidator:
         #: Single-flight guard for lazy ruleset loading (validate_frames
         #: and rule_count may race it from worker threads).
         self._ruleset_lock = threading.Lock()
-        #: Persistent content-addressed artifact tier behind the parse
-        #: cache (``--artifact-store``); accepts a built store or a path.
-        if isinstance(artifact_store, (str, Path)):
-            artifact_store = ArtifactStore(artifact_store)
         if parse_cache is None:
             parse_cache = ParseCache(
-                DEFAULT_CACHE_SIZE if cache_size is None else cache_size,
-                store=artifact_store,
-            )
-        elif artifact_store is None:
-            artifact_store = parse_cache.store
-        self.artifact_store = artifact_store
+                DEFAULT_CACHE_SIZE if cache_size is None else cache_size)
         #: Content-addressed parse cache shared across frames and runs.
         self.parse_cache = parse_cache
         self._crawler = crawler or Crawler(telemetry=self.telemetry,
@@ -278,8 +266,6 @@ class ConfigValidator:
             )
             if verdict_store is not None:
                 verdict_store.attach_to(self.telemetry.metrics)
-            if self.artifact_store is not None:
-                self.artifact_store.attach_to(self.telemetry.metrics)
         self.workers = max(1, workers)
         #: Soft cycle / per-frame deadlines (``--deadline`` /
         #: ``--frame-deadline``).  None = unbounded.  Over-deadline
@@ -289,9 +275,9 @@ class ConfigValidator:
         self.frame_deadline_s = frame_deadline_s
 
     def close(self) -> None:
-        """Release the artifact-store connection (idempotent)."""
-        if self.artifact_store is not None:
-            self.artifact_store.close()
+        """Release held resources; a no-op, since a validator holds only
+        in-memory state.  Kept so callers that close a validator when
+        they are done with it keep working."""
 
     def _collect_rule_metrics(self) -> None:
         """Fold pending per-rule results into counters/histograms.

@@ -83,21 +83,11 @@ class ParseCache:
     kind tag ("tree" vs "table") keeps a lens and a schema parser that
     share a name from colliding.  ``maxsize=0`` disables caching entirely
     (every lookup parses), which is how benchmarks reproduce the
-    pre-cache sequential baseline.
-
-    ``store`` attaches a persistent second tier (an
-    :class:`~repro.engine.artifact_store.ArtifactStore`): in-memory
-    misses consult it before parsing, and freshly parsed artifacts are
-    written through, so identical content parses once per fleet rather
-    than once per process.  Store-served lookups still count as
-    in-memory misses here, but their bytes are credited to the store's
-    ``bytes_loaded`` instead of ``bytes_parsed`` -- ``bytes_parsed``
-    keeps meaning "bytes that actually went through a parser".
+    pre-cache sequential baseline.  A miss is always a parse.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, *, store=None):
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
         self._maxsize = max(0, maxsize)
-        self._store = store
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str, str], Any] = OrderedDict()
         self._hits = 0
@@ -109,11 +99,6 @@ class ParseCache:
     @property
     def maxsize(self) -> int:
         return self._maxsize
-
-    @property
-    def store(self):
-        """The persistent second tier, or None."""
-        return self._store
 
     def get_or_parse(
         self,
@@ -136,17 +121,10 @@ class ParseCache:
                 self._hits += 1
                 self._bytes_deduped += nbytes
                 return cached
-        value = None
-        from_store = False
-        if self._store is not None:
-            value = self._store.load(key, nbytes)
-            from_store = value is not None
-        if value is None:
-            value = parse()
+        value = parse()
         with self._lock:
             self._misses += 1
-            if not from_store:
-                self._bytes_parsed += nbytes
+            self._bytes_parsed += nbytes
             if self._maxsize:
                 if key in self._entries:
                     self._entries.move_to_end(key)
@@ -155,8 +133,6 @@ class ParseCache:
                     while len(self._entries) > self._maxsize:
                         self._entries.popitem(last=False)
                         self._evictions += 1
-        if self._store is not None and not from_store:
-            self._store.save(key, value, nbytes)
         return value
 
     def parse(
@@ -231,8 +207,8 @@ class ParseCache:
         cache shrinks).
 
         In-place so everything already holding this cache -- normalizers,
-        telemetry collectors, the artifact-store tier -- keeps observing
-        the same object; counters are preserved.  ``0`` disables caching.
+        the crawler, telemetry collectors -- keeps observing the same
+        object; counters are preserved.  ``0`` disables caching.
         """
         with self._lock:
             self._maxsize = max(0, maxsize)

@@ -243,8 +243,11 @@ class FleetMonitor:
             try:
                 sink.emit_many(events)
             except Exception as exc:  # sinks must never kill the loop
+                # Log the message, not the exception: a handler that
+                # keeps records would pin its traceback, and with it
+                # this cycle's state.
                 log.warning("event sink %r failed: %s",
-                            type(sink).__name__, exc)
+                            type(sink).__name__, str(exc))
 
     def _publish_metrics(self, summary: FleetSummary | None,
                          events: list[HealthEvent],
@@ -365,18 +368,9 @@ class FleetMonitor:
             ) if self._started_monotonic else 0.0,
             "last_cycle": last,
             "last_cycle_spans": len(self.scanner.telemetry.spans),
-            "executor": self._exec_status(),
             "flapping": self.analyzer.flapping_details(),
             "top_regressing": top,
         })
-
-    def _exec_status(self) -> dict | None:
-        """Artifact-store stats of the most recent cycle (None until a
-        cycle completes with a persistent store)."""
-        artifact_stats = getattr(self.last_summary, "artifact_stats", None)
-        if artifact_stats is None:
-            return None
-        return {"artifact_store": artifact_stats.to_dict()}
 
     def _route_history(self) -> tuple[int, str, bytes]:
         rows = self.store.cycles(last=self.config.status_cycles)

@@ -113,10 +113,6 @@ CREATE TABLE IF NOT EXISTS cycles (
     frames_clean   INTEGER NOT NULL DEFAULT 0,
     frames_dirty   INTEGER NOT NULL DEFAULT 0,
     scan_error     TEXT    NOT NULL DEFAULT '',
-    -- Artifact-store rollup for the cycle as a JSON document
-    -- ({"artifact_store": ...}); empty for cycles without a store and
-    -- rows written before the column existed.
-    exec_json      TEXT    NOT NULL DEFAULT '',
     -- Where a failed cycle died: the pipeline stage ("crawl", "validate",
     -- "store", ...) and, when known, the frame being processed.  Empty
     -- for healthy cycles and rows written before the columns existed.
@@ -179,7 +175,7 @@ _CYCLE_COLUMNS = (
     "crawl_s", "discover_s", "parse_s", "evaluate_s", "composite_s",
     "parse_hits", "parse_misses", "parse_hit_rate",
     "rules_skipped", "rules_evaluated", "frames_clean", "frames_dirty",
-    "scan_error", "exec_json", "scan_error_stage", "scan_error_frame",
+    "scan_error", "scan_error_stage", "scan_error_frame",
 )
 
 #: The successful cycles a run ``r`` covers, as a join on ``cycles c``.
@@ -244,7 +240,6 @@ class CycleRow:
     frames_clean: int
     frames_dirty: int
     scan_error: str
-    exec_json: str = ""
     #: Stage / frame attribution of a failed cycle (empty otherwise):
     #: lets ``repro history`` distinguish a crawl failure from a store
     #: failure without parsing the error message.
@@ -255,23 +250,8 @@ class CycleRow:
     def failed_cycle(self) -> bool:
         return bool(self.scan_error)
 
-    @property
-    def exec_summary(self) -> dict | None:
-        """The cycle's artifact-store rollup, decoded (None for cycles
-        without a store and pre-column rows)."""
-        if not self.exec_json:
-            return None
-        try:
-            payload = json.loads(self.exec_json)
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _CYCLE_COLUMNS
-               if name != "exec_json"}
-        out["exec"] = self.exec_summary
-        return out
+        return {name: getattr(self, name) for name in _CYCLE_COLUMNS}
 
 
 @dataclass
@@ -414,12 +394,13 @@ class HistoryStore:
         conn.executescript(_SCHEMA)
         # Databases created before newer columns shipped lack them
         # (CREATE IF NOT EXISTS leaves them as-is); widen in place so
-        # old monitor databases keep working.
+        # old monitor databases keep working.  A column this version no
+        # longer writes (``exec_json``) stays: it has a default.
         present = {
             row["name"]
             for row in conn.execute("PRAGMA table_info(cycles)")
         }
-        for column in ("exec_json", "scan_error_stage", "scan_error_frame"):
+        for column in ("scan_error_stage", "scan_error_frame"):
             if column not in present:
                 conn.execute(
                     f"ALTER TABLE cycles ADD COLUMN {column} TEXT NOT NULL"
@@ -523,10 +504,6 @@ class HistoryStore:
         compliant = counts[Verdict.COMPLIANT.value]
         noncompliant = counts[Verdict.NONCOMPLIANT.value]
         checked = compliant + noncompliant
-        artifact_stats = getattr(summary, "artifact_stats", None)
-        exec_json = (json.dumps({"artifact_store": artifact_stats.to_dict()},
-                                separators=(",", ":"))
-                     if artifact_stats is not None else "")
         started = time.perf_counter()
         with self._lock:
             self._sync_locked()
@@ -538,8 +515,8 @@ class HistoryStore:
                     " parse_s, evaluate_s, composite_s, parse_hits,"
                     " parse_misses, parse_hit_rate, rules_skipped,"
                     " rules_evaluated, frames_clean, frames_dirty,"
-                    " scan_error, exec_json)"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                    " scan_error)"
+                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
                     (
                         summary.started_at or time.time(),
                         summary.elapsed_s,
@@ -557,7 +534,7 @@ class HistoryStore:
                         cache.hit_rate if cache else 0.0,
                         rules_skipped, rules_evaluated,
                         frames_clean, frames_dirty,
-                        "", exec_json,
+                        "",
                     ),
                 )
                 cycle_id = cursor.lastrowid

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import logging
+import logging.handlers
 import pkgutil
 
 import pytest
@@ -87,3 +89,18 @@ def stock_frame(crawler, stock_host):
 def validator():
     # Function-scoped: tests mutate rule enablement.
     return load_builtin_validator()
+
+
+@pytest.fixture()
+def kept_log_records():
+    """The warnings the ``repro`` loggers emit, kept as pytest's capture
+    or a buffering log shipper keeps them: whatever a record's ``args``
+    hold lives as long as the record."""
+    logger = logging.getLogger("repro")
+    handler = logging.handlers.BufferingHandler(capacity=10_000)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    yield handler.buffer
+    logger.setLevel(level)
+    logger.removeHandler(handler)

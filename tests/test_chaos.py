@@ -33,7 +33,6 @@ from repro.chaos.runner import run_chaos
 from repro.chaos.stats import DegradationStats
 from repro.crawler import Crawler
 from repro.engine import render_json, render_text
-from repro.engine.artifact_store import ArtifactStore
 from repro.engine.batch import BatchScanner, ScanStageError
 from repro.engine.incremental import STATE_FILE, VerdictStore
 from repro.history import HistoryStore
@@ -311,30 +310,6 @@ class TestDeadlines:
 
 
 class TestStoreQuarantine:
-    def test_artifact_store_rebuilds_cold(self, tmp_path, host_frame):
-        path = tmp_path / "artifacts.db"
-        arm_plan(_plan({"site": "store.sqlite", "count": 1}))
-        validator = load_builtin_validator(artifact_store=str(path))
-        try:
-            report = validator.validate_frame(host_frame)
-        finally:
-            validator.close()
-            disarm()
-        assert len(report) > 0
-        quarantined = list(tmp_path.glob("artifacts.db.quarantined.*"))
-        assert len(quarantined) == 1
-        assert path.exists()  # rebuilt cold and still in use
-
-    def test_artifact_store_corrupt_file_on_open(self, tmp_path):
-        path = tmp_path / "artifacts.db"
-        path.write_bytes(b"this is not a sqlite database at all")
-        store = ArtifactStore(str(path))
-        try:
-            assert store.stats() is not None  # opened something usable
-        finally:
-            store.close()
-        assert list(tmp_path.glob("artifacts.db.quarantined.*"))
-
     def test_verdict_store_corrupt_json_quarantined(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()

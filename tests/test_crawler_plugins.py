@@ -240,7 +240,8 @@ class TestPluginsShareParseCache:
         assert parsed == []
         assert second.cache_stats.misses == first.cache_stats.misses
 
-    def test_failing_lens_records_plugin_error_and_caches_nothing(self):
+    def test_failing_lens_records_plugin_error_and_caches_nothing(
+            self, kept_log_records):
         host = _sysctl_host("bad", "not a sysctl line\n")
         expected = Crawler().crawl(host).metadata["plugin_error:sysctl"]
         cache = ParseCache()
@@ -252,6 +253,12 @@ class TestPluginsShareParseCache:
                 assert frame.metadata["plugin_error:sysctl"] == expected
         assert len(parsed) == 2  # the failure was not cached
         assert len(cache) == 0
+        # The warnings carry the message, not the exception, whose
+        # traceback would pin the crawl's frame and entity.
+        assert [record.getMessage() for record in kept_log_records] == [
+            f"plugin sysctl failed on host:bad: {expected}"] * 3
+        assert not [arg for record in kept_log_records
+                    for arg in record.args if isinstance(arg, BaseException)]
 
     def test_frames_match_bare_crawler(self):
         entities = [

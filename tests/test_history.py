@@ -117,6 +117,24 @@ class TestDurability:
             assert reopened.cycle_count() == 1
             assert reopened.latest_cycle_id() == cycle_id
             assert reopened.verdict_map(cycle_id) == expected
+        # A database from a version that filled an ``exec_json`` column
+        # (with the on-disk parse tier's counters) opens, records and
+        # lists as before: the column keeps its rows and its default.
+        conn = sqlite3.connect(path)
+        try:
+            conn.execute("ALTER TABLE cycles ADD COLUMN exec_json TEXT"
+                         " NOT NULL DEFAULT ''")
+            conn.execute("UPDATE cycles SET exec_json = ?",
+                         ('{"store":{"hits":3,"misses":1}}',))
+            conn.commit()
+        finally:
+            conn.close()
+        with HistoryStore(path) as older:
+            newer = older.record_cycle(summary)
+            rows = older.cycles()
+            assert [row.cycle_id for row in rows] == [cycle_id, newer]
+            assert older.verdict_map(newer) == expected
+            assert "exec" not in rows[0].to_dict()
 
     def test_close_checkpoints_wal(self, summary, tmp_path):
         path = str(tmp_path / "history.sqlite")

@@ -158,6 +158,23 @@ class TestEventStream:
         assert [e.to_dict() for e in replayed] \
             == [e.to_dict() for e in emitted]
 
+    def test_failing_sink_is_survived(self, base_blobs, kept_log_records):
+        class BrokenSink:
+            def emit_many(self, events):
+                raise RuntimeError("sink down")
+
+        with HistoryStore() as store:
+            monitor = _make_monitor(base_blobs, store, cycles=3,
+                                    sinks=(BrokenSink(),))
+            stats = monitor.run()
+        assert stats.cycles == 3 and stats.scan_errors == 0
+        assert stats.events > 0
+        warnings = [record.getMessage() for record in kept_log_records]
+        assert "event sink 'BrokenSink' failed: sink down" in warnings
+        # A kept record must not pin the exception and its traceback.
+        assert not [arg for record in kept_log_records
+                    for arg in record.args if isinstance(arg, BaseException)]
+
     def test_scan_error_is_survived(self, base_blobs):
         def provider(cycle_no):
             if cycle_no == 2:

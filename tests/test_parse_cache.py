@@ -81,6 +81,16 @@ class TestParseCache:
         cache.clear()
         assert cache.stats() == CacheStats()
 
+    def test_resize_in_place(self):
+        cache = ParseCache(8)
+        for i in range(8):
+            cache.get_or_parse((f"d{i}", "tree", "p"), 1, lambda: i)
+        cache.resize(2)
+        assert len(cache) == 2
+        assert cache.maxsize == 2
+        stats = cache.stats()
+        assert stats.evictions == 6
+
     def test_thread_hammering_is_consistent(self):
         cache = ParseCache(maxsize=64)
         barrier = threading.Barrier(8)

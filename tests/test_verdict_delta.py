@@ -237,7 +237,7 @@ def test_volatile_results_never_enter_a_block(blobs):
             validator.validate_frames(_rebuild(blobs, []))
         reports = []
         for validator in validators:
-            arm_plan(plan, export_env=False)
+            arm_plan(plan)
             try:
                 reports.append(validator.validate_frames(
                     _rebuild(blobs, script)))

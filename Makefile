@@ -2,6 +2,10 @@
 
 .PHONY: install test bench bench-check fuzz lint examples results all
 
+# The targets import the package from src/, so a fresh checkout needs no
+# `make install`; a PYTHONPATH already set stays on the path after it.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . --no-build-isolation
 

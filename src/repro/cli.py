@@ -579,7 +579,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             print(f"cycle {cycle_no} (id {cycle_id}): SCAN ERROR",
                   file=sys.stderr)
         else:
-            counts = summary.report.counts()
+            counts = summary.counts()
             print(
                 f"cycle {cycle_no} (id {cycle_id}): "
                 f"{summary.entities_scanned} entities, "

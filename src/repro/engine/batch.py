@@ -187,19 +187,74 @@ class FleetSummary:
 _COUNTED = (Verdict.COMPLIANT, Verdict.NONCOMPLIANT)
 
 
+class _Order:
+    """What orders one rollup dict: each key's set of entries (report
+    positions, or ``(position, index)`` pairs) and its smallest entry,
+    which places the key."""
+
+    __slots__ = ("entries", "firsts")
+
+    def __init__(self) -> None:
+        self.entries: dict[str, set] = {}
+        self.firsts: dict[str, object] = {}
+
+    def add(self, key: str, entry) -> bool:
+        """Add ``entry``; whether ``key`` appeared or its first moved."""
+        entries = self.entries.get(key)
+        if entries is None:
+            self.entries[key] = {entry}
+            self.firsts[key] = entry
+            return True
+        entries.add(entry)
+        if entry < self.firsts[key]:
+            self.firsts[key] = entry
+            return True
+        return False
+
+    def remove(self, key: str, entry) -> bool:
+        """Remove ``entry``; whether ``key`` went or its first moved."""
+        entries = self.entries[key]
+        entries.remove(entry)
+        if entry != self.firsts[key]:
+            return False
+        if entries:
+            self.firsts[key] = min(entries)
+        else:
+            del self.entries[key], self.firsts[key]
+        return True
+
+    def sort(self, rollup: dict) -> dict:
+        """``rollup``'s live keys by smallest entry (entries are unique
+        across keys, so no tie falls back on set order)."""
+        firsts = self.firsts
+        return {key: rollup[key]
+                for key in sorted(firsts, key=firsts.__getitem__)}
+
+
 class _Rollups:
     """A scanner's rollups of the last report it summarized, kept so the
     next report's verdict delta updates them instead of a full pass.
 
     Every field is a sum over results, with three order-dependent
     exceptions: a rule's ``message`` is its last failing result's in
-    report order, and ``entities`` and ``tag_failures`` are ordered by
-    each key's first counted result.  ``fails`` keeps each rule's
-    failing results by report position and ``ranks`` each entity's
-    failures per severity rank.  ``firsts`` holds each entity's and
-    tag's first position; a delta that would move one is not applied,
-    and the caller rebuilds.  A rebuild is the same apply step fed every
-    result of the report.
+    report order, ``entities`` is ordered by each target's first counted
+    (compliant or noncompliant) result, and ``tag_failures`` by each
+    tag's first failing result, then by the tag's index in
+    ``rule.tags``.  ``fails`` keeps each rule's failing results by report
+    position and ``ranks`` each entity's failures per severity rank.  A
+    build is the one apply step fed every result of the report.
+
+    Rollups built from a report with a verdict delta, the ones a delta
+    can follow, also keep each key's report position (``positions``) and
+    the entries behind the two orders: each entity's counted positions
+    (``counted``) and each tag's failing ``(position, index in
+    rule.tags)`` pairs (``failing``).  An update moves only the delta's
+    positions between those sets and drops an entity or tag whose set
+    empties.  It re-sorts ``entities`` or ``tag_failures`` by smallest
+    entry only when one of its keys appeared, went or changed its
+    smallest entry, so no step walks the report.  Every delta based on
+    this state's report applies; only a report whose delta has no usable
+    base is built from scratch.
 
     The dicts a summary shares (``rules``, ``entities``,
     ``tag_failures``) and the rollup objects in them are copied before
@@ -214,10 +269,12 @@ class _Rollups:
         self.tally = dict.fromkeys(Verdict, 0)
         self.fails: dict[tuple[str, str], dict[int, str]] = {}
         self.ranks: dict[str, list[int]] = {}
-        self.firsts: dict[object, int] = {}
-        #: (target, entity, rule) -> report position; kept only for
+        #: (target, entity, rule) -> report position, and the entries
+        #: that order ``entities`` and ``tag_failures``; kept only for
         #: reports of incremental runs, the ones a delta can follow.
         self.positions: dict[tuple[str, str, str], int] | None = None
+        self.counted: _Order | None = None
+        self.failing: _Order | None = None
 
     @classmethod
     def build(cls, report: ValidationReport) -> "_Rollups":
@@ -226,52 +283,65 @@ class _Rollups:
         rollups._apply(((position, result, 1)
                         for position, result in enumerate(report)), None)
         if report.delta is not None:
-            rollups.positions = {
-                (result.target, result.entity, result.rule.name): position
-                for position, result in enumerate(report)
-            }
+            rollups._index(report)
         return rollups
 
-    def update(self, delta) -> bool:
-        """Apply ``delta`` (based on this state's report); False, with
-        nothing changed, when it would reorder an entity or a tag."""
+    def _index(self, report: ValidationReport) -> None:
+        """Record the positions and order entries an update moves."""
+        positions = self.positions = {}
+        counted = self.counted = _Order()
+        failing = self.failing = _Order()
+        noncompliant = Verdict.NONCOMPLIANT
+        for position, result in enumerate(report):
+            positions[(result.target, result.entity,
+                       result.rule.name)] = position
+            verdict = result.verdict
+            if verdict in _COUNTED:
+                counted.add(result.target, position)
+                if verdict is noncompliant:
+                    for index, tag in enumerate(result.rule.tags):
+                        failing.add(tag, (position, index))
+
+    def update(self, delta) -> None:
+        """Apply ``delta``, a verdict delta based on this state's report."""
         positions = self.positions
+        counted = self.counted
+        failing = self.failing
+        noncompliant = Verdict.NONCOMPLIANT
         entries = []
+        entities_moved = tags_moved = False
         for key, (before, after) in delta.changes.items():
             position = positions[key]
-            if not self._order_kept(position, before, after):
-                return False
             entries.append((position, before, -1))
             entries.append((position, after, 1))
+            now = after.verdict in _COUNTED
+            if (before.verdict in _COUNTED) != now:
+                move = counted.add if now else counted.remove
+                entities_moved |= move(after.target, position)
+            now = after.verdict is noncompliant
+            if (before.verdict is noncompliant) != now:
+                move, result = ((failing.add, after) if now
+                                else (failing.remove, before))
+                for index, tag in enumerate(result.rule.tags):
+                    tags_moved |= move(tag, (position, index))
         self.rules = dict(self.rules)
         self.entities = dict(self.entities)
         self.tag_failures = dict(self.tag_failures)
         self._apply(entries, set())
+        if entities_moved:
+            self.entities = counted.sort(self.entities)
+        if tags_moved:
+            self.tag_failures = failing.sort(self.tag_failures)
         self.token = delta.token
-        return True
-
-    def _order_kept(self, position: int, before, after) -> bool:
-        """Whether the change at ``position`` leaves every entity's and
-        tag's first counted result where it is."""
-        if (before.verdict in _COUNTED) != (after.verdict in _COUNTED):
-            first = self.firsts.get(after.target)
-            if first is None or position <= first:
-                return False
-        noncompliant = Verdict.NONCOMPLIANT
-        if (before.verdict is noncompliant) != (after.verdict is noncompliant):
-            for tag in after.rule.tags:
-                first = self.firsts.get(("tag", tag))
-                if first is None or position <= first:
-                    return False
-        return True
 
     def _apply(self, entries, owned: set | None) -> None:
         """Add (``sign`` 1) or remove (-1) each result's contributions.
 
         ``owned`` is None while building, when every rollup object is
         new and positions only grow; an update passes a set and copies
-        each shared rollup object once.  An update never adds or drops
-        an entity or a tag (:meth:`_order_kept`).
+        each shared rollup object once.  An update may add an entity or
+        a tag at the end of its dict, or leave one at zero, for
+        :meth:`update` to re-sort or drop.
         """
         rules = self.rules
         entities = self.entities
@@ -279,7 +349,6 @@ class _Rollups:
         tally = self.tally
         fails = self.fails
         ranks = self.ranks
-        firsts = self.firsts
         error = Verdict.ERROR
         not_applicable = Verdict.NOT_APPLICABLE
         compliant = Verdict.COMPLIANT
@@ -320,7 +389,6 @@ class _Rollups:
             entity_rollup = entities.get(target)
             if entity_rollup is None:
                 entity_rollup = entities[target] = EntityRollup(target=target)
-                firsts[target] = position
                 ranks[target] = [0] * len(_SEVERITY_ORDER)
             elif owned is not None and target not in owned:
                 entity_rollup = entities[target] = replace(entity_rollup)
@@ -342,12 +410,7 @@ class _Rollups:
                                  if count), default=0)
                     entity_rollup.worst_severity = _SEVERITY_ORDER[worst]
                 for tag in rule.tags:
-                    count = tag_failures.get(tag)
-                    if count is None:
-                        tag_failures[tag] = 1
-                        firsts[("tag", tag)] = position
-                    else:
-                        tag_failures[tag] = count + sign
+                    tag_failures[tag] = tag_failures.get(tag, 0) + sign
 
     def counts(self) -> dict[str, int]:
         tally = {verdict.value: count for verdict, count in self.tally.items()}
@@ -503,11 +566,11 @@ class BatchScanner:
         )
         rollups = self._rollups
         delta = report.delta
-        if (rollups is None or delta is None or delta.base is None
-                or delta.base is not rollups.token
-                or not rollups.update(delta)):
-            rollups = _Rollups.build(report)
-        self._rollups = rollups
+        if (rollups is not None and delta is not None
+                and delta.base is not None and delta.base is rollups.token):
+            rollups.update(delta)
+        else:
+            rollups = self._rollups = _Rollups.build(report)
         summary.rules = rollups.rules
         summary.entities = rollups.entities
         summary.tag_failures = rollups.tag_failures

@@ -349,13 +349,18 @@ def report_verdict_map(report: ValidationReport) -> dict[VerdictKey, str]:
             for key, result in index_report(report).items()}
 
 
+def _check_retention(retain_cycles: int | None) -> None:
+    """Reject a retention that would drop the newest cycle."""
+    if retain_cycles is not None and retain_cycles < 1:
+        raise ValueError("retain_cycles must be >= 1")
+
+
 class HistoryStore:
     """Append-only, thread-safe fleet-health store (SQLite, WAL)."""
 
     def __init__(self, path: str = ":memory:", *,
                  retain_cycles: int | None = None):
-        if retain_cycles is not None and retain_cycles < 1:
-            raise ValueError("retain_cycles must be >= 1")
+        _check_retention(retain_cycles)
         self.path = path
         self.retain_cycles = retain_cycles
         self._lock = threading.RLock()
@@ -742,6 +747,7 @@ class HistoryStore:
         """Keep only the newest ``retain_cycles`` cycles; returns the
         number pruned.  With no argument, applies the configured
         retention."""
+        _check_retention(retain_cycles)
         with self._lock:
             if retain_cycles is not None:
                 previous, self.retain_cycles = (

@@ -4,17 +4,24 @@
   equal the full single-pass rollup kept below as the reference --
   values, dict order, counts and the rendered dashboard -- on engine
   reports and on synthetic reports whose deltas change verdicts,
-  messages and severities every cycle.
+  messages and severities every cycle, and on tagged synthetic reports
+  whose deltas move, empty and bring back entities and tags.  The
+  scanner rebuilds only for a delta with no usable base, and the
+  dashboard does not depend on string hashing.
 * A monitor restarted before every cycle emits the same events (every
   field but the timestamp) as one that runs live, across scan errors,
   regressions, fixes and flaps.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.crawler import ContainerEntity, Crawler, DockerImageEntity
 from repro.crawler.serialize import dump_frame, load_frame
 from repro.engine import VerdictStore
@@ -23,17 +30,19 @@ from repro.engine.batch import (
     EntityRollup,
     FleetSummary,
     RuleRollup,
+    _Rollups,
     render_fleet_summary,
     severity_rank,
 )
+from repro.engine.delta import VerdictDelta, delta_between
 from repro.engine.engine import ConfigValidator
-from repro.engine.results import Verdict
+from repro.engine.results import Outcome, RuleResult, ValidationReport, Verdict
 from repro.history import FleetMonitor, HistoryStore, MonitorConfig
 from repro.rules import load_builtin_validator
 from repro.telemetry import Telemetry
 from repro.workloads import FleetSpec, build_fleet, ubuntu_host_entity
 
-from tests.test_history_runs import Fleet, _with_delta
+from tests.test_history_runs import RULES, Fleet, _with_delta
 from tests.test_incremental import _crawl_fleet, _gen_ops, _rebuild
 from tests.test_monitor import SSHD
 
@@ -89,8 +98,28 @@ def _assert_same_rollups(summary: FleetSummary) -> None:
     assert render_fleet_summary(summary) == render_fleet_summary(reference)
 
 
+def _snapshot(summary: FleetSummary) -> str:
+    """The rollups' values and order, frozen (rollup objects included)."""
+    return repr([list(summary.rules.items()), list(summary.entities.items()),
+                 list(summary.tag_failures.items())])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The reports ``_Rollups.build`` is called with."""
+    calls = []
+    build = _Rollups.build.__func__
+
+    def counted(cls, report):
+        calls.append(report)
+        return build(cls, report)
+
+    monkeypatch.setattr(_Rollups, "build", classmethod(counted))
+    return calls
+
+
 @pytest.mark.parametrize("seed", [4, 9])
-def test_engine_deltas_keep_rollups_equal(seed):
+def test_engine_deltas_keep_rollups_equal(seed, builds):
     rng = random.Random(seed)
     blobs = [dump_frame(frame) for frame in _crawl_fleet(seed)]
     scanner = BatchScanner(load_builtin_validator(
@@ -103,15 +132,15 @@ def test_engine_deltas_keep_rollups_equal(seed):
             script += _gen_ops(rng, _rebuild(blobs, script), cycle)
         summary = scanner.scan_frames(_rebuild(blobs, script))
         applied += summary.report.delta.base is not None
+        # Every delta based on the last report applies; only the others
+        # rebuild.
+        assert len(builds) == cycle + 1 - applied
         _assert_same_rollups(summary)
-        earlier.append((summary, [list(summary.rules.items()),
-                                  list(summary.entities.items()),
-                                  dict(summary.tag_failures)]))
+        earlier.append((summary, _snapshot(summary)))
     assert applied
     # Updates copy what they change: earlier summaries never move.
     for summary, snapshot in earlier:
-        assert [list(summary.rules.items()), list(summary.entities.items()),
-                dict(summary.tag_failures)] == snapshot
+        assert _snapshot(summary) == snapshot
 
 
 @pytest.mark.parametrize("seed", [1, 5, 6])
@@ -128,6 +157,171 @@ def test_synthetic_deltas_keep_rollups_equal(seed):
         previous = report
         summary = scanner._summarize(report, len(fleet.present), 0.01)
         _assert_same_rollups(summary)
+
+
+# ---- tagged reports whose deltas move, empty and restore keys ---------------
+
+#: Tags of the synthetic rules: "cis" on rules of both entities, several
+#: tags on one rule, and "pci" and "tls" each listed twice on one rule.
+TAGS = {
+    ("sshd", "r0"): ["cis"],
+    ("sshd", "r1"): ["cis", "auth"],
+    ("sshd", "r2"): ["pci", "cis", "pci"],
+    ("sshd", "r4"): ["net"],
+    ("nginx", "r0"): ["cis"],
+    ("nginx", "r1"): ["net", "tls", "auth"],
+    ("nginx", "r3"): ["auth"],
+    ("nginx", "r4"): ["tls", "tls"],
+}
+TAGGED_RULES = {key: replace(rule, tags=TAGS.get(key, []))
+                for key, rule in RULES.items()}
+COUNTED = (Verdict.COMPLIANT, Verdict.NONCOMPLIANT)
+
+
+def _report_order(key):
+    """Rule by rule, so the targets' results interleave and a moved
+    first counted result can reorder the entities."""
+    target, entity, name = key
+    return entity, name, target
+
+
+class TaggedFleet(Fleet):
+    """The synthetic fleet on tagged rules.  Besides the random drift,
+    :meth:`aim` changes only verdicts, at the results that order the
+    dashboards: it moves an entity's first counted result or a tag's
+    first failing one, or empties an entity or a tag for one cycle."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.emptied = {}
+
+    def keys(self):
+        return sorted((key for key in self.state if key[0] in self.present),
+                      key=_report_order)
+
+    def tagged_report(self):
+        report = ValidationReport(target="fleet")
+        for target, entity, name in self.keys():
+            verdict, message = self.state[(target, entity, name)]
+            report.add(RuleResult(
+                rule=TAGGED_RULES[(entity, name)], entity=entity,
+                target=target, verdict=verdict, outcome=Outcome.MATCHED,
+                message=f"{name}: {message}"))
+        return report
+
+    def aim(self):
+        rng, state = self.rng, self.state
+        if self.emptied:                            # bring it back
+            state.update(self.emptied)
+            self.emptied = {}
+            return
+        keys = self.keys()
+        if rng.random() < 0.5:
+            target = rng.choice(sorted({key[0] for key in keys}))
+            owned = [key for key in keys if key[0] == target]
+            inside, outside = COUNTED, (Verdict.ERROR, Verdict.NOT_APPLICABLE)
+        else:
+            tag = rng.choice(sorted({tag for tags in TAGS.values()
+                                     for tag in tags}))
+            owned = [key for key in keys if tag in TAGS.get(key[1:], ())]
+            inside = (Verdict.NONCOMPLIANT,)
+            outside = (Verdict.COMPLIANT, Verdict.ERROR,
+                       Verdict.NOT_APPLICABLE)
+        members = [key for key in owned if state[key][0] in inside]
+        roll = rng.random()
+        if roll < 0.3:                              # empty it
+            for key in members:
+                self.emptied[key] = state[key]
+                state[key] = (rng.choice(outside), state[key][1])
+        elif roll < 0.65 and members:               # first moves later
+            key = members[0]
+            state[key] = (rng.choice(outside), state[key][1])
+        else:                                       # first moves earlier
+            earlier = owned[:owned.index(members[0])] if members else owned
+            if earlier:
+                key = rng.choice(earlier)
+                state[key] = (rng.choice(inside), state[key][1])
+
+
+def _tagged_cycles(seed: int, cycles: int = 60):
+    """Each cycle's summary of a tagged fleet, and whether its report's
+    delta is based on the report before (a usable base)."""
+    rng = random.Random(seed)
+    fleet = TaggedFleet(rng)
+    scanner = BatchScanner(ConfigValidator())
+    previous = None
+    for cycle in range(cycles):
+        if cycle % 4 == 0 and not fleet.emptied:
+            fleet.step()
+            report = fleet.tagged_report()
+            _with_delta(report, previous, rng, False)
+        else:
+            fleet.aim()
+            report = fleet.tagged_report()
+            report.delta = VerdictDelta(
+                delta_between(previous, report).changes, token=object(),
+                base=previous.delta.token)
+        usable = (previous is not None
+                  and report.delta.base is previous.delta.token)
+        previous = report
+        yield scanner._summarize(report, len(fleet.present), 0.01), usable
+
+
+@pytest.mark.parametrize("seed", [2, 3, 8])
+def test_tagged_deltas_move_empty_and_restore_keys(seed, builds):
+    earlier = []
+    seen = set()
+    rebuilt = 0
+    previous = None
+    for summary, usable in _tagged_cycles(seed):
+        rebuilt += not usable
+        assert len(builds) == rebuilt
+        _assert_same_rollups(summary)
+        if usable:
+            for name in ("entities", "tag_failures"):
+                before = list(getattr(previous, name))
+                after = list(getattr(summary, name))
+                if set(before) - set(after):
+                    seen.add((name, "went"))
+                if set(after) - set(before):
+                    seen.add((name, "came"))
+                if set(before) == set(after) and before != after:
+                    seen.add((name, "moved"))
+        earlier.append((summary, _snapshot(summary)))
+        previous = summary
+    # Updates, not rebuilds, dropped, added and reordered both dicts.
+    assert seen == {(name, kind) for name in ("entities", "tag_failures")
+                    for kind in ("went", "came", "moved")}
+    for summary, snapshot in earlier:
+        assert _snapshot(summary) == snapshot
+
+
+_TAGGED_DASHBOARDS = """
+from repro.engine.batch import render_fleet_summary
+from tests.test_delta_consumers import _tagged_cycles
+for summary, _usable in _tagged_cycles(3):
+    print(render_fleet_summary(summary))
+    print(list(summary.entities), list(summary.tag_failures))
+"""
+
+
+def test_dashboard_order_does_not_depend_on_string_hashing():
+    """Updates re-sort entities and tags by report position, never by a
+    set's iteration order, so the dashboards of a scan whose deltas
+    reorder both (seed 3 above) are the same whatever the hash seed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]),
+                   PYTHONHASHSEED=hash_seed)
+        result = subprocess.run([sys.executable, "-c", _TAGGED_DASHBOARDS],
+                                capture_output=True, text=True, env=env,
+                                cwd=root, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert "failures by tag:" in outputs[0]
 
 
 # ---- restarted monitor ------------------------------------------------------

@@ -188,6 +188,17 @@ class TestRetention:
         with pytest.raises(ValueError):
             HistoryStore(retain_cycles=0)
 
+    @pytest.mark.parametrize("retain", [0, -1])
+    def test_explicit_prune_rejects_dropping_every_cycle(self, summary,
+                                                          retain):
+        with HistoryStore() as store:
+            for _ in range(3):
+                store.record_cycle(summary)
+            with pytest.raises(ValueError, match="retain_cycles must be >= 1"):
+                store.prune(retain)
+            assert store.cycle_count() == 3
+            assert store.retain_cycles is None
+
 
 class TestConcurrency:
     def test_concurrent_writers_all_land(self, summary, tmp_path):

@@ -1,14 +1,14 @@
-"""Shared sqlite quarantine-and-rebuild guard.
+"""Sqlite quarantine-and-rebuild guard.
 
-Every persistent store in the scanner (the history database and the
-VerdictStore's JSON file) can meet a corrupt file: a torn write, a disk
-error, or an injected ``store.sqlite`` fault.  The wrong response is
-either crashing the cycle or silently disabling the store for the rest
-of the process.  This module implements the uniform middle path: move
-the bad database aside (``<path>.quarantined.<ts>``, with its
-``-wal``/``-shm`` siblings), count it, and let the caller reopen cold.
-The quarantined files are kept for post-mortem and uploaded as CI
-artifacts by the chaos smoke job.
+The scanner's one persistent store, the history database, can meet a
+corrupt file: a torn write, a disk error, or an injected
+``store.sqlite`` fault.  The wrong response is either crashing the
+cycle or silently disabling the store for the rest of the process.
+This module implements the middle path: move the bad database aside
+(``<path>.quarantined.<ts>``, with its ``-wal``/``-shm`` siblings),
+count it, and let the caller reopen cold.  The quarantined files are
+kept for post-mortem and uploaded as CI artifacts by the chaos smoke
+job.
 """
 
 from __future__ import annotations

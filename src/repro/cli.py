@@ -53,14 +53,12 @@ from repro.workloads import FleetSpec, build_cloud_project, build_fleet, ubuntu_
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
-    store, state_dir = _verdict_store_from_args(args)
     if args.rules_dir:
         from repro.rules.repository import load_validator_from_directory
 
         validator = load_validator_from_directory(
             args.rules_dir, cache_size=args.cache_size, workers=args.workers,
-            telemetry=telemetry, verdict_store=store,
-            use_plans=not args.no_plan,
+            telemetry=telemetry, use_plans=not args.no_plan,
             provenance=args.provenance,
             **_validator_kwargs_from_args(args),
         )
@@ -74,7 +72,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             cache_size=args.cache_size,
             workers=args.workers,
             telemetry=telemetry,
-            verdict_store=store,
             use_plans=not args.no_plan,
             provenance=args.provenance,
             **_validator_kwargs_from_args(args),
@@ -86,7 +83,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         entity, tags=args.tags.split(",") if args.tags else None,
         timings=timings,
     )
-    _finish_incremental(report, store, state_dir)
     _print_stage_timings(args, timings, validator)
     _print_plan_stats(args, report)
     _print_degradation(args, report)
@@ -111,39 +107,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ]
         return 1 if blocking or report.errors() else 0
     return 0 if report.compliant else 1
-
-
-def _verdict_store_from_args(args: argparse.Namespace):
-    """(store, state_dir) from the incremental flags; (None, "") = full.
-
-    ``--state-dir`` implies incremental mode and loads the persisted
-    store; bare ``--incremental`` uses an in-memory store (useful inside
-    one long-running process); ``--no-incremental`` wins over both.
-    """
-    if getattr(args, "no_incremental", False):
-        return None, ""
-    state_dir = getattr(args, "state_dir", "")
-    if state_dir:
-        from repro.engine.incremental import VerdictStore
-
-        return VerdictStore.load(state_dir), state_dir
-    if getattr(args, "incremental", False):
-        from repro.engine.incremental import VerdictStore
-
-        return VerdictStore(), ""
-    return None, ""
-
-
-def _finish_incremental(report, store, state_dir: str) -> None:
-    """Persist the verdict store and print replay stats on stderr."""
-    if store is None:
-        return
-    if state_dir:
-        path = store.save(state_dir)
-        print(f"verdict store saved to {path}", file=sys.stderr)
-    stats = getattr(report, "incremental", None)
-    if stats is not None:
-        print(stats.render(), file=sys.stderr)
 
 
 def _validator_kwargs_from_args(args: argparse.Namespace) -> dict:
@@ -332,11 +295,9 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
-    store, state_dir = _verdict_store_from_args(args)
     validator = load_builtin_validator(
         cache_size=args.cache_size, workers=args.workers, telemetry=telemetry,
-        verdict_store=store, use_plans=not args.no_plan,
-        provenance=args.provenance,
+        use_plans=not args.no_plan, provenance=args.provenance,
         **_validator_kwargs_from_args(args),
     )
     timings = _make_timings(args)
@@ -361,7 +322,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         entity = build_cloud_project("demo", violations=args.hardening < 1.0)
         report = validator.validate_entity(entity, timings=timings)
     print(render_text(report, only_failures=args.only_failures))
-    _finish_incremental(report, store, state_dir)
     _print_stage_timings(args, timings, validator)
     _print_plan_stats(args, report)
     _print_degradation(args, report)
@@ -460,19 +420,16 @@ def _cmd_validate_frame(args: argparse.Namespace) -> int:
     from repro.crawler.serialize import load_frame
 
     telemetry = _telemetry_from_args(args)
-    store, state_dir = _verdict_store_from_args(args)
     server = _start_metrics_server(args, telemetry)
     with open(args.frame, "r", encoding="utf-8") as handle:
         frame = load_frame(handle.read())
     validator = load_builtin_validator(
         only=args.targets.split(",") if args.targets else None,
         telemetry=telemetry,
-        verdict_store=store,
         use_plans=not args.no_plan,
         provenance=args.provenance,
     )
     report = validator.validate_frame(frame)
-    _finish_incremental(report, store, state_dir)
     if args.json:
         print(render_json(report))
     elif args.junit:
@@ -531,6 +488,7 @@ def _monitor_entities(args: argparse.Namespace) -> list:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchScanner
+    from repro.engine.incremental import VerdictStore
     from repro.history import (
         EventLog,
         FleetMonitor,
@@ -540,13 +498,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     telemetry = _telemetry_from_args(args, force=True)
-    verdict_store, state_dir = _verdict_store_from_args(args)
     validator = load_builtin_validator(
         only=args.targets.split(",") if args.targets else None,
         cache_size=args.cache_size,
         workers=args.workers,
         telemetry=telemetry,
-        verdict_store=verdict_store,
+        verdict_store=VerdictStore() if args.incremental else None,
         use_plans=not args.no_plan,
         provenance=args.provenance,
         **_validator_kwargs_from_args(args),
@@ -640,9 +597,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             handle.write(render_json(monitor.last_summary.report) + "\n")
         print(f"final report written to {args.report_out}",
               file=sys.stderr)
-    if verdict_store is not None and state_dir:
-        path = verdict_store.save(state_dir)
-        print(f"verdict store saved to {path}", file=sys.stderr)
     print(stats.render())
     print(history.stats().render(), file=sys.stderr)
     # Telemetry before close: the history gauges are pull-style and
@@ -1046,25 +1000,6 @@ def _add_provenance_flag(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_incremental_flags(subparser: argparse.ArgumentParser) -> None:
-    """Cross-cycle revalidation knobs shared by scanning commands."""
-    group = subparser.add_argument_group("incremental revalidation")
-    group.add_argument(
-        "--incremental", action="store_true",
-        help="replay verdicts whose recorded dependencies are unchanged "
-             "(in-memory verdict store)",
-    )
-    group.add_argument(
-        "--state-dir", default="", metavar="DIR",
-        help="persist the verdict store under DIR across invocations "
-             "(implies --incremental)",
-    )
-    group.add_argument(
-        "--no-incremental", action="store_true",
-        help="force a full revalidation even when --state-dir is set",
-    )
-
-
 def _add_telemetry_flags(subparser: argparse.ArgumentParser) -> None:
     """Observability exporters shared by scanning commands."""
     group = subparser.add_argument_group("telemetry")
@@ -1132,7 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scaling_flags(validate)
     _add_provenance_flag(validate)
-    _add_incremental_flags(validate)
     _add_telemetry_flags(validate)
     validate.set_defaults(func=_cmd_validate)
 
@@ -1155,7 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--only-failures", action="store_true")
     _add_scaling_flags(demo)
     _add_provenance_flag(demo)
-    _add_incremental_flags(demo)
     _add_telemetry_flags(demo)
     demo.set_defaults(func=_cmd_demo)
 
@@ -1209,7 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate_frame.add_argument("--only-failures", action="store_true")
     _add_plan_flag(validate_frame)
     _add_provenance_flag(validate_frame)
-    _add_incremental_flags(validate_frame)
     _add_telemetry_flags(validate_frame)
     validate_frame.set_defaults(func=_cmd_validate_frame)
 
@@ -1288,8 +1220,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the final cycle's JSON report "
                               "(byte-identical to `validate --json`)")
     _add_scaling_flags(monitor)
+    monitor.add_argument(
+        "--incremental", action="store_true",
+        help="keep a verdict store across cycles and replay the verdicts "
+             "whose recorded inputs are unchanged",
+    )
     _add_provenance_flag(monitor)
-    _add_incremental_flags(monitor)
     _add_telemetry_flags(monitor)
     monitor.set_defaults(func=_cmd_monitor)
 

@@ -958,7 +958,7 @@ class ConfigValidator:
             if store is not None:
                 if not getattr(result, "volatile", False):
                     # Volatile results (injected faults degraded to
-                    # ERROR verdicts) are never persisted: a chaos
+                    # ERROR verdicts) are never stored: a chaos
                     # artifact must not replay into a fault-free cycle.
                     store.put(frame_key, manifest.entity, rule.name,
                               tape, fingerprints, result)
@@ -1126,7 +1126,7 @@ class ConfigValidator:
                           target: str) -> RuleResult:
         """A quarantined ERROR verdict for a deadline-cancelled rule.
 
-        Volatile by construction: never persisted to the verdict store,
+        Volatile by construction: never kept in the verdict store,
         so the next (on-budget) cycle re-evaluates for real.
         """
         _CHAOS.account.note_deadline_cancellation()

@@ -14,7 +14,7 @@ Three pieces cooperate:
   :mod:`repro.crawler.fingerprint`.  Recording happens at normalizer
   *entry* (before any memo check), so a memo hit still records the read.
 * :class:`VerdictStore` -- maps ``(frame key, entity, rule name)`` to the
-  recorded dependency slice (with digests) plus the serialized result.
+  recorded dependency slice (with digests) plus the live result.
   A lookup replays only when every dependency's digest matches the
   current frame fingerprints and the entity's ruleset digest is
   unchanged.  Composite rules have their own entries gated additionally
@@ -29,22 +29,21 @@ its provenance flag, and replays it with one lookup while all of them
 match.  A block holds each result exactly as per-rule replay would
 return it, and a frame with a volatile result stores none.
 
-Replayed results are byte-identical to a fresh evaluation: the payload
-keeps every field the renderers consume (verdict, outcome, message,
-evidence, detail, target) and the ``rule`` object is re-bound to the
-*current* rule, which the ruleset digest guarantees is equivalent.
+Replayed results are byte-identical to a fresh evaluation: a replay
+returns the stored result itself, whose rule the ruleset digest proves
+equivalent to the current one.
 
-The store is in-memory by default; :meth:`VerdictStore.save` /
-:meth:`VerdictStore.load` persist it as JSON under a state directory so
-separate CLI invocations (``--state-dir``) get cross-process
-incrementality.
+The store lives in memory, for as long as the process that scans: a
+``repro monitor --incremental`` loop, or an embedder that keeps one
+:class:`VerdictStore` across runs.  It keeps only the frames of the
+latest run, so a fleet whose members come and go holds only its current
+members' state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -62,19 +61,13 @@ from repro.crawler.fingerprint import (
     normalize_file_arg,
 )
 from repro.engine.delta import RunRecord
-from repro.engine.provenance import ROUTE_REPLAYED, ProvenanceRecord
-from repro.engine.results import Evidence, Outcome, RuleResult, Verdict
+from repro.engine.provenance import ROUTE_REPLAYED
+from repro.engine.results import RuleResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.crawler.frame import ConfigFrame
     from repro.cvl.manifest import Manifest
     from repro.cvl.model import Rule, RuleSet
-
-#: On-disk schema version of ``verdicts.json``.
-FORMAT_VERSION = 1
-
-#: File name inside a ``--state-dir``.
-STATE_FILE = "verdicts.json"
 
 
 # ---- dependency recording ---------------------------------------------------
@@ -88,7 +81,7 @@ class DependencyRecorder:
     ``record_*`` methods unconditionally -- outside a scope they are
     no-ops, so the non-incremental path pays one attribute probe per
     hook.  Tapes are ordered dicts used as sets, keeping dependency
-    order deterministic for the persisted form.
+    order deterministic.
     """
 
     def __init__(self) -> None:
@@ -153,103 +146,44 @@ class DependencyRecorder:
             tape[(frame.describe(), PACKAGES, "")] = None
 
 
-# ---- result (de)serialization ----------------------------------------------
+# ---- replay -----------------------------------------------------------------
 
 
-def _result_to_payload(result: RuleResult) -> dict:
-    payload = {
-        "rule": result.rule.name,
-        "entity": result.entity,
-        "target": result.target,
-        "verdict": result.verdict.value,
-        "outcome": result.outcome.value,
-        "message": result.message,
-        "evidence": [
-            {"file": e.file, "location": e.location, "value": e.value}
-            for e in result.evidence
-        ],
-        "detail": result.detail,
-    }
-    if result.provenance is not None:
-        payload["provenance"] = result.provenance.to_dict()
-    return payload
-
-
-def _result_from_payload(payload: dict, rule: "Rule") -> RuleResult:
-    return RuleResult(
-        rule=rule,
-        entity=payload["entity"],
-        target=payload["target"],
-        verdict=Verdict(payload["verdict"]),
-        outcome=Outcome(payload["outcome"]),
-        message=payload["message"],
-        evidence=[
-            Evidence(
-                file=e.get("file", ""),
-                location=e.get("location", ""),
-                value=e.get("value", ""),
-            )
-            for e in payload["evidence"]
-        ],
-        detail=payload["detail"],
-        _provenance=ProvenanceRecord.from_dict(payload.get("provenance")),
-    )
-
-
-def _entry_has_provenance(entry) -> bool:
-    """Whether a replay from ``entry`` could carry a provenance record."""
-    if entry.cached is not None:
-        return entry.cached.provenance is not None
-    return isinstance(entry.payload, dict) and "provenance" in entry.payload
-
-
-def _replay(entry, rule: "Rule", want_provenance: bool = False) -> RuleResult:
-    """The entry's replayed result (rehydrated once, then shared).
+def _replay(entry, want_provenance: bool = False) -> RuleResult:
+    """The entry's result as a replay returns it.
 
     Results are immutable once built -- nothing downstream writes to a
     :class:`RuleResult` or its evidence -- so replay returns the same
-    object every cycle instead of copying it.  The bound ``rule`` object
-    may come from an earlier ruleset load; freshness checks have already
-    proven it content-identical (ruleset digest) to the current one.  A
-    benign race when two workers rehydrate concurrently just builds the
-    same value twice.
+    object every cycle instead of copying it.  Its bound ``rule`` may
+    come from an earlier ruleset load; freshness checks have already
+    proven it content-identical (ruleset digest) to the current one.
 
     Provenance-carrying replays never mutate the shared result: the
     record (re-labelled ``route=replayed``, origin preserved) rides on a
     memoized *twin* built with :func:`dataclasses.replace`, and a run
     that does not want provenance from a record-carrying entry gets the
     symmetric stripped twin.  Callers gate ``want_provenance=True`` on
-    :func:`_entry_has_provenance`.
+    the result carrying a record.
     """
-    cached = entry.cached
-    if cached is None:
-        cached = _result_from_payload(entry.payload, rule)
-        entry.cached = cached
+    result = entry.result
     if want_provenance:
         twin = entry.prov_twin
         if twin is None:
             twin = replace(
-                cached,
-                _provenance=cached.provenance.as_route(ROUTE_REPLAYED),
+                result,
+                _provenance=result.provenance.as_route(ROUTE_REPLAYED),
             )
             entry.prov_twin = twin
         return twin
     # Direct field read: the common no-record case must not pay the
     # property (which would also materialize a deferred record thunk).
-    if cached._provenance is None:
-        return cached
+    if result._provenance is None:
+        return result
     twin = entry.plain_twin
     if twin is None:
-        twin = replace(cached, _provenance=None)
+        twin = replace(result, _provenance=None)
         entry.plain_twin = twin
     return twin
-
-
-def _entry_payload(entry) -> dict:
-    """The entry's JSON payload, serialized on first need (persistence)."""
-    if entry.payload is None:
-        entry.payload = _result_to_payload(entry.cached)
-    return entry.payload
 
 
 # ---- ruleset digest ---------------------------------------------------------
@@ -388,19 +322,11 @@ class IncrementalRunStats:
 
 @dataclass
 class _Entry:
-    """One stored per-entity verdict: dependency slice + payload.
-
-    ``payload`` is the JSON form; ``cached`` is the live
-    :class:`RuleResult` the entry was built from (or last rehydrated
-    to), so steady-state replays skip both serialization directions.
-    Either may be ``None``; :func:`_entry_payload` / :func:`_replay`
-    materialize the missing side on demand.
-    """
+    """One stored per-entity verdict: dependency slice + live result."""
 
     deps: list[tuple[str, str, str, str]]   # (frame key, kind, arg, digest)
-    payload: dict | None
-    cached: RuleResult | None = field(default=None, repr=False, compare=False)
-    #: Memoized replay twins (see :func:`_replay`): ``cached`` with the
+    result: RuleResult = field(repr=False, compare=False)
+    #: Memoized replay twins (see :func:`_replay`): ``result`` with the
     #: record re-labelled ``replayed`` / with the record stripped.
     prov_twin: RuleResult | None = field(default=None, repr=False,
                                          compare=False)
@@ -419,12 +345,11 @@ class _CompositeEntry:
     """
 
     deps: list[tuple[str, str, str, str]]
-    payload: dict | None
+    result: RuleResult = field(repr=False, compare=False)
     target: str
     pairs: list[tuple[str, str]]            # referenced (entity, config)
     verdicts: dict[tuple[str, str], bool | None]
     placements: dict[str, list[str]]        # entity -> ordered frame keys
-    cached: RuleResult | None = field(default=None, repr=False, compare=False)
     prov_twin: RuleResult | None = field(default=None, repr=False,
                                          compare=False)
     plain_twin: RuleResult | None = field(default=None, repr=False,
@@ -446,16 +371,15 @@ class VerdictStore:
 
     Lookups (:meth:`fresh_result`) run on validator worker threads; the
     counters and mutation paths are lock-guarded.  The store survives
-    across runs of one process, and :meth:`save`/:meth:`load` extend
-    that across processes.
+    across the runs of one process.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], _Entry] = {}
         self._composites: dict[tuple[str, str], _CompositeEntry] = {}
-        #: (frame key, entity) -> component-presence decision + its deps.
-        self._presence: dict[tuple[str, str], _Entry] = {}
+        #: (frame key, entity) -> (deps, component-presence decision).
+        self._presence: dict[tuple[str, str], tuple[list, bool]] = {}
         self._ruleset_digests: dict[str, str] = {}
         #: frame key -> whole-frame digest as of the last cycle.
         self._frame_digests: dict[str, str] = {}
@@ -544,7 +468,9 @@ class VerdictStore:
 
         A frame whose digest matches the previous cycle is *wholly*
         unchanged: every per-dependency digest check against it can be
-        skipped (see :meth:`_deps_clean`).
+        skipped (see :meth:`_deps_clean`).  A frame the previous cycle
+        had and this one lacks takes its entries, presence decisions,
+        block and digest with it.
         """
         with self._lock:
             clean = frozenset(
@@ -553,6 +479,17 @@ class VerdictStore:
                 if self._frame_digests.get(key) == digest
             )
             self._frame_digests.update(frame_digests)
+            # The update keeps every earlier key, so equal sizes prove
+            # the frame set unchanged.
+            if len(self._frame_digests) != len(frame_digests):
+                gone = self._frame_digests.keys() - frame_digests.keys()
+                for key in gone:
+                    del self._frame_digests[key]
+                    self._blocks.pop(key, None)
+                for key in [k for k in self._entries if k[0] in gone]:
+                    del self._entries[key]
+                for key in [k for k in self._presence if k[0] in gone]:
+                    del self._presence[key]
         return clean
 
     def clear(self) -> None:
@@ -602,11 +539,11 @@ class VerdictStore:
                                                  clean_frames):
             self._miss()
             return None
-        if provenance and not _entry_has_provenance(entry):
+        if provenance and entry.result.provenance is None:
             self._miss()
             return None
         self._hit()
-        return _replay(entry, rule, want_provenance=provenance)
+        return _replay(entry, want_provenance=provenance)
 
     def put(
         self,
@@ -623,10 +560,8 @@ class VerdictStore:
         ]
         # Unlocked: dict assignment is atomic under the GIL and workers
         # never write the same (frame, entity, rule) key; invalidation
-        # and persistence run outside the fan-out.
-        self._entries[(frame_key, entity, rule_name)] = _Entry(
-            deps=deps, payload=None, cached=result,
-        )
+        # runs outside the fan-out.
+        self._entries[(frame_key, entity, rule_name)] = _Entry(deps, result)
 
     # ---- whole-frame blocks ------------------------------------------------
 
@@ -655,11 +590,10 @@ class VerdictStore:
                 for result in results:
                     entry = self._entries.get(
                         (frame_key, manifest.entity, result.rule.name))
-                    if entry is None or not _entry_has_provenance(entry):
+                    if entry is None or entry.result.provenance is None:
                         self.drop_block(frame_key)
                         return
-                    replayed.append(
-                        _replay(entry, result.rule, want_provenance=True))
+                    replayed.append(_replay(entry, want_provenance=True))
                 twins.append((manifest, replayed))
             placements = twins
         # Unlocked for the same reason as :meth:`put`.
@@ -684,10 +618,10 @@ class VerdictStore:
         it spares the clean path one filesystem walk per (frame, pack).
         """
         entry = self._presence.get((frame_key, entity))
-        if entry is None or not self._deps_clean(entry.deps, fingerprints,
+        if entry is None or not self._deps_clean(entry[0], fingerprints,
                                                  clean_frames):
             return None
-        return bool(entry.payload["present"])
+        return entry[1]
 
     def put_presence(
         self,
@@ -702,9 +636,7 @@ class VerdictStore:
             for (fk, kind, arg) in tape
         ]
         # Unlocked for the same reason as :meth:`put`.
-        self._presence[(frame_key, entity)] = _Entry(
-            deps=deps, payload={"present": bool(present)},
-        )
+        self._presence[(frame_key, entity)] = (deps, bool(present))
 
     # ---- composite verdicts ------------------------------------------------
 
@@ -733,7 +665,7 @@ class VerdictStore:
             or entry.target != target
             or any(pair in recomputed for pair in entry.pairs)
             or not self._deps_clean(entry.deps, fingerprints, clean_frames)
-            or (provenance and not _entry_has_provenance(entry))
+            or (provenance and entry.result.provenance is None)
         ):
             self._miss()
             return None
@@ -749,7 +681,7 @@ class VerdictStore:
                 self._miss()
                 return None
         self._hit()
-        return _replay(entry, rule, want_provenance=provenance)
+        return _replay(entry, want_provenance=provenance)
 
     def put_composite(
         self,
@@ -771,8 +703,7 @@ class VerdictStore:
         ]
         entry = _CompositeEntry(
             deps=deps,
-            payload=None,
-            cached=result,
+            result=result,
             target=target,
             pairs=ordered,
             verdicts={pair: context.rule_verdict(*pair) for pair in ordered},
@@ -786,118 +717,3 @@ class VerdictStore:
         )
         with self._lock:
             self._composites[(entity, rule.name)] = entry
-
-    # ---- persistence -------------------------------------------------------
-
-    def save(self, state_dir: str) -> str:
-        """Write the store as JSON under ``state_dir`` (atomic rename)."""
-        os.makedirs(state_dir, exist_ok=True)
-        with self._lock:
-            doc = {
-                "format": FORMAT_VERSION,
-                "rulesets": dict(self._ruleset_digests),
-                "frames": dict(self._frame_digests),
-                "presence": [
-                    {
-                        "frame": key[0],
-                        "entity": key[1],
-                        "deps": [list(dep) for dep in entry.deps],
-                        "present": bool(entry.payload["present"]),
-                    }
-                    for key, entry in self._presence.items()
-                ],
-                "entries": [
-                    {
-                        "frame": key[0],
-                        "entity": key[1],
-                        "rule": key[2],
-                        "deps": [list(dep) for dep in entry.deps],
-                        "payload": _entry_payload(entry),
-                    }
-                    for key, entry in self._entries.items()
-                ],
-                "composites": [
-                    {
-                        "entity": key[0],
-                        "rule": key[1],
-                        "deps": [list(dep) for dep in entry.deps],
-                        "payload": _entry_payload(entry),
-                        "target": entry.target,
-                        "pairs": [list(pair) for pair in entry.pairs],
-                        "verdicts": [
-                            [pair[0], pair[1], verdict]
-                            for pair, verdict in entry.verdicts.items()
-                        ],
-                        "placements": entry.placements,
-                    }
-                    for key, entry in self._composites.items()
-                ],
-            }
-        path = os.path.join(state_dir, STATE_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, separators=(",", ":"))
-        os.replace(tmp, path)
-        return path
-
-    @classmethod
-    def load(cls, state_dir: str) -> "VerdictStore":
-        """Load a persisted store; corrupt or missing state yields an
-        empty store (the next cycle is simply a full one)."""
-        store = cls()
-        path = os.path.join(state_dir, STATE_FILE)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError:
-            return store
-        except ValueError as error:
-            # Corrupt JSON: quarantine the file (counted, kept on disk
-            # for the postmortem) exactly like a corrupt sqlite store,
-            # instead of silently overwriting it on the next save.
-            from repro.chaos.quarantine import quarantine_database
-
-            quarantine_database(path, reason=f"verdict store: {error}")
-            return store
-        if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
-            return store
-        try:
-            store._ruleset_digests = dict(doc.get("rulesets", {}))
-            store._frame_digests = {
-                str(key): str(digest)
-                for key, digest in doc.get("frames", {}).items()
-            }
-            for raw in doc.get("presence", []):
-                store._presence[(raw["frame"], raw["entity"])] = _Entry(
-                    deps=[tuple(dep) for dep in raw["deps"]],
-                    payload={"present": bool(raw["present"])},
-                )
-            for raw in doc.get("entries", []):
-                key = (raw["frame"], raw["entity"], raw["rule"])
-                store._entries[key] = _Entry(
-                    deps=[tuple(dep) for dep in raw["deps"]],
-                    payload=raw["payload"],
-                )
-            for raw in doc.get("composites", []):
-                store._composites[(raw["entity"], raw["rule"])] = (
-                    _CompositeEntry(
-                        deps=[tuple(dep) for dep in raw["deps"]],
-                        payload=raw["payload"],
-                        target=raw["target"],
-                        pairs=[tuple(pair) for pair in raw["pairs"]],
-                        verdicts={
-                            (e, c): verdict
-                            for e, c, verdict in raw["verdicts"]
-                        },
-                        placements={
-                            entity: list(keys)
-                            for entity, keys in raw["placements"].items()
-                        },
-                    )
-                )
-        except (KeyError, TypeError, ValueError) as error:
-            from repro.chaos.quarantine import quarantine_database
-
-            quarantine_database(path, reason=f"verdict store: {error}")
-            return cls()   # partially-valid state: start clean
-        return store

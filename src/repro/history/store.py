@@ -89,8 +89,12 @@ _CODES_BY_MEMBER = {member: VERDICT_CODES[member.value]
 assert len(VERDICT_CODES) == len(Verdict), "unmapped verdict value"
 
 _SCHEMA = """
+-- A plain rowid key: retention never deletes the newest cycle, so a new
+-- id is always above every id ever used, with no sqlite_sequence page
+-- to rewrite on each commit.  Databases created with AUTOINCREMENT keep
+-- it.
 CREATE TABLE IF NOT EXISTS cycles (
-    cycle_id       INTEGER PRIMARY KEY AUTOINCREMENT,
+    cycle_id       INTEGER PRIMARY KEY,
     started_at     REAL    NOT NULL,
     elapsed_s      REAL    NOT NULL DEFAULT 0,
     entities       INTEGER NOT NULL DEFAULT 0,

@@ -34,7 +34,7 @@ from repro.chaos.stats import DegradationStats
 from repro.crawler import Crawler
 from repro.engine import render_json, render_text
 from repro.engine.batch import BatchScanner, ScanStageError
-from repro.engine.incremental import STATE_FILE, VerdictStore
+from repro.engine.incremental import VerdictStore
 from repro.history import HistoryStore
 from repro.history.events import HealthEvent, WebhookSink
 from repro.rules import load_builtin_validator
@@ -310,14 +310,6 @@ class TestDeadlines:
 
 
 class TestStoreQuarantine:
-    def test_verdict_store_corrupt_json_quarantined(self, tmp_path):
-        state = tmp_path / "state"
-        state.mkdir()
-        (state / STATE_FILE).write_text("{not json", encoding="utf-8")
-        store = VerdictStore.load(str(state))
-        assert store is not None  # fresh store, no raise
-        assert list(state.glob(STATE_FILE + ".quarantined.*"))
-
     def test_history_store_corrupt_db_quarantined(self, tmp_path):
         path = tmp_path / "history.sqlite"
         path.write_bytes(b"garbage" * 100)

@@ -307,3 +307,52 @@ class TestFrameDiffCommand:
         frame = tmp_path / "same.json"
         assert main(["snapshot", "--root", str(root), "-o", str(frame)]) == 0
         assert main(["framediff", str(frame), str(frame)]) == 0
+
+
+class TestIncrementalOptions:
+    """The verdict store lives in one process: only ``monitor`` keeps one
+    (``--incremental``), and no command persists it."""
+
+    COMMANDS = {
+        "validate": ["validate", "--root", "."],
+        "demo": ["demo", "host"],
+        "validate-frame": ["validate-frame", "host.frame.json"],
+        "monitor": ["monitor", "--max-cycles", "1"],
+    }
+
+    @pytest.mark.parametrize("option", [["--state-dir", "state"],
+                                        ["--no-incremental"]],
+                             ids=["state-dir", "no-incremental"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_store_options_rejected(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "demo", "validate-frame"])
+    def test_one_shot_commands_reject_incremental(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + ["--incremental"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_monitor_incremental_runs(self, tmp_path):
+        from repro.history import HistoryStore
+
+        reports, skipped = {}, {}
+        for mode in ("full", "incremental"):
+            out = tmp_path / f"{mode}.json"
+            db = str(tmp_path / f"{mode}.sqlite")
+            argv = ["monitor", "--scenario", "host", "--interval", "0",
+                    "--max-cycles", "2", "--history-db", db,
+                    "--report-out", str(out)]
+            if mode == "incremental":
+                argv.append("--incremental")
+            assert main(argv) == 0
+            reports[mode] = out.read_text()
+            with HistoryStore(db) as store:
+                skipped[mode] = [row.rules_skipped for row in store.cycles()]
+        assert reports["incremental"] == reports["full"]
+        assert skipped["full"] == [0, 0]
+        assert skipped["incremental"][0] == 0 < skipped["incremental"][1]

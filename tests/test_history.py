@@ -184,6 +184,41 @@ class TestRetention:
             # One-off prune must not install a standing retention.
             assert store.retain_cycles is None
 
+    @pytest.mark.parametrize("autoincrement", [False, True],
+                             ids=["rowid", "autoincrement"])
+    def test_cycle_ids_increase_across_prune_and_reopen(
+            self, summary, tmp_path, autoincrement):
+        """New databases key cycles by plain rowid; one created with
+        AUTOINCREMENT keeps it.  Either way a pruned, reopened store
+        never reuses an id, since retention keeps the newest cycle."""
+        from repro.history import store as store_module
+
+        path = str(tmp_path / "history.sqlite")
+        if autoincrement:
+            conn = sqlite3.connect(path)
+            conn.executescript(store_module._SCHEMA.replace(
+                "cycle_id       INTEGER PRIMARY KEY,",
+                "cycle_id       INTEGER PRIMARY KEY AUTOINCREMENT,"))
+            conn.close()
+        with HistoryStore(path) as store:
+            ids = [store.record_cycle(summary) for _ in range(3)]
+            ids.append(store.record_scan_error("crawler exploded"))
+            assert store.prune(1) == 3
+        with HistoryStore(path) as reopened:
+            ids.append(reopened.record_cycle(summary))
+            assert reopened.prune(1) == 1
+            ids.append(reopened.record_cycle(summary))
+            assert [row.cycle_id for row in reopened.cycles()] == ids[-2:]
+        assert ids == sorted(set(ids))
+        conn = sqlite3.connect(path)
+        try:
+            sequence = conn.execute(
+                "SELECT name FROM sqlite_master WHERE name = ?",
+                ("sqlite_sequence",)).fetchone()
+        finally:
+            conn.close()
+        assert (sequence is not None) == autoincrement
+
     def test_retain_cycles_validation(self):
         with pytest.raises(ValueError):
             HistoryStore(retain_cycles=0)

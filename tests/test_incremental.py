@@ -1,6 +1,6 @@
 """Differential testing of incremental revalidation.
 
-The contract (ISSUE 3): a validator running with a persistent
+The contract: a validator running with a long-lived
 :class:`~repro.engine.incremental.VerdictStore` must render reports
 **byte-identical** to a fresh full validator, at every worker count,
 across scan cycles that mutate frames arbitrarily -- file content,
@@ -257,46 +257,6 @@ class TestCompositeInvalidation:
         assert _render_pair(report) == reference
         assert report.incremental.composites_evaluated == len(composites)
         assert report.incremental.composites_replayed == 0
-
-
-class TestPersistence:
-    def test_save_load_roundtrip_replays(self, base_blobs, tmp_path):
-        state_dir = str(tmp_path / "state")
-        store = VerdictStore()
-        frames = _rebuild(base_blobs, [])
-        reference = _render_pair(
-            load_builtin_validator(verdict_store=store).validate_frames(
-                frames, workers=1
-            )
-        )
-        store.save(state_dir)
-
-        reloaded = VerdictStore.load(state_dir)
-        frames = _rebuild(base_blobs, [])
-        report = load_builtin_validator(
-            verdict_store=reloaded
-        ).validate_frames(frames, workers=1)
-        assert _render_pair(report) == reference
-        stats = report.incremental
-        assert stats.rules_evaluated == 0
-        assert stats.composites_evaluated == 0
-
-    def test_corrupt_state_degrades_to_cold_store(self, base_blobs, tmp_path):
-        state_dir = tmp_path / "state"
-        state_dir.mkdir()
-        (state_dir / "verdicts.json").write_text("{not json")
-        store = VerdictStore.load(str(state_dir))
-        frames = _rebuild(base_blobs, [])
-        report = load_builtin_validator(verdict_store=store).validate_frames(
-            frames, workers=1
-        )
-        stats = report.incremental
-        assert stats.rules_replayed == 0
-        assert stats.rules_evaluated > 0
-
-    def test_missing_state_dir_is_cold_store(self, tmp_path):
-        store = VerdictStore.load(str(tmp_path / "nope"))
-        assert store.stats().entries == 0
 
 
 class TestRulesetInvalidation:

@@ -3,14 +3,15 @@
 ``repro monitor`` runs indefinitely (the paper's continuous validation,
 §5), so nothing it keeps may grow with the number of cycles: the span
 collector keeps one cycle's window, pending rule metrics and profile
-rows are folded every run, and the crawler keeps only the latest
-cycle's frames.  Each test runs a small fleet with one host edit per
-cycle under ``tracemalloc`` and asserts that the Python heap after a
-warm-up stays flat; it runs once plain and once under a chaos plan that
-injects read and parse faults.  Only allocations made by ``repro``'s
-own code count, and the ``repro`` logger writes to a handler that keeps
-nothing, as a daemon's log shipping does: pytest's own capture keeps
-every record, and a warning's exception holds its frame's locals.
+rows are folded every run, and the crawler and the verdict store keep
+only the latest cycle's frames.  The heap test runs a small fleet with
+one host edit per cycle under ``tracemalloc`` and asserts that the
+Python heap after a warm-up stays flat; it runs once plain and once
+under a chaos plan that injects read and parse faults.  Only
+allocations made by ``repro``'s own code count, and the ``repro`` logger
+writes to a handler that keeps nothing, as a daemon's log shipping does:
+pytest's own capture keeps every record, and a warning's exception holds
+its frame's locals.
 """
 
 import gc
@@ -23,7 +24,7 @@ import pytest
 import repro
 from repro.chaos.fabric import FaultPlan, FaultRule, arm_plan, disarm
 from repro.crawler import ContainerEntity, DockerImageEntity
-from repro.engine import VerdictStore
+from repro.engine import VerdictStore, render_json
 from repro.engine.batch import BatchScanner
 from repro.history import FleetMonitor, HistoryStore, MonitorConfig
 from repro.rules import load_builtin_validator
@@ -103,3 +104,44 @@ def test_monitor_memory_is_flat(tmp_path, plan, logs_kept_nowhere):
     assert growth < MAX_GROWTH, f"{growth} bytes over {MEASURED} cycles"
     # One cycle's window of spans, whatever the run length.
     assert len(telemetry.spans) < 200
+
+
+def _stored_keys(store: VerdictStore) -> dict:
+    """The keys of everything a verdict store keeps per frame."""
+    return {name: set(getattr(store, name))
+            for name in ("_entries", "_presence", "_blocks",
+                         "_frame_digests")}
+
+
+def test_departed_hosts_leave_the_verdict_store(tmp_path):
+    """A 4-host fleet that swaps one host for a new-named host every
+    cycle: after each cycle the store holds what one run over the
+    current fleet stores, no more, and the last report is a full
+    validation's."""
+    hosts: dict[int, object] = {}
+
+    def fleet(cycle_no: int) -> list:
+        for gone in [n for n in hosts if n < cycle_no]:
+            del hosts[gone]
+        return [hosts.setdefault(n, ubuntu_host_entity(
+                    f"churn-{n}", hardening=0.5, seed=n, with_nginx=True))
+                for n in range(cycle_no, cycle_no + 4)]
+
+    store = VerdictStore()
+    history = HistoryStore(str(tmp_path / "churn.sqlite"))
+    monitor = FleetMonitor(
+        BatchScanner(load_builtin_validator(verdict_store=store)), history,
+        entities_provider=fleet, config=MonitorConfig(interval_s=0))
+    reference = load_builtin_validator()
+    try:
+        for cycle in range(1, 31):
+            summary = monitor.run_cycle(cycle)
+            reference.verdict_store = VerdictStore()
+            reference.validate_entities(fleet(cycle))
+            assert _stored_keys(store) == _stored_keys(
+                reference.verdict_store), f"cycle {cycle}"
+    finally:
+        history.close()
+    assert summary.report.incremental.rules_replayed > 0
+    full = load_builtin_validator().validate_entities(fleet(30))
+    assert render_json(summary.report) == render_json(full)

@@ -22,11 +22,17 @@ Matching is evaluated against the *children* of the tree root: expression
 ``http/server/listen`` on a parsed nginx.conf selects every ``listen``
 node inside every ``server`` inside ``http``.  The empty expression
 matches the root node itself.
+
+Nodes hold no link to their parent, so a node's location (its labels
+from the root) is built while matching: :meth:`PathExpression.locate`
+returns each matched node with its labels, and a rule's evidence
+reports them joined with ``/`` (``http/server/listen``).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,8 +170,8 @@ def _split_segments(expression: str) -> list[str]:
 
 
 def apply_predicates(
-    candidates: list[ConfigNode], predicates: tuple[Predicate, ...]
-) -> list[ConfigNode]:
+    candidates: Sequence[ConfigNode], predicates: tuple[Predicate, ...]
+) -> Sequence[ConfigNode]:
     """Filter same-parent ``candidates`` through a segment's predicates."""
     for predicate in predicates:
         if predicate.kind == "index":
@@ -192,48 +198,83 @@ def apply_predicates(
     return candidates
 
 
-def step_segment(nodes: list[ConfigNode], segment: Segment) -> list[ConfigNode]:
-    """Advance a frontier of nodes through one segment.
+#: A node's location: its labels from the tree root, root label omitted
+#: (``("http", "server", "listen")``); ``"/".join`` of it is the
+#: ``location`` a rule's evidence reports.
+Labels = tuple[str, ...]
+
+#: A matching frontier: ``(node, labels)`` pairs.
+Located = list[tuple[ConfigNode, Labels]]
+
+
+def _descend(node: ConfigNode, labels: Labels, out: Located) -> None:
+    """Append ``(node, labels)`` and every descendant's pair, pre-order."""
+    out.append((node, labels))
+    for child in node.children:
+        _descend(child, labels + (child.label,), out)
+
+
+def step_segment(pairs: Located, segment: Segment) -> Located:
+    """Advance a frontier of ``(node, labels-from-root)`` pairs through
+    one segment; each matched node comes with its own labels.
 
     Module-level (rather than a ``PathExpression`` method) so the rule
     planner's segment trie steps many expressions' shared segments with
-    the exact matching semantics of stand-alone expressions.
+    the exact matching semantics of stand-alone expressions.  A named
+    segment builds one labels tuple per parent that has a match, shared
+    by the matched siblings; ``*`` and ``**`` build one per node.
     """
-    if segment.name == "**":
-        expanded: list[ConfigNode] = []
-        for node in nodes:
-            expanded.extend(node.walk())  # descendant-or-self
-        return expanded
-    matched: list[ConfigNode] = []
-    for parent in nodes:
-        if segment.name == "*":
-            candidates = list(parent.children)
-        else:
-            candidates = parent.children_named(segment.name)
-        matched.extend(apply_predicates(candidates, segment.predicates))
-    return matched
+    name = segment.name
+    stepped: Located = []
+    if name == "**":
+        for node, labels in pairs:
+            _descend(node, labels, stepped)  # descendant-or-self
+        return stepped
+    predicates = segment.predicates
+    for parent, labels in pairs:
+        if name == "*":
+            candidates = apply_predicates(parent.children, predicates)
+            stepped.extend(
+                [(node, labels + (node.label,)) for node in candidates]
+            )
+            continue
+        candidates = parent.children_named(name)
+        if candidates:
+            located = labels + (name,)
+            stepped.extend([(node, located) for node in
+                            apply_predicates(candidates, predicates)])
+    return stepped
 
 
 class PathExpression:
-    """A compiled path expression; ``match`` evaluates it against a tree."""
+    """A compiled path expression; ``match`` and ``locate`` evaluate it
+    against a tree."""
 
     def __init__(self, segments: tuple[Segment, ...]):
         self.segments = segments
 
-    def match(self, root: ConfigNode) -> list[ConfigNode]:
-        """All nodes under ``root`` selected by this expression.
+    def locate(self, root: ConfigNode,
+               labels: Labels = ()) -> dict[ConfigNode, Labels]:
+        """Every node under ``root`` selected by this expression, mapped
+        to its labels from the tree root (``labels`` are ``root``'s own).
 
-        Results are in document order with duplicates removed (a ``**`` can
-        reach the same node through several chains).
+        Nodes are in document order with duplicates removed (a ``**`` can
+        reach the same node through several chains, always with the
+        same labels: a node has one path from the root).
         """
-        current: list[ConfigNode] = [root]
+        current: Located = [(root, labels)]
         for segment in self.segments:
             current = step_segment(current, segment)
             if not current:
-                return []
-        # Nodes hash by identity, so dict.fromkeys is an order-preserving
-        # identity dedup with no per-node set bookkeeping.
-        return list(dict.fromkeys(current))
+                return {}
+        # Nodes hash by identity, so the dict is an order-preserving
+        # identity dedup.
+        return dict(current)
+
+    def match(self, root: ConfigNode) -> list[ConfigNode]:
+        """All nodes under ``root`` selected by this expression, in
+        document order with duplicates removed."""
+        return list(self.locate(root))
 
     def __repr__(self) -> str:
         return f"PathExpression({'/'.join(seg.name for seg in self.segments)!r})"

@@ -41,10 +41,27 @@ class SourceSpan(NamedTuple):
             return None
 
 
-class ConfigNode:
-    """One node of a config tree."""
+#: The ``children`` of every leaf: one shared empty tuple, so a leaf
+#: carries no list of its own.  :meth:`ConfigNode.add` gives a node its
+#: own list when it gets its first child.
+_NO_CHILDREN: tuple = ()
 
-    __slots__ = ("label", "value", "children", "parent", "span",
+#: Every leaf's label index: one shared empty dict, never mutated
+#: (:meth:`ConfigNode.add` drops it when a leaf gets its first child).
+_NO_INDEX: dict = {}
+
+
+class ConfigNode:
+    """One node of a config tree.
+
+    A node links only downward, to its children: it holds no link to its
+    parent, so a tree holds no reference cycle and a dropped tree is freed
+    by reference counting at once, without waiting for a full garbage
+    collection.  A node's location (its labels from the root) is built
+    while matching: see :meth:`repro.augtree.path.PathExpression.locate`.
+    """
+
+    __slots__ = ("label", "value", "children", "span",
                  "_label_index", "_indexed_count")
 
     def __init__(self, label: str, value: str | None = None,
@@ -55,13 +72,14 @@ class ConfigNode:
         #: Deliberately excluded from ``__eq__``/``to_dict``/``render`` so
         #: span-aware and span-less trees stay interchangeable.
         self.span = span
-        self.children: list[ConfigNode] = []
-        self.parent: ConfigNode | None = None
+        #: Children in document order: a list once the node has any,
+        #: the shared empty tuple while it is a leaf.  Build trees with
+        #: :meth:`add`.
+        self.children: list[ConfigNode] | tuple[()] = _NO_CHILDREN
         #: Lazy label -> children map; built on the first ``children_named``
-        #: and kept current by ``add``/``attach``.  ``_indexed_count``
-        #: guards against direct ``children`` mutation: a length mismatch
-        #: forces a rebuild.
-        self._label_index: dict[str, list[ConfigNode]] | None = None
+        #: and kept current by ``add``.  ``_indexed_count`` guards against
+        #: direct ``children`` mutation: a length mismatch forces a rebuild.
+        self._label_index: dict[str, list[ConfigNode]] | None = _NO_INDEX
         self._indexed_count = 0
 
     # ---- construction ----------------------------------------------------
@@ -70,23 +88,19 @@ class ConfigNode:
             span: SourceSpan | None = None) -> "ConfigNode":
         """Append a new child and return it."""
         child = ConfigNode(label, value, span)
-        child.parent = self
-        self.children.append(child)
+        children = self.children
+        if not children:
+            # A leaf's first child: its own list, and no index until
+            # the first lookup.
+            self.children = [child]
+            self._label_index = None
+            return child
+        children.append(child)
         index = self._label_index
         if index is not None:
             index.setdefault(label, []).append(child)
             self._indexed_count += 1
         return child
-
-    def attach(self, node: "ConfigNode") -> "ConfigNode":
-        """Append an existing node as a child and return it."""
-        node.parent = self
-        self.children.append(node)
-        index = self._label_index
-        if index is not None:
-            index.setdefault(node.label, []).append(node)
-            self._indexed_count += 1
-        return node
 
     # ---- navigation --------------------------------------------------------
 
@@ -128,22 +142,6 @@ class ConfigNode:
     def find_all(self, predicate: Callable[["ConfigNode"], bool]) -> list["ConfigNode"]:
         """All descendants (including self) satisfying ``predicate``."""
         return [node for node in self.walk() if predicate(node)]
-
-    def path(self) -> str:
-        """Slash-joined label path from the root (root label omitted)."""
-        labels: list[str] = []
-        node: ConfigNode | None = self
-        while node is not None and node.parent is not None:
-            labels.append(node.label)
-            node = node.parent
-        return "/".join(reversed(labels))
-
-    def index_among_siblings(self) -> int:
-        """1-based position among same-labeled siblings (Augeas semantics)."""
-        if self.parent is None:
-            return 1
-        same = self.parent.children_named(self.label)
-        return same.index(self) + 1
 
     # ---- conversion / display ----------------------------------------------
 
@@ -190,8 +188,9 @@ class ConfigNode:
             and self.children == other.children
         )
 
-    def __hash__(self):  # nodes are mutable; identity hashing is correct here
-        return id(self)
+    #: Nodes are mutable, so they hash by identity (in C: a dict probe
+    #: makes no Python call), while ``==`` stays structural.
+    __hash__ = object.__hash__
 
 
 class ConfigTree:

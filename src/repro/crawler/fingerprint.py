@@ -71,7 +71,12 @@ class FrameFingerprint:
     """
 
     def __init__(self, frame: "ConfigFrame"):
-        self._frame = frame
+        # Only what the digests read, not the frame: the frame memoizes
+        # this object, and a link back would make every frame a
+        # reference cycle that only a full collection frees.
+        self._files = frame.files
+        self._packages = frame.packages
+        self._runtime = frame.runtime
         self._memo: dict[tuple[str, str], str] = {}
         #: All file paths, sorted by path when :meth:`frame_digest` read
         #: the nodes in bulk and in walk (DFS, sorted-children) order
@@ -117,7 +122,7 @@ class FrameFingerprint:
             hasher.update(text.encode("utf-8", "surrogateescape"))
             hasher.update(b"\0")
 
-        files = self._frame.files
+        files = self._files
         file_index: list[str] = []
         flat = getattr(files, "flat_nodes", None)
         entries = flat() if flat is not None else None
@@ -148,12 +153,12 @@ class FrameFingerprint:
                     fold(f"f:{path}:{meta}:{content}")
             if self._files_index is None:
                 self._files_index = file_index
-            for package in self._frame.packages:
+            for package in self._packages:
                 fold(
                     f"p:{package.name}={package.version}:"
                     f"{package.architecture}"
                 )
-            fold(json.dumps(self._frame.runtime, sort_keys=True))
+            fold(json.dumps(self._runtime, sort_keys=True))
             digest = hasher.hexdigest()
             memo[("frame", "")] = digest
             return digest
@@ -181,9 +186,9 @@ class FrameFingerprint:
                 fold(f"f:{path}:{meta}:{content}")
         if self._files_index is None:
             self._files_index = file_index
-        for package in self._frame.packages:
+        for package in self._packages:
             fold(f"p:{package.name}={package.version}:{package.architecture}")
-        fold(json.dumps(self._frame.runtime, sort_keys=True))
+        fold(json.dumps(self._runtime, sort_keys=True))
         digest = hasher.hexdigest()
         memo[("frame", "")] = digest
         return digest
@@ -201,13 +206,13 @@ class FrameFingerprint:
         if kind == RUNTIME:
             return self._runtime_digest(arg)
         if kind == RUNTIME_KEYS:
-            return _sha256(",".join(sorted(self._frame.runtime)))
+            return _sha256(",".join(sorted(self._runtime)))
         if kind == PACKAGES:
             return self._packages_digest()
         raise ValueError(f"unknown dependency kind {kind!r}")
 
     def _file_digest(self, path: str) -> str:
-        files = self._frame.files
+        files = self._files
         if not files.exists(path):
             return ABSENT
         if files.is_dir(path):
@@ -220,7 +225,7 @@ class FrameFingerprint:
         return content_digest(files.read_text(path))
 
     def _filemeta_digest(self, path: str) -> str:
-        files = self._frame.files
+        files = self._files
         if not files.exists(path):
             return ABSENT
         stat = files.stat(path)
@@ -235,7 +240,7 @@ class FrameFingerprint:
             import posixpath
 
             paths: list[str] = []
-            for dirpath, _dirs, filenames in self._frame.files.walk("/"):
+            for dirpath, _dirs, filenames in self._files.walk("/"):
                 for name in filenames:
                     paths.append(posixpath.join(dirpath, name))
             self._files_index = paths
@@ -259,7 +264,7 @@ class FrameFingerprint:
         return _sha256(LISTING_SEP.join(paths))
 
     def _runtime_digest(self, namespace: str) -> str:
-        values = self._frame.runtime.get(namespace)
+        values = self._runtime.get(namespace)
         if values is None:
             return ABSENT
         return _sha256(json.dumps(values, sort_keys=True))
@@ -268,7 +273,7 @@ class FrameFingerprint:
         return _sha256(
             LISTING_SEP.join(
                 f"{p.name}={p.version}:{p.architecture}"
-                for p in self._frame.packages
+                for p in self._packages
             )
         )
 

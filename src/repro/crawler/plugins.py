@@ -37,38 +37,38 @@ def flatten_json(value: object, prefix: str = "") -> dict[str, str]:
     ``""``) so rules can assert over the whole list with one lookup.
     """
     flat: dict[str, str] = {}
-
-    def render(node: object) -> str:
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if node is None:
-            return ""
-        return str(node)
-
-    def visit(node: object, path: str) -> None:
-        if isinstance(node, dict):
-            if not node and path:
-                flat[path] = ""
-            for key, item in node.items():
-                visit(item, f"{path}.{key}" if path else str(key))
-        elif isinstance(node, (list, tuple)):
-            if path and all(
-                not isinstance(item, (dict, list, tuple)) for item in node
-            ):
-                flat[path] = ",".join(render(item) for item in node)
-            elif not node and path:
-                flat[path] = ""
-            for index, item in enumerate(node):
-                visit(item, f"{path}.{index}" if path else str(index))
-        elif isinstance(node, bool):
-            flat[path] = "true" if node else "false"
-        elif node is None:
-            flat[path] = ""
-        else:
-            flat[path] = str(node)
-
-    visit(value, prefix)
+    _flatten_into(flat, value, prefix)
     return flat
+
+
+def _render_json_scalar(node: object) -> str:
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if node is None:
+        return ""
+    return str(node)
+
+
+def _flatten_into(flat: dict[str, str], node: object, path: str) -> None:
+    """:func:`flatten_json`'s recursion: a module-level function, since a
+    recursive closure is a reference cycle per call."""
+    if isinstance(node, dict):
+        if not node and path:
+            flat[path] = ""
+        for key, item in node.items():
+            _flatten_into(flat, item, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        if path and all(
+            not isinstance(item, (dict, list, tuple)) for item in node
+        ):
+            flat[path] = ",".join(_render_json_scalar(item) for item in node)
+        elif not node and path:
+            flat[path] = ""
+        for index, item in enumerate(node):
+            _flatten_into(flat, item,
+                          f"{path}.{index}" if path else str(index))
+    else:
+        flat[path] = _render_json_scalar(node)
 
 
 class RuntimePlugin(ABC):

@@ -27,7 +27,7 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.augtree.path import parse_path
+from repro.augtree.path import Labels, parse_path
 from repro.augtree.tree import ConfigNode
 from repro.crawler.frame import ConfigFrame
 from repro.cvl.manifest import Manifest
@@ -156,13 +156,15 @@ def evaluate_tree(
             name_expression = parse_path(rule.name)
         except PathExpressionError as exc:
             return _error_result(rule, entity, target, exc)
-        for scope in scopes:
-            for node in name_expression.match(scope):
+        for scope, labels in scopes.items():
+            for node, node_labels in name_expression.locate(
+                scope, labels
+            ).items():
                 found_here = True
                 evidence.append(
                     Evidence(
                         file=path,
-                        location=node.path(),
+                        location="/".join(node_labels),
                         value=node.value if node.value is not None else "",
                         span=node.span,
                     )
@@ -236,16 +238,19 @@ def finalize_tree_rule(
     )
 
 
-def _scopes(tree, config_path: list[str]) -> list[ConfigNode]:
-    """Parent nodes the config key is searched under: the union over the
-    rule's path alternatives; an empty alternative means the tree root."""
-    scopes: dict[ConfigNode, None] = {}
+def _scopes(tree, config_path: list[str]) -> dict[ConfigNode, Labels]:
+    """Parent nodes the config key is searched under, each with its
+    labels from the root: the union over the rule's path alternatives;
+    an empty alternative means the tree root."""
+    scopes: dict[ConfigNode, Labels] = {}
     for alternative in config_path or [""]:
         alternative = alternative.strip()
-        nodes = [tree.root] if not alternative else tree.match(alternative)
-        # Identity-hashed nodes: the dict is an order-preserving dedup.
-        scopes.update(dict.fromkeys(nodes))
-    return list(scopes)
+        if not alternative:
+            scopes.setdefault(tree.root, ())
+        else:
+            # Identity-hashed nodes: the dict is an order-preserving dedup.
+            scopes.update(parse_path(alternative).locate(tree.root))
+    return scopes
 
 
 def _split_values(values: list[str], separator: str | None) -> list[str]:

@@ -53,6 +53,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.augtree.path import (
+    Labels,
     Segment,
     apply_predicates,
     parse_path,
@@ -119,16 +120,17 @@ class SegmentTrie:
 
     def match(
         self, root: ConfigNode, active: set[int] | None = None
-    ) -> dict[int, list[ConfigNode]]:
-        """Every registered expression's matches under ``root``.
+    ) -> dict[int, dict[ConfigNode, Labels]]:
+        """Every registered expression's located matches under ``root``.
 
-        Returns slot id -> matched nodes (document order, identity
-        deduped, exactly as ``PathExpression.match``); slots with no
-        match are absent.  ``active`` restricts the traversal to
-        subtrees some listed member still needs.
+        Returns slot id -> matched node -> its labels from the root
+        (document order, identity deduped, exactly as
+        ``PathExpression.locate``); slots with no match are absent.
+        ``active`` restricts the traversal to subtrees some listed member
+        still needs.
         """
-        results: dict[int, list[ConfigNode]] = {}
-        stack: list[tuple[_TrieNode, list[ConfigNode]]] = [(self.root, [root])]
+        results: dict[int, dict[ConfigNode, Labels]] = {}
+        stack = [(self.root, [(root, ())])]
         while stack:
             node, frontier = stack.pop()
             for segment, child in node.children.items():
@@ -138,9 +140,9 @@ class SegmentTrie:
                 if not stepped:
                     continue
                 for slot in child.slots:
-                    # Fresh per-slot list: final identity dedup mirrors
-                    # PathExpression.match.
-                    results[slot] = list(dict.fromkeys(stepped))
+                    # Fresh per-slot dict: final identity dedup mirrors
+                    # PathExpression.locate.
+                    results[slot] = dict(stepped)
                 if child.children:
                     stack.append((child, stepped))
         return results
@@ -165,23 +167,35 @@ class _PlanMember:
         #: segment -- resolved with one label-index probe per scope.
         self.name_fast: tuple[str, tuple] | None = None
 
-    def scopes(self, root: ConfigNode, slot_nodes: dict[int, list[ConfigNode]]):
-        """The member's scope set, mirroring ``evaluators._scopes``."""
-        scopes: dict[ConfigNode, None] = {}
+    def scopes(
+        self, root: ConfigNode, slot_nodes: dict[int, dict[ConfigNode, Labels]]
+    ) -> dict[ConfigNode, Labels]:
+        """The member's scopes and their labels, mirroring
+        ``evaluators._scopes``."""
+        scopes: dict[ConfigNode, Labels] = {}
         for slot in self.alt_slots:
-            nodes = (root,) if slot == _ROOT_SLOT else slot_nodes.get(slot, ())
-            scopes.update(dict.fromkeys(nodes))
+            if slot == _ROOT_SLOT:
+                scopes.setdefault(root, ())
+            else:
+                located = slot_nodes.get(slot)
+                if located:
+                    scopes.update(located)
         return scopes
 
-    def match_name(self, scope: ConfigNode) -> list[ConfigNode]:
+    def match_name(
+        self, scope: ConfigNode, labels: Labels
+    ) -> dict[ConfigNode, Labels]:
+        """The rule's ``name`` matches under ``scope`` (whose labels are
+        ``labels``), each with its own labels."""
         fast = self.name_fast
-        if fast is not None:
-            label, predicates = fast
-            candidates = scope.children_named(label)
-            if predicates:
-                return apply_predicates(candidates, predicates)
-            return candidates
-        return self.name_expr.match(scope)
+        if fast is None:
+            return self.name_expr.locate(scope, labels)
+        label, predicates = fast
+        candidates = scope.children_named(label)
+        if not candidates:
+            return {}
+        return dict.fromkeys(apply_predicates(candidates, predicates),
+                             labels + (label,))
 
 
 class _FusedUnit:
@@ -377,13 +391,17 @@ class RulePlan:
                 for member in active:
                     member_evidence = evidence[member.index]
                     found_here = False
-                    for scope in member.scopes(root, slot_nodes):
-                        for node in member.match_name(scope):
-                            found_here = True
+                    scopes = member.scopes(root, slot_nodes)
+                    for scope, labels in scopes.items():
+                        matches = member.match_name(scope, labels)
+                        if not matches:
+                            continue
+                        found_here = True
+                        for node, node_labels in matches.items():
                             member_evidence.append(
                                 Evidence(
                                     file=path,
-                                    location=node.path(),
+                                    location="/".join(node_labels),
                                     value=node.value
                                     if node.value is not None
                                     else "",

@@ -77,6 +77,13 @@ class OverlayFilesystem(FilesystemView):
             raise FileNotFoundInFrame(path)
         return layer.stat(path)
 
+    def realpath(self, path: str) -> str:
+        """``path`` resolved in the topmost layer providing it, as every
+        other read resolves it."""
+        path = normalize_path(path)
+        layer = self._locate(path)
+        return path if layer is None else layer.realpath(path)
+
     def listdir(self, path: str) -> list[str]:
         path = normalize_path(path)
         if not self.is_dir(path):

@@ -76,6 +76,11 @@ class RealFilesystem(FilesystemView):
             mtime=result.st_mtime,
         )
 
+    def realpath(self, path: str) -> str:
+        """The host's real path for ``path`` (a symlink may lead out of
+        the root, so the answer is not a path inside the view)."""
+        return os.path.realpath(self._host_path(path))
+
     def listdir(self, path: str) -> list[str]:
         host = self._host_path(path)
         try:

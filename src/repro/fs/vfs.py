@@ -256,6 +256,12 @@ class VirtualFilesystem(FilesystemView):
             raise FileNotFoundInFrame(f"{path} is not a symlink")
         return node.link_target
 
+    def realpath(self, path: str) -> str:
+        """``path`` with every symlink in it followed (raises
+        :class:`FileNotFoundInFrame` on a dangling link or a loop)."""
+        path = self._norm(path)
+        return self._resolve(path) if self._symlink_count else path
+
     def listdir(self, path: str) -> list[str]:
         resolved = self._resolve(self._norm(path))
         node = self._nodes[resolved]

@@ -58,6 +58,15 @@ class FilesystemView(ABC):
         changed; ``None`` (the default) when the view cannot tell."""
         return None
 
+    def realpath(self, path: str) -> str:
+        """Where ``path`` leads once every symlink in it is followed, in
+        the view's own terms: two paths with one answer name one node.
+
+        :meth:`walk` uses it to skip symlink cycles.  The default, for a
+        view without symlinks, is the normalized path.
+        """
+        return normalize_path(path)
+
     # ---- derived helpers -------------------------------------------------
 
     def is_file(self, path: str) -> bool:
@@ -65,10 +74,23 @@ class FilesystemView(ABC):
         return self.exists(path) and not self.is_dir(path)
 
     def walk(self, top: str = "/") -> Iterator[tuple[str, list[str], list[str]]]:
-        """Yield ``(dirpath, dirnames, filenames)`` like :func:`os.walk`."""
+        """Yield ``(dirpath, dirnames, filenames)`` like :func:`os.walk`
+        with symlinked directories followed.
+
+        A directory whose :meth:`realpath` is already on the walk's own
+        descent chain (a symlink cycle) stays in its parent's
+        ``dirnames`` but is not entered, so a walk ends on any tree.
+        """
         top = normalize_path(top)
-        if not self.is_dir(top):
+        if self.is_dir(top):
+            yield from self._walk(top, ())
+
+    def _walk(self, top: str, chain: tuple[str, ...]
+              ) -> Iterator[tuple[str, list[str], list[str]]]:
+        real = self.realpath(top)
+        if real in chain:
             return
+        chain += (real,)
         dirnames: list[str] = []
         filenames: list[str] = []
         for name in self.listdir(top):
@@ -79,7 +101,7 @@ class FilesystemView(ABC):
                 filenames.append(name)
         yield top, dirnames, filenames
         for name in dirnames:
-            yield from self.walk(posixpath.join(top, name))
+            yield from self._walk(posixpath.join(top, name), chain)
 
     def find(self, top: str = "/", pattern: str = "*") -> list[str]:
         """Return paths of all files under ``top`` whose *basename* matches

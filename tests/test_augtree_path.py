@@ -1,10 +1,11 @@
 """Unit + property tests for path expressions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PathExpressionError
-from repro.augtree import ConfigNode, parse_path
+from repro.augtree import ConfigNode, PathExpression, parse_path
+from repro.augtree.path import Predicate, Segment, apply_predicates
 
 
 def _tree() -> ConfigNode:
@@ -168,3 +169,99 @@ class TestProperties:
         for position in range(1, count + 1):
             matches = parse_path(f"item[{position}]").match(root)
             assert [n.value for n in matches] == [str(position - 1)]
+
+
+# ---------------------------------------------------------------------------
+# Located matching: locate vs a node-only reference matcher
+# ---------------------------------------------------------------------------
+
+#: Repeated, empty and dotted labels.
+_TREE_LABELS = ["a", "b", "", "a.b"]
+_TREE_VALUES = [None, "1", "2"]
+
+
+@st.composite
+def _trees(draw) -> ConfigNode:
+    """A random tree of up to 16 nodes: each new node goes under any
+    node drawn so far."""
+    root = ConfigNode("(root)")
+    nodes = [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=15))):
+        parent = draw(st.sampled_from(nodes))
+        nodes.append(parent.add(draw(st.sampled_from(_TREE_LABELS)),
+                                draw(st.sampled_from(_TREE_VALUES))))
+    return root
+
+
+_predicates = st.one_of(
+    st.builds(Predicate, kind=st.just("index"),
+              index=st.integers(min_value=1, max_value=3)),
+    st.just(Predicate(kind="last")),
+    st.builds(Predicate, kind=st.just("value"),
+              value=st.sampled_from(_TREE_VALUES[1:])),
+    st.builds(Predicate, kind=st.just("child"),
+              label=st.sampled_from(_TREE_LABELS),
+              value=st.sampled_from(_TREE_VALUES[1:])),
+)
+_segments = st.one_of(
+    st.just(Segment(name="**")),
+    st.builds(Segment, name=st.sampled_from(["*"] + _TREE_LABELS),
+              predicates=st.lists(_predicates, max_size=2).map(tuple)),
+)
+_expressions = st.lists(_segments, max_size=4).map(
+    lambda segments: PathExpression(tuple(segments)))
+
+
+def _preorder(node: ConfigNode) -> list[ConfigNode]:
+    nodes = [node]
+    for child in node.children:
+        nodes.extend(_preorder(child))
+    return nodes
+
+
+def _reference_match(expression: PathExpression,
+                     scope: ConfigNode) -> list[ConfigNode]:
+    """Node-only matching: each segment steps a frontier of plain nodes,
+    and the result keeps each node's first occurrence."""
+    current = [scope]
+    for segment in expression.segments:
+        stepped: list[ConfigNode] = []
+        for node in current:
+            if segment.name == "**":
+                stepped.extend(_preorder(node))
+                continue
+            candidates = [child for child in node.children
+                          if segment.name in ("*", child.label)]
+            stepped.extend(apply_predicates(candidates, segment.predicates))
+        current = stepped
+    return list({id(node): node for node in current}.values())
+
+
+def _locations(root: ConfigNode) -> dict[int, tuple[str, ...]]:
+    """Every node's labels from the root (root label omitted), by a walk
+    down from the root: what ``ConfigNode.path()`` computed by walking up
+    parent links before nodes lost them."""
+    found: dict[int, tuple[str, ...]] = {}
+
+    def visit(node: ConfigNode, labels: tuple[str, ...]) -> None:
+        found[id(node)] = labels
+        for child in node.children:
+            visit(child, labels + (child.label,))
+
+    visit(root, ())
+    return found
+
+
+class TestLocateDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(root=_trees(), expression=_expressions, data=st.data())
+    def test_locate_is_match_with_each_nodes_location(self, root,
+                                                      expression, data):
+        locations = _locations(root)
+        scope = data.draw(st.sampled_from(_preorder(root)), label="scope")
+        located = expression.locate(scope, locations[id(scope)])
+        expected = [id(node) for node in _reference_match(expression, scope)]
+        assert [id(node) for node in located] == expected
+        assert [id(node) for node in expression.match(scope)] == expected
+        for node, labels in located.items():
+            assert labels == locations[id(node)]

@@ -1,6 +1,8 @@
 """Unit tests for the config tree data model."""
 
-from repro.augtree import ConfigNode, ConfigTree
+import gc
+
+from repro.augtree import ConfigNode, ConfigTree, parse_path
 
 
 def _sample_tree() -> ConfigTree:
@@ -16,11 +18,18 @@ def _sample_tree() -> ConfigTree:
 
 
 class TestConfigNode:
-    def test_add_sets_parent(self):
+    def test_node_has_no_link_upward(self):
         root = ConfigNode("(root)")
         child = root.add("a", "1")
-        assert child.parent is root
+        grandchild = child.add("b")
         assert child.value == "1"
+        assert root.children == [child]
+        for node, above in ((child, [root]), (grandchild, [root, child])):
+            assert not hasattr(node, "parent")
+            # Only the node's own children hang off it: nothing in any
+            # slot refers back to a node above it.
+            referents = gc.get_referents(node)
+            assert not any(ref is up for ref in referents for up in above)
 
     def test_child_returns_first(self):
         root = ConfigNode("(root)")
@@ -45,22 +54,13 @@ class TestConfigNode:
         assert labels.index("http") < labels.index("server")
         assert labels.index("server") < labels.index("listen")
 
-    def test_path_excludes_root(self):
+    def test_locate_excludes_root(self):
         tree = _sample_tree()
-        listen = tree.first("http/server/listen")
-        assert listen.path() == "http/server/listen"
-
-    def test_index_among_siblings(self):
-        tree = _sample_tree()
-        servers = tree.match("http/server")
-        assert [s.index_among_siblings() for s in servers] == [1, 2]
-
-    def test_attach_existing_node(self):
-        root = ConfigNode("(root)")
-        orphan = ConfigNode("section", "v")
-        root.attach(orphan)
-        assert orphan.parent is root
-        assert root.child("section") is orphan
+        located = parse_path("http/server/listen").locate(tree.root)
+        assert list(located) == tree.match("http/server/listen")
+        assert {"/".join(labels) for labels in located.values()} == {
+            "http/server/listen"
+        }
 
     def test_equality_is_structural(self):
         a = ConfigNode("k", "v")

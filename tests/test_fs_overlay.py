@@ -142,3 +142,13 @@ class TestThreeLayers:
         top = _layer(**{"other": ""})
         overlay = OverlayFilesystem([bottom, middle, top])
         assert not overlay.exists("/f")
+
+
+class TestSymlinkCycles:
+    def test_walk_skips_a_cycle_in_the_top_layer(self):
+        bottom = _layer(**{"a__f": "v"})
+        top = VirtualFilesystem()
+        top.write_file("/a/g", "w")
+        top.symlink("/a/b", "/a")
+        overlay = OverlayFilesystem([bottom, top])
+        assert overlay.files_under("/") == ["/a/f", "/a/g"]

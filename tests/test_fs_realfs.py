@@ -53,3 +53,10 @@ class TestRealFilesystem:
     def test_rooting_prevents_escape_above_root(self, rootfs):
         # ".." segments are normalized before hitting the host path.
         assert not rootfs.exists("/../../etc/passwd-outside")
+
+    def test_walk_skips_symlink_cycles(self, rootfs, tmp_path):
+        loop = tmp_path / "etc" / "ssh" / "loop"
+        loop.symlink_to(tmp_path / "etc")
+        assert rootfs.files_under("/etc") == [
+            "/etc/motd", "/etc/ssh/sshd_config",
+        ]

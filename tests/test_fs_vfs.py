@@ -2,9 +2,10 @@
 
 import itertools
 import posixpath
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import (
     FileNotFoundInFrame,
@@ -329,6 +330,9 @@ class _ComponentView(FilesystemView):
     def _resolve(self, path):
         return _reference_resolve(self._fs, normalize_path(path), self._stored)
 
+    def realpath(self, path):
+        return self._resolve(path)
+
     def exists(self, path):
         return self._resolve(path) is not None
 
@@ -375,12 +379,39 @@ _ops = st.lists(st.one_of(
 ), max_size=12)
 
 
+#: Two symlinks to one ancestor: a walk that followed them would visit
+#: 2^depth directories.
+_CYCLE_OPS = [("write", "/a/f"), ("symlink", "/a/b", "/a"),
+              ("symlink", "/a/c", "/a")]
+
+
+class TestSymlinkCycleWalk:
+    def test_walk_skips_a_directory_already_on_its_chain(self):
+        fs = VirtualFilesystem()
+        fs.write_file("/a/f", "x")
+        fs.symlink("/a/b", "/a")
+        fs.symlink("/a/c", "/a")
+        started = time.perf_counter()
+        walked = list(fs.walk("/"))
+        assert fs.files_under("/") == ["/a/f"]
+        assert time.perf_counter() - started < 0.5
+        # The links stay listed; only their descent is skipped.
+        assert walked == [("/", ["a"], []), ("/a", ["b", "c"], ["f"])]
+
+    def test_acyclic_links_are_still_followed(self):
+        fs = VirtualFilesystem()
+        fs.write_file("/x/f", "x")
+        fs.symlink("/y/l", "/x")
+        assert fs.files_under("/") == ["/x/f", "/y/l/f"]
+
+
 class TestProbeDifferential:
     """``exists``, ``is_dir`` and ``files_under`` answer as if every
     component were resolved, with and without symlinks in the tree."""
 
     @settings(max_examples=200, deadline=None)
     @given(_ops)
+    @example(_CYCLE_OPS)
     def test_probes_match_component_resolution(self, ops):
         fs = VirtualFilesystem()
         for op in ops:

@@ -77,18 +77,18 @@ def assert_spans_consistent(tree: ConfigNode, text: str) -> int:
         if span is None:
             continue
         checked += 1
-        assert 0 <= span.start < span.end <= len(text), (node.path(), span)
-        assert 1 <= span.line <= span.end_line, (node.path(), span)
+        assert 0 <= span.start < span.end <= len(text), (node.label, span)
+        assert 1 <= span.line <= span.end_line, (node.label, span)
         # (line, column) must agree with the character offsets.
         assert _line_col_to_offset(text, span.line, span.column) == span.start
         assert (
             _line_col_to_offset(text, span.end_line, span.end_column)
             == span.end
-        ), (node.path(), span)
+        ), (node.label, span)
         slice_text = _normalize(text[span.start : span.end])
         if node.value:
             assert _normalize(str(node.value)) in slice_text, (
-                node.path(), node.value, text[span.start : span.end],
+                node.label, node.value, text[span.start : span.end],
             )
     return checked
 

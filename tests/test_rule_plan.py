@@ -87,8 +87,14 @@ class TestSegmentTrie:
         }
         results = trie.match(root)
         for expr, slot in slots.items():
-            expected = parse_path(expr).match(root)
-            assert results.get(slot, []) == expected, expr
+            expected = parse_path(expr).locate(root)
+            located = results.get(slot, {})
+            # Node for node (by identity, in document order), labels for
+            # labels.
+            assert [id(node) for node in located] == [
+                id(node) for node in expected
+            ], expr
+            assert list(located.values()) == list(expected.values()), expr
 
     def test_active_set_prunes_other_members_slots(self):
         root = _tree()

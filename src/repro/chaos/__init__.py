@@ -24,7 +24,6 @@ from repro.chaos.fabric import (
     absorbed,
     arm_plan,
     chaos_site,
-    delta_is_empty,
     disarm,
     fabric,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "absorbed",
     "arm_plan",
     "chaos_site",
-    "delta_is_empty",
     "disarm",
     "fabric",
     "is_corruption",

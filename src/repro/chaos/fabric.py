@@ -30,6 +30,7 @@ import time
 import urllib.error
 from dataclasses import dataclass, field
 
+from repro.chaos.stats import DegradationStats
 from repro.errors import EngineError, FileNotFoundInFrame, LensError, SchemaError
 
 #: Every injection site the fabric knows about.  Site code passes these
@@ -241,80 +242,49 @@ class ChaosAccount:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.injected: dict[str, int] = {}
-        self.absorbed: dict[str, int] = {}
-        self.fired: list[tuple[str, str]] = []
-        self.stores_quarantined = 0
-        self.frames_quarantined = 0
-        self.deadline_cancellations = 0
+        #: Everything absorbed since the account was made.
+        self.totals = DegradationStats()
 
     # -- recording -------------------------------------------------------
 
     def note_injected(self, site: str, key: str) -> None:
         with self._lock:
-            self.injected[site] = self.injected.get(site, 0) + 1
-            self.fired.append((site, key))
+            injected = self.totals.faults_injected
+            injected[site] = injected.get(site, 0) + 1
+            self.totals.fired.append((site, key))
 
     def note_absorbed(self, site: str) -> None:
         with self._lock:
-            self.absorbed[site] = self.absorbed.get(site, 0) + 1
+            absorbed = self.totals.faults_absorbed
+            absorbed[site] = absorbed.get(site, 0) + 1
 
     def note_store_quarantined(self) -> None:
         with self._lock:
-            self.stores_quarantined += 1
+            self.totals.stores_quarantined += 1
 
     def note_frame_quarantined(self) -> None:
         with self._lock:
-            self.frames_quarantined += 1
+            self.totals.frames_quarantined += 1
 
     def note_deadline_cancellation(self) -> None:
         with self._lock:
-            self.deadline_cancellations += 1
+            self.totals.deadline_cancellations += 1
 
     # -- snapshots -------------------------------------------------------
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> DegradationStats:
+        """A copy of the totals."""
         with self._lock:
-            return {
-                "injected": dict(self.injected),
-                "absorbed": dict(self.absorbed),
-                "fired": list(self.fired),
-                "stores_quarantined": self.stores_quarantined,
-                "frames_quarantined": self.frames_quarantined,
-                "deadline_cancellations": self.deadline_cancellations,
-            }
+            snapshot = DegradationStats(fired=list(self.totals.fired))
+            snapshot.merge(self.totals)
+        return snapshot
 
-    def delta_since(self, before: dict) -> dict:
-        now = self.snapshot()
-        return {
-            "injected": _dict_delta(now["injected"], before["injected"]),
-            "absorbed": _dict_delta(now["absorbed"], before["absorbed"]),
-            "fired": now["fired"][len(before["fired"]):],
-            "stores_quarantined": (now["stores_quarantined"]
-                                   - before["stores_quarantined"]),
-            "frames_quarantined": (now["frames_quarantined"]
-                                   - before["frames_quarantined"]),
-            "deadline_cancellations": (now["deadline_cancellations"]
-                                       - before["deadline_cancellations"]),
-        }
-
-
-def _dict_delta(now: dict, before: dict) -> dict:
-    out = {}
-    for key, value in now.items():
-        diff = value - before.get(key, 0)
-        if diff:
-            out[key] = diff
-    return out
-
-
-def delta_is_empty(delta: dict | None) -> bool:
-    if not delta:
-        return True
-    return not (delta.get("injected") or delta.get("absorbed")
-                or delta.get("fired") or delta.get("stores_quarantined")
-                or delta.get("frames_quarantined")
-                or delta.get("deadline_cancellations"))
+    def delta_since(self, before: DegradationStats) -> DegradationStats:
+        """What was absorbed since ``before``, a :meth:`snapshot`."""
+        delta = self.snapshot()
+        delta.merge(before, sign=-1)
+        del delta.fired[:len(before.fired)]
+        return delta
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The scanner's one persistent store, the history database, can meet a
 corrupt file: a torn write, a disk error, or an injected
-``store.sqlite`` fault.  The wrong response is either crashing the
+``store.sqlite`` fault; or a file another build wrote, in another
+layout.  The wrong response is either crashing the
 cycle or silently disabling the store for the rest of the process.
 This module implements the middle path: move the bad database aside
 (``<path>.quarantined.<ts>``, with its ``-wal``/``-shm`` siblings),
@@ -49,7 +50,8 @@ def is_corruption(error: BaseException) -> bool:
 
 
 def quarantine_database(path: str, *, reason: str = "") -> str | None:
-    """Move a corrupt database (and WAL/SHM siblings) aside.
+    """Move a corrupt database, or one another build wrote, aside (with
+    its WAL/SHM siblings).
 
     Returns the quarantine path, or ``None`` when nothing was on disk
     (an in-memory or never-written store).  Always counts against the
@@ -58,7 +60,8 @@ def quarantine_database(path: str, *, reason: str = "") -> str | None:
     """
     _CHAOS.account.note_store_quarantined()
     if not path or path == ":memory:" or not os.path.exists(path):
-        log.warning("store %s corrupt (%s); rebuilding in place", path, reason)
+        log.warning("store %s unusable (%s); rebuilding in place", path,
+                    reason)
         return None
     destination = f"{path}.quarantined.{int(time.time())}.{next(_seq)}"
     try:
@@ -70,6 +73,6 @@ def quarantine_database(path: str, *, reason: str = "") -> str | None:
     except OSError as exc:
         log.warning("could not quarantine corrupt store %s: %s", path, exc)
         return None
-    log.warning("store %s corrupt (%s); quarantined to %s and reopening cold",
-                path, reason, destination)
+    log.warning("store %s unusable (%s); quarantined to %s and reopening"
+                " cold", path, reason, destination)
     return destination

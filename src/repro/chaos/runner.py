@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.chaos.fabric import FaultPlan, arm_plan, disarm, fabric
 from repro.chaos.plans import resolve_plan
-from repro.chaos.stats import DegradationStats
 
 
 @dataclass
@@ -224,12 +223,12 @@ def run_chaos(plan_ref: str, *, workers: int = 1,
             # The harness-wide delta, not the report's: it also catches
             # faults fired outside validate_frames (cycle clock skew,
             # store opens) so nothing escapes the accounting check.
-            delta = fabric().account.delta_since(account_before)
+            degradation = fabric().account.delta_since(account_before)
             disarm()
 
     report = summary.report
     result.checks = len(report)
-    degradation = DegradationStats.from_delta(delta, plan=plan.name)
+    degradation.plan = plan.name
     result.degradation = degradation
 
     # 1. terminates within the deadline budget (plus scheduling grace:

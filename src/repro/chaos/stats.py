@@ -14,38 +14,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.telemetry.stats import Stats, derived, stat
+
 
 @dataclass
-class DegradationStats:
+class DegradationStats(Stats):
     """What one cycle absorbed instead of failing."""
 
-    #: Faults the fabric injected, by site.
-    faults_injected: dict[str, int] = field(default_factory=dict)
-    #: Injected faults the production error paths absorbed, by site.
-    faults_absorbed: dict[str, int] = field(default_factory=dict)
-    #: Frames with at least one deadline-cancelled rule.
-    frames_quarantined: int = 0
-    #: Rule evaluations cancelled at a deadline boundary.
-    deadline_cancellations: int = 0
-    #: Corrupt stores moved aside and reopened cold.
-    stores_quarantined: int = 0
     #: Name of the armed fault plan (None when only deadlines fired).
-    plan: str | None = None
+    plan: str | None = stat(default=None)
+    #: Faults the fabric injected, by site.
+    faults_injected: dict[str, int] = stat(
+        "repro_chaos_faults_injected_total",
+        "Faults injected by the armed chaos plan, by site.",
+        label="site", default_factory=dict)
+    #: Injected faults the production error paths absorbed, by site.
+    faults_absorbed: dict[str, int] = stat(
+        "repro_chaos_faults_absorbed_total",
+        "Injected faults absorbed by production error paths, by site.",
+        label="site", default_factory=dict)
+    #: Frames with at least one deadline-cancelled rule.
+    frames_quarantined: int = stat("repro_degraded_frames_total",
+                                   "Frames quarantined by a deadline.")
+    #: Rule evaluations cancelled at a deadline boundary.
+    deadline_cancellations: int = stat(
+        "repro_degraded_deadline_cancellations_total",
+        "Rule evaluations cancelled at a deadline boundary.")
+    #: Stores moved aside and reopened cold: corrupt ones, and history
+    #: databases another build wrote.
+    stores_quarantined: int = stat(
+        "repro_degraded_stores_quarantined_total",
+        "Corrupt stores quarantined and reopened cold.")
     #: (site, key) pairs that fired, for fault attribution.
     fired: list[tuple[str, str]] = field(default_factory=list, repr=False)
-
-    @classmethod
-    def from_delta(cls, delta: dict, *, plan: str | None = None
-                   ) -> "DegradationStats":
-        return cls(
-            faults_injected=dict(delta.get("injected", {})),
-            faults_absorbed=dict(delta.get("absorbed", {})),
-            frames_quarantined=delta.get("frames_quarantined", 0),
-            deadline_cancellations=delta.get("deadline_cancellations", 0),
-            stores_quarantined=delta.get("stores_quarantined", 0),
-            plan=plan,
-            fired=[tuple(item) for item in delta.get("fired", ())],
-        )
 
     @property
     def total_injected(self) -> int:
@@ -55,7 +56,8 @@ class DegradationStats:
     def total_absorbed(self) -> int:
         return sum(self.faults_absorbed.values())
 
-    @property
+    @derived("repro_degraded_cycles_total",
+             "Validation cycles that completed degraded.")
     def degraded(self) -> bool:
         """True when this cycle was anything but clean."""
         return bool(
@@ -63,16 +65,6 @@ class DegradationStats:
             or self.frames_quarantined or self.deadline_cancellations
             or self.stores_quarantined
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "faults_injected": dict(sorted(self.faults_injected.items())),
-            "faults_absorbed": dict(sorted(self.faults_absorbed.items())),
-            "frames_quarantined": self.frames_quarantined,
-            "deadline_cancellations": self.deadline_cancellations,
-            "stores_quarantined": self.stores_quarantined,
-        }
 
     def render(self) -> str:
         """Human-readable block for ``--stage-timings`` output."""

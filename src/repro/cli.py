@@ -83,9 +83,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         entity, tags=args.tags.split(",") if args.tags else None,
         timings=timings,
     )
-    _print_stage_timings(args, timings, validator)
-    _print_plan_stats(args, report)
-    _print_degradation(args, report)
+    _print_stats(timings, validator, report)
     if args.json:
         print(render_json(report))
     elif args.junit:
@@ -225,31 +223,16 @@ def _emit_telemetry(args: argparse.Namespace, telemetry,
         serve_metrics_once(telemetry.metrics, args.metrics_port)
 
 
-def _print_stage_timings(args, timings, validator) -> None:
-    """Stage + cache diagnostics on stderr (stdout stays report-only)."""
+def _print_stats(timings, validator, report) -> None:
+    """Stage timings and the cache, plan and degradation stats on stderr
+    (with --stage-timings; stdout stays report-only)."""
     if timings is None:
         return
     print("\nstage timings (aggregate worker-seconds):", file=sys.stderr)
     print(timings.render(), file=sys.stderr)
-    print(validator.cache_stats().render(), file=sys.stderr)
-
-
-def _print_plan_stats(args, report) -> None:
-    """Rule-plan fusion stats on stderr (with --stage-timings)."""
-    if not getattr(args, "stage_timings", False):
-        return
-    stats = getattr(report, "plan", None)
-    if stats is not None:
-        print(stats.render(), file=sys.stderr)
-
-
-def _print_degradation(args, report) -> None:
-    """Degradation accounting on stderr (with --stage-timings)."""
-    if not getattr(args, "stage_timings", False):
-        return
-    stats = getattr(report, "degradation", None)
-    if stats is not None:
-        print(stats.render(), file=sys.stderr)
+    for stats in (validator.cache_stats(), report.plan, report.degradation):
+        if stats is not None:
+            print(stats.render(), file=sys.stderr)
 
 
 def _cmd_coverage(_args: argparse.Namespace) -> int:
@@ -322,9 +305,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         entity = build_cloud_project("demo", violations=args.hardening < 1.0)
         report = validator.validate_entity(entity, timings=timings)
     print(render_text(report, only_failures=args.only_failures))
-    _print_stage_timings(args, timings, validator)
-    _print_plan_stats(args, report)
-    _print_degradation(args, report)
+    _print_stats(timings, validator, report)
     _emit_telemetry(args, telemetry, server)
     return 0 if report.compliant else 1
 

@@ -109,12 +109,14 @@ class Crawler:
                         )
                         frame.metadata[f"plugin_error:{plugin.name}"] = error
         if telemetry.enabled:
-            telemetry.metrics.counter(
-                "repro_entities_crawled_total",
-                "Entities snapshotted into frames, by kind.",
-                labels=("kind",),
-            ).inc(kind=entity.kind)
+            self._crawled_total().inc(kind=entity.kind)
         return frame
+
+    def _crawled_total(self):
+        """The counter of entities snapshotted, reused frames included."""
+        return self.telemetry.metrics.counter(
+            "repro_entities_crawled_total",
+            "Entities snapshotted into frames, by kind.", labels=("kind",))
 
     def _parse(self, lens, text: str, source: str):
         """A plugin's config-file parse, through the parse cache if any."""
@@ -194,13 +196,11 @@ class Crawler:
         reused = Counter(frame.entity_kind for frame, _s, was_reused in crawled
                          if was_reused)
         if reused and self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            crawled_total = metrics.counter(
-                "repro_entities_crawled_total",
-                "Entities snapshotted into frames, by kind.", labels=("kind",))
+            crawled_total = self._crawled_total()
             for kind, count in reused.items():
                 crawled_total.inc(count, kind=kind)
-            metrics.counter("repro_frames_reused_total",
-                            "Frames reused from the previous crawl of an "
-                            "unchanged entity.").inc(reused.total())
+            self.telemetry.metrics.counter(
+                "repro_frames_reused_total",
+                "Frames reused from the previous crawl of an unchanged"
+                " entity.").inc(reused.total())
         return [frame for frame, _signature, _reused in crawled]

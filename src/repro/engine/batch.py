@@ -16,7 +16,7 @@ from repro.crawler.crawler import Crawler
 from repro.crawler.entities import Entity
 from repro.crawler.frame import ConfigFrame
 from repro.engine.delta import report_token
-from repro.engine.engine import ConfigValidator
+from repro.engine.engine import WORKER_BUSY, ConfigValidator
 from repro.engine.parse_cache import CacheStats
 from repro.engine.results import RuleResult, ValidationReport, Verdict
 from repro.engine.stages import StageTimings
@@ -515,10 +515,7 @@ class BatchScanner:
         """Current value of the cumulative worker-busy counter."""
         if not self.telemetry.enabled:
             return 0.0
-        return self.telemetry.metrics.counter(
-            "repro_worker_busy_seconds_total",
-            "Aggregate worker-seconds spent validating frames.",
-        ).value()
+        return self.telemetry.metrics.counter(*WORKER_BUSY).value()
 
     def _summarize(
         self,
@@ -629,19 +626,10 @@ def render_fleet_summary(summary: FleetSummary, *, top: int = 10) -> str:
         lines.append("stage timings (aggregate worker-seconds):")
         for row in summary.stage_timings.render().splitlines():
             lines.append(f"  {row}")
-    if summary.cache_stats is not None:
-        lines.append("")
-        lines.append(summary.cache_stats.render())
-    if summary.incremental is not None:
-        lines.append("")
-        lines.append(summary.incremental.render())
-    if summary.plan is not None:
-        lines.append("")
-        lines.append(summary.plan.render())
-    if summary.degradation is not None:
-        lines.append("")
-        for row in summary.degradation.render().splitlines():
-            lines.append(row)
+    for stats in (summary.cache_stats, summary.incremental, summary.plan,
+                  summary.degradation):
+        if stats is not None:
+            lines += ["", stats.render()]
     if summary.profile is not None and len(summary.profile):
         lines.append("")
         lines.append("rule/lens profile (process-cumulative):")

@@ -18,8 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.chaos.deadline import RunDeadline
-from repro.chaos.fabric import _CHAOS, delta_is_empty
-from repro.chaos.stats import DegradationStats
+from repro.chaos.fabric import _CHAOS
 from repro.errors import EngineError, EntityNotFound, ReproError
 from repro.augtree.lenses import LensRegistry
 from repro.crawler.crawler import Crawler
@@ -61,7 +60,6 @@ from repro.engine.parse_cache import DEFAULT_CACHE_SIZE, CacheStats, ParseCache
 from repro.engine.plan import (
     PlanRunStats,
     RulePlan,
-    attach_plan_metrics,
     plan_cache_stats,
     plan_for,
 )
@@ -82,6 +80,7 @@ from repro.engine.results import (
 )
 from repro.schema import SchemaParserRegistry
 from repro.telemetry import DISABLED, Telemetry, get_logger
+from repro.telemetry.stats import publish_on_scrape
 
 log = get_logger("engine")
 
@@ -91,6 +90,11 @@ _VERDICT_STR = {verdict: verdict.value for verdict in Verdict}
 
 #: Resolves a cvl_file reference to YAML text.
 Resolver = Callable[[str], str]
+
+#: The worker-busy counter family: ``validate_frames`` adds each frame's
+#: seconds, and :class:`~repro.engine.batch.BatchScanner` reads it.
+WORKER_BUSY = ("repro_worker_busy_seconds_total",
+               "Aggregate worker-seconds spent validating frames.")
 
 
 #: A per-entity verdict as a composite term sees it.
@@ -259,13 +263,14 @@ class ConfigValidator:
         #: Off by default: reports stay byte-identical to provenance-free runs.
         self.provenance = bool(provenance)
         if self.telemetry.enabled:
-            attach_plan_metrics(self.telemetry.metrics)
-            self.parse_cache.attach_to(self.telemetry.metrics)
-            self.telemetry.metrics.register_collector(
+            metrics = self.telemetry.metrics
+            publish_on_scrape(metrics, plan_cache_stats)
+            publish_on_scrape(metrics, parse_cache.stats)
+            metrics.register_collector(
                 f"rule-metrics-{id(self)}", self._collect_rule_metrics
             )
             if verdict_store is not None:
-                verdict_store.attach_to(self.telemetry.metrics)
+                publish_on_scrape(metrics, verdict_store.stats)
         self.workers = max(1, workers)
         #: Soft cycle / per-frame deadlines (``--deadline`` /
         #: ``--frame-deadline``).  None = unbounded.  Over-deadline
@@ -461,10 +466,7 @@ class ConfigValidator:
             frames_total = telemetry.metrics.counter(
                 "repro_frames_scanned_total", "Frames validated."
             )
-            busy_total = telemetry.metrics.counter(
-                "repro_worker_busy_seconds_total",
-                "Aggregate worker-seconds spent validating frames.",
-            )
+            busy_total = telemetry.metrics.counter(*WORKER_BUSY)
         prep = self._prepare_run(frames, tags=tags, use_plans=use_plans,
                                  provenance=provenance, timings=timings)
         if prep.deadline is not None:
@@ -673,94 +675,48 @@ class ConfigValidator:
             if store is not None:
                 inc_stats.store = store.stats()
             report.incremental = inc_stats
-            if enabled:
-                metrics = telemetry.metrics
-                metrics.counter(
-                    "repro_rules_skipped_total",
-                    "Rule evaluations replayed from the verdict store.",
-                ).inc(inc_stats.rules_replayed + inc_stats.composites_replayed)
-                metrics.counter(
-                    "repro_frames_dirty_total",
-                    "Frames with at least one freshly evaluated rule.",
-                ).inc(inc_stats.frames_dirty)
-                metrics.counter(
-                    "repro_frames_clean_total",
-                    "Frames fully replayed from the verdict store.",
-                ).inc(inc_stats.frames_clean)
-                spans.record(
-                    "incremental", category="stage",
-                    start_s=time.perf_counter(), duration_s=0.0,
-                    rules_replayed=str(inc_stats.rules_replayed),
-                    frames_dirty=str(inc_stats.frames_dirty),
-                    frames_clean=str(inc_stats.frames_clean),
-                )
         if plan_stats is not None:
             plan_stats.cache = plan_cache_stats()
             report.plan = plan_stats
-            if enabled:
-                metrics = telemetry.metrics
-                metrics.counter(
-                    "repro_plan_rules_fused_total",
-                    "Tree-rule evaluations served by fused plan units.",
-                ).inc(plan_stats.rules_fused)
-                metrics.counter(
-                    "repro_plan_files_traversed_total",
-                    "Files normalized and traversed once by fused units.",
-                ).inc(plan_stats.files_traversed)
-                metrics.counter(
-                    "repro_plan_traversals_saved_total",
-                    "Repeat per-rule tree traversals avoided by fusion.",
-                ).inc(plan_stats.traversals_saved)
-                spans.record(
-                    "plan", category="stage",
-                    start_s=time.perf_counter(), duration_s=0.0,
-                    rules_fused=str(plan_stats.rules_fused),
-                    units=str(plan_stats.units_evaluated),
-                    traversals_saved=str(plan_stats.traversals_saved),
-                )
         if prep.deadline is not None:
             prep.deadline.stop()
-        chaos_delta = _CHAOS.account.delta_since(chaos_before)
-        if _CHAOS.armed or not delta_is_empty(chaos_delta):
-            degradation = DegradationStats.from_delta(
-                chaos_delta,
-                plan=_CHAOS.plan.name if _CHAOS.plan is not None else None,
-            )
+        degradation = _CHAOS.account.delta_since(chaos_before)
+        if _CHAOS.armed or degradation.degraded:
+            if _CHAOS.plan is not None:
+                degradation.plan = _CHAOS.plan.name
             report.degradation = degradation
-            if enabled and degradation.degraded:
-                metrics = telemetry.metrics
-                injected = metrics.counter(
-                    "repro_chaos_faults_injected_total",
-                    "Faults injected by the armed chaos plan, by site.",
-                    labels=("site",),
-                )
-                for site, count in degradation.faults_injected.items():
-                    injected.inc(count, site=site)
-                absorbed_counter = metrics.counter(
-                    "repro_chaos_faults_absorbed_total",
-                    "Injected faults absorbed by production error paths, "
-                    "by site.",
-                    labels=("site",),
-                )
-                for site, count in degradation.faults_absorbed.items():
-                    absorbed_counter.inc(count, site=site)
-                metrics.counter(
-                    "repro_degraded_cycles_total",
-                    "Validation cycles that completed degraded.",
-                ).inc()
-                metrics.counter(
-                    "repro_degraded_frames_total",
-                    "Frames quarantined by a deadline.",
-                ).inc(degradation.frames_quarantined)
-                metrics.counter(
-                    "repro_degraded_deadline_cancellations_total",
-                    "Rule evaluations cancelled at a deadline boundary.",
-                ).inc(degradation.deadline_cancellations)
-                metrics.counter(
-                    "repro_degraded_stores_quarantined_total",
-                    "Corrupt stores quarantined and reopened cold.",
-                ).inc(degradation.stores_quarantined)
+        if enabled:
+            self._account(report)
         return report
+
+    def _account(self, report: ValidationReport) -> None:
+        """Add a finished run's stats blocks to the telemetry: their
+        counter families, and a marker span each for replay and plans."""
+        metrics = self.telemetry.metrics
+        spans = self.telemetry.spans
+        inc_stats = report.incremental
+        if inc_stats is not None:
+            inc_stats.publish(metrics)
+            spans.record(
+                "incremental", category="stage",
+                start_s=time.perf_counter(), duration_s=0.0,
+                rules_replayed=str(inc_stats.rules_replayed),
+                frames_dirty=str(inc_stats.frames_dirty),
+                frames_clean=str(inc_stats.frames_clean),
+            )
+        plan_stats = report.plan
+        if plan_stats is not None:
+            plan_stats.publish(metrics)
+            spans.record(
+                "plan", category="stage",
+                start_s=time.perf_counter(), duration_s=0.0,
+                rules_fused=str(plan_stats.rules_fused),
+                units=str(plan_stats.units_evaluated),
+                traversals_saved=str(plan_stats.traversals_saved),
+            )
+        degradation = report.degradation
+        if degradation is not None and degradation.degraded:
+            degradation.publish(metrics)
 
     def validate_entity(
         self, entity: Entity, *, tags: list[str] | None = None,

@@ -63,6 +63,7 @@ from repro.crawler.fingerprint import (
 from repro.engine.delta import RunRecord
 from repro.engine.provenance import ROUTE_REPLAYED
 from repro.engine.results import RuleResult
+from repro.telemetry.stats import Stats, derived, stat
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.crawler.frame import ConfigFrame
@@ -250,23 +251,35 @@ def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Stats):
     """Point-in-time counters of one :class:`VerdictStore`."""
 
-    entries: int = 0
-    composites: int = 0
-    presence: int = 0
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
+    snapshot = True
+
+    entries: int = stat()
+    composites: int = stat()
+    presence: int = stat()
+    hits: int = stat("repro_verdict_store_hits_total",
+                     "Verdict-store lookups satisfied by replay.")
+    misses: int = stat(
+        "repro_verdict_store_misses_total",
+        "Verdict-store lookups that fell through to evaluation.")
+    invalidations: int = stat(
+        "repro_verdict_store_invalidations_total",
+        "Stored verdicts dropped by ruleset-digest changes.")
 
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
+    @derived(digits=4)
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+    @derived("repro_verdict_store_entries",
+             "Stored per-entity and composite verdicts.", "gauge")
+    def verdicts(self) -> int:
+        return self.entries + self.composites
 
     def render(self) -> str:
         return (
@@ -276,31 +289,28 @@ class StoreStats:
             f"{self.invalidations} invalidated"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "composites": self.composites,
-            "presence": self.presence,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "invalidations": self.invalidations,
-        }
-
 
 @dataclass
-class IncrementalRunStats:
+class IncrementalRunStats(Stats):
     """What incremental mode did during one validation run."""
 
-    active: bool = True
-    reason: str = ""                 # why incremental was disabled
-    rules_replayed: int = 0
-    rules_evaluated: int = 0
-    composites_replayed: int = 0
-    composites_evaluated: int = 0
-    frames_clean: int = 0
-    frames_dirty: int = 0
-    store: StoreStats | None = field(default=None, repr=False)
+    active: bool = stat(default=True)
+    reason: str = stat(default="")       # why incremental was disabled
+    rules_replayed: int = stat()
+    rules_evaluated: int = stat()
+    composites_replayed: int = stat()
+    composites_evaluated: int = stat()
+    frames_clean: int = stat("repro_frames_clean_total",
+                             "Frames fully replayed from the verdict store.")
+    frames_dirty: int = stat(
+        "repro_frames_dirty_total",
+        "Frames with at least one freshly evaluated rule.")
+    store: StoreStats | None = stat(default=None, repr=False)
+
+    @derived("repro_rules_skipped_total",
+             "Rule evaluations replayed from the verdict store.")
+    def rules_skipped(self) -> int:
+        return self.rules_replayed + self.composites_replayed
 
     def render(self) -> str:
         if not self.active:
@@ -387,9 +397,8 @@ class VerdictStore:
         self._blocks: dict[str, _Block] = {}
         #: The last incremental run: the next run's delta is based on it.
         self.last_run: RunRecord | None = None
-        self._hits = 0
-        self._misses = 0
-        self._invalidations = 0
+        #: The lookup counters; :meth:`stats` adds the sizes.
+        self._counts = StoreStats()
 
     # ---- bookkeeping -------------------------------------------------------
 
@@ -398,47 +407,18 @@ class VerdictStore:
 
     def stats(self) -> StoreStats:
         with self._lock:
-            return StoreStats(
-                entries=len(self._entries),
-                composites=len(self._composites),
-                presence=len(self._presence),
-                hits=self._hits,
-                misses=self._misses,
-                invalidations=self._invalidations,
-            )
-
-    def attach_to(self, registry) -> None:
-        """Mirror the counters into a metrics registry at scrape time."""
-
-        def collect() -> None:
-            stats = self.stats()
-            registry.counter(
-                "repro_verdict_store_hits_total",
-                "Verdict-store lookups satisfied by replay.",
-            ).set(stats.hits)
-            registry.counter(
-                "repro_verdict_store_misses_total",
-                "Verdict-store lookups that fell through to evaluation.",
-            ).set(stats.misses)
-            registry.counter(
-                "repro_verdict_store_invalidations_total",
-                "Stored verdicts dropped by ruleset-digest changes.",
-            ).set(stats.invalidations)
-            registry.gauge(
-                "repro_verdict_store_entries",
-                "Stored per-entity and composite verdicts.",
-            ).set(stats.entries + stats.composites)
-
-        registry.register_collector(f"verdict-store-{id(self)}", collect)
+            return replace(self._counts, entries=len(self._entries),
+                           composites=len(self._composites),
+                           presence=len(self._presence))
 
     def _hit(self) -> None:
         # Unlocked increment: ``+=`` on an int can drop a count under
         # racing workers, which is acceptable for a telemetry counter
         # and saves a lock round-trip per rule on the hot replay path.
-        self._hits += 1
+        self._counts.hits += 1
 
     def _miss(self) -> None:
-        self._misses += 1
+        self._counts.misses += 1
 
     # ---- invalidation ------------------------------------------------------
 
@@ -453,10 +433,10 @@ class VerdictStore:
             if changed:
                 for key in [k for k in self._entries if k[1] in changed]:
                     del self._entries[key]
-                    self._invalidations += 1
+                    self._counts.invalidations += 1
                 for key in [k for k in self._composites if k[0] in changed]:
                     del self._composites[key]
-                    self._invalidations += 1
+                    self._counts.invalidations += 1
                 # Presence consults the pack's script rules, so it is
                 # ruleset-dependent too.
                 for key in [k for k in self._presence if k[1] in changed]:
@@ -575,7 +555,7 @@ class VerdictStore:
         block = self._blocks.get(frame_key)
         if block is None or block.key != key:
             return None
-        self._hits += block.rules
+        self._counts.hits += block.rules
         return block
 
     def put_block(self, frame_key: str, key: tuple, placements: list,

@@ -21,10 +21,11 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.telemetry import DISABLED, Telemetry
+from repro.telemetry.stats import Stats, derived, stat
 
 #: Default number of parsed artifacts kept (LRU).  Sized for a scan cycle
 #: over a few thousand distinct config files; override per validator with
@@ -48,22 +49,32 @@ def content_digest_and_size(text: str) -> tuple[str, int]:
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
-@dataclass(frozen=True)
-class CacheStats:
+@dataclass
+class CacheStats(Stats):
     """Point-in-time counters of one :class:`ParseCache`."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-    bytes_parsed: int = 0    # bytes that actually went through a parser
-    bytes_deduped: int = 0   # bytes served from cache instead of re-parsing
+    snapshot = True
+
+    hits: int = stat("repro_parse_cache_hits_total",
+                     "Parse-cache lookups served without re-parsing.")
+    misses: int = stat("repro_parse_cache_misses_total",
+                       "Parse-cache lookups that ran a parser.")
+    evictions: int = stat("repro_parse_cache_evictions_total",
+                          "Artifacts dropped by the LRU bound.")
+    entries: int = stat("repro_parse_cache_entries",
+                        "Parsed artifacts currently cached.", "gauge")
+    bytes_parsed: int = stat(
+        "repro_parse_cache_parsed_bytes_total",
+        "Config bytes that actually went through a parser.")
+    bytes_deduped: int = stat(
+        "repro_parse_cache_deduped_bytes_total",
+        "Config bytes served from cache instead of re-parsing.")
 
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
+    @derived(digits=4)
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
@@ -90,11 +101,8 @@ class ParseCache:
         self._maxsize = max(0, maxsize)
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str, str], Any] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._bytes_parsed = 0
-        self._bytes_deduped = 0
+        #: The counters; :meth:`stats` adds the entry count.
+        self._counts = CacheStats()
 
     @property
     def maxsize(self) -> int:
@@ -118,13 +126,13 @@ class ParseCache:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                self._bytes_deduped += nbytes
+                self._counts.hits += 1
+                self._counts.bytes_deduped += nbytes
                 return cached
         value = parse()
         with self._lock:
-            self._misses += 1
-            self._bytes_parsed += nbytes
+            self._counts.misses += 1
+            self._counts.bytes_parsed += nbytes
             if self._maxsize:
                 if key in self._entries:
                     self._entries.move_to_end(key)
@@ -132,7 +140,7 @@ class ParseCache:
                     self._entries[key] = value
                     while len(self._entries) > self._maxsize:
                         self._entries.popitem(last=False)
-                        self._evictions += 1
+                        self._counts.evictions += 1
         return value
 
     def parse(
@@ -164,44 +172,6 @@ class ParseCache:
             lambda: _timed_parse(parser, text, source, telemetry, timings),
         )
 
-    def attach_to(self, registry) -> None:
-        """Expose this cache's counters on a telemetry metrics registry.
-
-        Registered as a pull-style collector: samples refresh from
-        :meth:`stats` right before each scrape/render, so the parsing
-        hot path pays nothing for the metrics plumbing.  Idempotent per
-        (cache, registry) pair.
-        """
-        hits = registry.counter(
-            "repro_parse_cache_hits_total",
-            "Parse-cache lookups served without re-parsing.")
-        misses = registry.counter(
-            "repro_parse_cache_misses_total",
-            "Parse-cache lookups that ran a parser.")
-        evictions = registry.counter(
-            "repro_parse_cache_evictions_total",
-            "Artifacts dropped by the LRU bound.")
-        bytes_parsed = registry.counter(
-            "repro_parse_cache_parsed_bytes_total",
-            "Config bytes that actually went through a parser.")
-        bytes_deduped = registry.counter(
-            "repro_parse_cache_deduped_bytes_total",
-            "Config bytes served from cache instead of re-parsing.")
-        entries = registry.gauge(
-            "repro_parse_cache_entries",
-            "Parsed artifacts currently cached.")
-
-        def collect() -> None:
-            stats = self.stats()
-            hits.set(stats.hits)
-            misses.set(stats.misses)
-            evictions.set(stats.evictions)
-            bytes_parsed.set(stats.bytes_parsed)
-            bytes_deduped.set(stats.bytes_deduped)
-            entries.set(stats.entries)
-
-        registry.register_collector(f"parse_cache:{id(self)}", collect)
-
     def resize(self, maxsize: int) -> None:
         """Change the LRU bound in place (evicting oldest entries if the
         cache shrinks).
@@ -214,25 +184,17 @@ class ParseCache:
             self._maxsize = max(0, maxsize)
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counts.evictions += 1
 
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._entries),
-                bytes_parsed=self._bytes_parsed,
-                bytes_deduped=self._bytes_deduped,
-            )
+            return replace(self._counts, entries=len(self._entries))
 
     def clear(self) -> None:
         """Drop entries and counters (a fresh cold cache)."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-            self._bytes_parsed = self._bytes_deduped = 0
+            self._counts = CacheStats()
 
     def __len__(self) -> int:
         with self._lock:

@@ -42,7 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.chaos.fabric import absorbed as _chaos_absorbed
 from repro.errors import (
@@ -65,6 +65,7 @@ from repro.cvl.match import _compile as _compile_value_pattern
 from repro.cvl.model import CompositeRule, TreeRule
 from repro.engine.evaluators import finalize_tree_rule
 from repro.engine.results import Evidence
+from repro.telemetry.stats import Stats, derived, stat
 
 #: A member's ``config_path`` alternative that means "the tree root"
 #: (the empty expression) -- no trie slot is allocated for it.
@@ -440,21 +441,19 @@ class RulePlan:
 
 
 @dataclass
-class PlanCacheStats:
+class PlanCacheStats(Stats):
     """Point-in-time counters of the process-wide plan cache."""
 
-    compiles: int = 0
-    hits: int = 0
-    evictions: int = 0
-    entries: int = 0
+    snapshot = True
 
-    def to_dict(self) -> dict:
-        return {
-            "compiles": self.compiles,
-            "hits": self.hits,
-            "evictions": self.evictions,
-            "entries": self.entries,
-        }
+    compiles: int = stat("repro_plan_compiles_total",
+                         "Rule plans compiled (plan-cache misses).")
+    hits: int = stat("repro_plan_cache_hits_total",
+                     "Plan-cache lookups served by an already compiled plan.")
+    evictions: int = stat()
+    entries: int = stat(
+        "repro_plan_cache_entries",
+        "Compiled rule plans resident in the process-wide cache.", "gauge")
 
     def render(self) -> str:
         return (
@@ -464,29 +463,30 @@ class PlanCacheStats:
 
 
 @dataclass
-class PlanRunStats:
+class PlanRunStats(Stats):
     """What the planner did during one validation run."""
 
-    rules_fused: int = 0        # fresh evaluations served by fused units
-    rules_direct: int = 0       # fresh evaluations via the per-rule path
-    rules_fallback: int = 0     # planned rules that fell back per-rule
-    units_evaluated: int = 0
-    files_traversed: int = 0    # files parsed + traversed once by units
-    traversals_saved: int = 0   # repeat per-rule traversals avoided
-    cache: PlanCacheStats | None = field(default=None, repr=False)
+    #: Fresh evaluations served by fused units.
+    rules_fused: int = stat(
+        "repro_plan_rules_fused_total",
+        "Tree-rule evaluations served by fused plan units.")
+    rules_direct: int = stat()      # fresh evaluations via the per-rule path
+    rules_fallback: int = stat()    # planned rules that fell back per-rule
+    units_evaluated: int = stat()
+    #: Files parsed + traversed once by units.
+    files_traversed: int = stat(
+        "repro_plan_files_traversed_total",
+        "Files normalized and traversed once by fused units.")
+    #: Repeat per-rule traversals avoided.
+    traversals_saved: int = stat(
+        "repro_plan_traversals_saved_total",
+        "Repeat per-rule tree traversals avoided by fusion.")
+    cache: PlanCacheStats | None = stat(default=None, repr=False)
 
-    @property
+    @derived(digits=4)
     def fusion_ratio(self) -> float:
         total = self.rules_fused + self.rules_direct + self.rules_fallback
         return self.rules_fused / total if total else 0.0
-
-    def merge(self, other: "PlanRunStats") -> None:
-        self.rules_fused += other.rules_fused
-        self.rules_direct += other.rules_direct
-        self.rules_fallback += other.rules_fallback
-        self.units_evaluated += other.units_evaluated
-        self.files_traversed += other.files_traversed
-        self.traversals_saved += other.traversals_saved
 
     def render(self) -> str:
         line = (
@@ -501,18 +501,6 @@ class PlanRunStats:
             line += f"\n{self.cache.render()}"
         return line
 
-    def to_dict(self) -> dict:
-        return {
-            "rules_fused": self.rules_fused,
-            "rules_direct": self.rules_direct,
-            "rules_fallback": self.rules_fallback,
-            "units_evaluated": self.units_evaluated,
-            "files_traversed": self.files_traversed,
-            "traversals_saved": self.traversals_saved,
-            "fusion_ratio": round(self.fusion_ratio, 4),
-            "cache": self.cache.to_dict() if self.cache else None,
-        }
-
 
 # ---- process-wide plan cache ------------------------------------------------
 
@@ -522,9 +510,8 @@ _MAX_CACHED_PLANS = 256
 
 _cache_lock = threading.Lock()
 _cache: "OrderedDict[str, RulePlan]" = OrderedDict()
-_compiles = 0
-_hits = 0
-_evictions = 0
+#: The plan cache's counters; :func:`plan_cache_stats` adds the size.
+_counts = PlanCacheStats()
 
 
 def plan_for(manifest, ruleset, digest: str) -> RulePlan:
@@ -536,63 +523,35 @@ def plan_for(manifest, ruleset, digest: str) -> RulePlan:
     plan compiled from a different-but-content-identical ruleset object;
     results bind those equivalent rule objects.
     """
-    global _compiles, _hits, _evictions
     with _cache_lock:
         plan = _cache.get(digest)
         if plan is not None:
             _cache.move_to_end(digest)
-            _hits += 1
+            _counts.hits += 1
             return plan
     # Compile outside the lock; a racing duplicate compile is benign
     # (first store wins below).
     plan = RulePlan(manifest, ruleset, digest)
     with _cache_lock:
-        _compiles += 1
+        _counts.compiles += 1
         existing = _cache.get(digest)
         if existing is not None:
             return existing
         _cache[digest] = plan
         while len(_cache) > _MAX_CACHED_PLANS:
             _cache.popitem(last=False)
-            _evictions += 1
+            _counts.evictions += 1
     return plan
 
 
 def plan_cache_stats() -> PlanCacheStats:
     with _cache_lock:
-        return PlanCacheStats(
-            compiles=_compiles,
-            hits=_hits,
-            evictions=_evictions,
-            entries=len(_cache),
-        )
+        return replace(_counts, entries=len(_cache))
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the counters (test isolation)."""
-    global _compiles, _hits, _evictions
+    global _counts
     with _cache_lock:
         _cache.clear()
-        _compiles = _hits = _evictions = 0
-
-
-def attach_plan_metrics(registry) -> None:
-    """Mirror the plan-cache counters into a metrics registry at scrape
-    time (same pull-style pattern as the parse cache)."""
-
-    def collect() -> None:
-        stats = plan_cache_stats()
-        registry.counter(
-            "repro_plan_compiles_total",
-            "Rule plans compiled (plan-cache misses).",
-        ).set(stats.compiles)
-        registry.counter(
-            "repro_plan_cache_hits_total",
-            "Plan-cache lookups served by an already compiled plan.",
-        ).set(stats.hits)
-        registry.gauge(
-            "repro_plan_cache_entries",
-            "Compiled rule plans resident in the process-wide cache.",
-        ).set(stats.entries)
-
-    registry.register_collector("rule-plan-cache", collect)
+        _counts = PlanCacheStats()

@@ -101,13 +101,29 @@ def _json(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at the depth
     whose line break and indent is ``newline``.
 
-    Strings, nearly every value of a report, go straight to the C string
-    escaper: ``json.dumps`` with an indent runs CPython's pure-Python
+    ``json.dumps`` with an indent runs CPython's pure-Python encoder,
+    whose closures refer to each other and so leave garbage for the
+    cycle collector.  So strings, nearly every value of a report, go
+    straight to the C string escaper, objects with string keys and
+    arrays are written here, and other scalars go through the C
     encoder.
     """
-    if value.__class__ is str:
+    cls = value.__class__
+    if cls is str:
         return _escape(value)
-    return json.dumps(value, indent=2).replace("\n", newline)
+    if cls is dict and all(key.__class__ is str for key in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + ",".join(
+            f"{inner}{_escape(key)}: {_json(item, inner)}"
+            for key, item in value.items()) + newline + "}"
+    if cls is list or cls is tuple:
+        return _array([_json(item, newline + "  ") for item in value],
+                      newline)
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", newline)
+    return json.dumps(value)
 
 
 def _array(items: list[str], newline: str) -> str:

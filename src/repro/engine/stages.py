@@ -35,6 +35,15 @@ STAGES = ("crawl", "discover", "parse", "evaluate", "composite")
 STAGE_METRIC = "repro_stage_latency_seconds"
 
 
+def _stage_histogram(registry: MetricsRegistry) -> Histogram:
+    """``registry``'s :data:`STAGE_METRIC` histogram, labelled by stage."""
+    return registry.histogram(
+        STAGE_METRIC,
+        "Validation pipeline stage latency (aggregate worker-seconds).",
+        labels=("stage",),
+    )
+
+
 class StageTimings:
     """Thread-safe accumulator of per-stage durations.
 
@@ -46,11 +55,7 @@ class StageTimings:
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._hist: Histogram = self._registry.histogram(
-            STAGE_METRIC,
-            "Validation pipeline stage latency (aggregate worker-seconds).",
-            labels=("stage",),
-        )
+        self._hist = _stage_histogram(self._registry)
 
     def _check(self, stage: str) -> None:
         if stage not in STAGES:
@@ -116,11 +121,7 @@ class StageTimings:
         """Fold this accumulator's distribution into ``registry``'s
         ``repro_stage_latency_seconds`` histogram (exact sum/count and
         extremes; bucket credit at the per-stage mean)."""
-        hist = registry.histogram(
-            STAGE_METRIC,
-            "Validation pipeline stage latency (aggregate worker-seconds).",
-            labels=("stage",),
-        )
+        hist = _stage_histogram(registry)
         for stage, values in self.as_dict().items():
             count = int(values["count"])
             if not count:

@@ -39,6 +39,7 @@ from repro.history.events import HealthEvent
 from repro.history.store import HistoryStore
 from repro.telemetry import get_logger
 from repro.telemetry.export import MetricsServer
+from repro.telemetry.stats import publish_on_scrape
 
 log = get_logger("history.monitor")
 
@@ -132,10 +133,8 @@ class FleetMonitor:
         self.stats = MonitorStats()
         self.last_summary: FleetSummary | None = None
         self.last_cycle_id: int | None = None
-        telemetry = scanner.telemetry
-        self._metrics = telemetry.metrics
-        if telemetry.enabled:
-            store.attach_to(telemetry.metrics)
+        self._metrics = scanner.telemetry.metrics
+        publish_on_scrape(self._metrics, store.stats)
 
     # ---- the loop ----------------------------------------------------------
 

@@ -19,9 +19,13 @@ the append-only time axis under that: every scan cycle lands as
 Every reader expands runs back into the per-cycle rows it always
 returned.  Cycles that failed before producing a report hold no
 verdicts and do not break a run; a successful cycle without the key
-ends it.  A database written in the older one-row-per-cycle layout
-(``verdicts`` and ``entity_rollups`` tables) is converted to runs, one
-way, when it is opened.
+ends it.
+
+The database carries the version of its layout in ``PRAGMA
+user_version``.  A database with another version, or with none (as
+every build before the stamp wrote), is moved aside with
+:func:`~repro.chaos.quarantine.quarantine_database` when it is opened,
+and a fresh one is started: nothing converts a layout in place.
 
 Storage is stdlib :mod:`sqlite3` in WAL mode.  A single connection
 (``check_same_thread=False``) is shared behind one lock, so scanner
@@ -50,7 +54,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.chaos.fabric import _CHAOS, absorbed as _chaos_absorbed
 from repro.chaos.quarantine import is_corruption, quarantine_database
@@ -64,6 +68,7 @@ from repro.engine.delta import (
 from repro.engine.results import ValidationReport, Verdict
 from repro.engine.stages import STAGES
 from repro.telemetry import get_logger
+from repro.telemetry.stats import Stats, stat
 
 log = get_logger("history")
 
@@ -91,8 +96,7 @@ assert len(VERDICT_CODES) == len(Verdict), "unmapped verdict value"
 _SCHEMA = """
 -- A plain rowid key: retention never deletes the newest cycle, so a new
 -- id is always above every id ever used, with no sqlite_sequence page
--- to rewrite on each commit.  Databases created with AUTOINCREMENT keep
--- it.
+-- to rewrite on each commit.
 CREATE TABLE IF NOT EXISTS cycles (
     cycle_id       INTEGER PRIMARY KEY,
     started_at     REAL    NOT NULL,
@@ -119,7 +123,7 @@ CREATE TABLE IF NOT EXISTS cycles (
     scan_error     TEXT    NOT NULL DEFAULT '',
     -- Where a failed cycle died: the pipeline stage ("crawl", "validate",
     -- "store", ...) and, when known, the frame being processed.  Empty
-    -- for healthy cycles and rows written before the columns existed.
+    -- for healthy cycles.
     scan_error_stage TEXT  NOT NULL DEFAULT '',
     scan_error_frame TEXT  NOT NULL DEFAULT ''
 );
@@ -173,48 +177,26 @@ CREATE TABLE IF NOT EXISTS provenance (
 ) WITHOUT ROWID;
 """
 
-_CYCLE_COLUMNS = (
-    "cycle_id", "started_at", "elapsed_s", "entities", "checks",
-    "compliant", "noncompliant", "errors", "not_applicable", "compliance",
-    "crawl_s", "discover_s", "parse_s", "evaluate_s", "composite_s",
-    "parse_hits", "parse_misses", "parse_hit_rate",
-    "rules_skipped", "rules_evaluated", "frames_clean", "frames_dirty",
-    "scan_error", "scan_error_stage", "scan_error_frame",
-)
-
 #: The successful cycles a run ``r`` covers, as a join on ``cycles c``.
 _COVERED = (
     "c.cycle_id >= r.first_cycle AND (r.last_cycle IS NULL"
     " OR c.cycle_id <= r.last_cycle) AND c.scan_error = ''"
 )
 
-#: The run tables: (table, key column, value columns, the older
-#: one-row-per-cycle table it replaces).
+#: The run tables: (table, key column, value columns).
 _RUN_TABLES = (
-    ("verdict_runs", "series_id", ("verdict", "message"), "verdicts"),
-    ("entity_runs", "target", ("passed", "failed", "worst_severity"),
-     "entity_rollups"),
+    ("verdict_runs", "series_id", ("verdict", "message")),
+    ("entity_runs", "target", ("passed", "failed", "worst_severity")),
 )
 
+#: The layout this build writes, stamped in ``PRAGMA user_version``.
+#: Change it with the schema: a database with another stamp is
+#: quarantined at open, never converted.
+LAYOUT_VERSION = 1
 
-def _convert_to_runs(table: str, key: str, values: tuple[str, ...],
-                     old: str) -> str:
-    """The query converting ``old``'s one row per (cycle, key) to runs:
-    successful cycles are numbered, and a key's rows with equal values
-    in consecutively numbered cycles share ``n - ROW_NUMBER()``."""
-    columns = ", ".join(values)
-    return f"""
-INSERT INTO {table} ({key}, first_cycle, last_cycle, {columns})
-SELECT {key}, MIN(cycle_id), MAX(cycle_id), {columns} FROM (
-    SELECT o.*, g.n - ROW_NUMBER() OVER (
-        PARTITION BY o.{key}, {columns} ORDER BY o.cycle_id) AS island
-    FROM {old} o JOIN (
-        SELECT cycle_id, ROW_NUMBER() OVER (ORDER BY cycle_id) AS n
-        FROM cycles WHERE scan_error = ''
-    ) g ON g.cycle_id = o.cycle_id
-)
-GROUP BY {key}, {columns}, island
-"""
+
+class _OtherLayout(Exception):
+    """The database was written with another layout than this build's."""
 
 
 @dataclass
@@ -255,7 +237,11 @@ class CycleRow:
         return bool(self.scan_error)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _CYCLE_COLUMNS}
+        return asdict(self)
+
+
+#: The ``cycles`` columns a reader selects, in :class:`CycleRow` order.
+_CYCLE_COLUMNS = tuple(item.name for item in fields(CycleRow))
 
 
 @dataclass
@@ -276,15 +262,7 @@ class VerdictRow:
         return (self.target, self.entity, self.rule)
 
     def to_dict(self) -> dict:
-        return {
-            "cycle_id": self.cycle_id,
-            "target": self.target,
-            "entity": self.entity,
-            "rule": self.rule,
-            "verdict": self.verdict,
-            "severity": self.severity,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -299,27 +277,36 @@ class EntityTrendRow:
     worst_severity: str
 
     def to_dict(self) -> dict:
-        return {
-            "cycle_id": self.cycle_id,
-            "started_at": self.started_at,
-            "target": self.target,
-            "passed": self.passed,
-            "failed": self.failed,
-            "worst_severity": self.worst_severity,
-        }
+        return asdict(self)
 
 
 @dataclass
-class HistoryStoreStats:
+class HistoryStoreStats(Stats):
     """Write-path counters of one :class:`HistoryStore` (this process)."""
 
-    cycles_recorded: int = 0
-    error_cycles_recorded: int = 0
-    rows_written: int = 0
-    write_seconds: float = 0.0
-    cycles_pruned: int = 0
-    db_cycles: int = 0
-    db_bytes: int = 0
+    snapshot = True
+
+    cycles_recorded: int = stat(
+        "repro_history_cycles_recorded_total",
+        "Scan cycles persisted to the history store by this process.")
+    error_cycles_recorded: int = stat(
+        "repro_history_error_cycles_total",
+        "Cycles persisted as scan errors (no report produced).")
+    rows_written: int = stat(
+        "repro_history_rows_written_total",
+        "Rows written to the history store (cycles + verdict and"
+        " entity-rollup runs opened or closed).")
+    write_seconds: float = stat("repro_history_write_seconds_total",
+                                "Wall time spent writing history rows.",
+                                default=0.0)
+    cycles_pruned: int = stat("repro_history_cycles_pruned_total",
+                              "Cycles removed by retention pruning.")
+    db_cycles: int = stat(
+        "repro_history_db_cycles",
+        "Cycles currently resident in the history database.", "gauge")
+    db_bytes: int = stat(
+        "repro_history_db_bytes",
+        "History database size on disk (0 for in-memory stores).", "gauge")
 
     def render(self) -> str:
         return (
@@ -329,17 +316,6 @@ class HistoryStoreStats:
             f"{self.cycles_pruned} pruned; db holds {self.db_cycles} "
             f"cycles / {self.db_bytes:,} B"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "cycles_recorded": self.cycles_recorded,
-            "error_cycles_recorded": self.error_cycles_recorded,
-            "rows_written": self.rows_written,
-            "write_seconds": self.write_seconds,
-            "cycles_pruned": self.cycles_pruned,
-            "db_cycles": self.db_cycles,
-            "db_bytes": self.db_bytes,
-        }
 
 
 def report_verdict_map(report: ValidationReport) -> dict[VerdictKey, str]:
@@ -378,57 +354,57 @@ class HistoryStore:
         except sqlite3.Error as error:
             if not is_corruption(error) or path == ":memory:":
                 raise
-            # A corrupt history file must not kill the monitor: move it
-            # aside (kept for the postmortem) and start a fresh window.
+            # A corrupt history file must not kill the monitor.
             _chaos_absorbed(error)
-            moved = quarantine_database(self.path, reason=f"open: {error}")
-            log.warning(
-                "history store %s corrupt at open (%s); quarantined to "
-                "%s, starting a fresh database", self.path, error, moved)
-            self._conn = self._open()
+            self._conn = self._reopen_cold(f"corrupt at open: {error}")
+        except _OtherLayout as error:
+            self._conn = self._reopen_cold(str(error))
         self._stats = HistoryStoreStats()
         self._load_state()
 
     def _open(self) -> sqlite3.Connection:
-        """Connect, apply pragmas, and bring the schema up to date."""
+        """Connect and apply pragmas; a new database gets the schema and
+        the layout stamp.  Raises :class:`_OtherLayout` for a database
+        with any other stamp."""
         conn = sqlite3.connect(
             self.path, check_same_thread=False, timeout=30.0
         )
         conn.row_factory = sqlite3.Row
-        # auto_vacuum must be configured before the first table exists
-        # for incremental_vacuum to reclaim pruned pages.
-        conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_SCHEMA)
-        # Databases created before newer columns shipped lack them
-        # (CREATE IF NOT EXISTS leaves them as-is); widen in place so
-        # old monitor databases keep working.  A column this version no
-        # longer writes (``exec_json``) stays: it has a default.
-        present = {
-            row["name"]
-            for row in conn.execute("PRAGMA table_info(cycles)")
-        }
-        for column in ("scan_error_stage", "scan_error_frame"):
-            if column not in present:
-                conn.execute(
-                    f"ALTER TABLE cycles ADD COLUMN {column} TEXT NOT NULL"
-                    " DEFAULT ''"
-                )
-        for table, key, values, old in _RUN_TABLES:
-            if not conn.execute("SELECT 1 FROM sqlite_master WHERE type ="
-                                " 'table' AND name = ?", (old,)).fetchone():
-                continue
-            # The one-row-per-cycle layout: convert it to runs, one way.
-            # Runs that reach the newest successful cycle are open.
-            conn.execute(_convert_to_runs(table, key, values, old))
-            conn.execute(
-                f"UPDATE {table} SET last_cycle = NULL WHERE last_cycle ="
-                " (SELECT MAX(cycle_id) FROM cycles WHERE scan_error = '')"
-            )
-            conn.execute(f"DROP TABLE {old}")
-        conn.commit()
+        try:
+            # One read sees both: a schema version of 0 means no table
+            # was ever created, so the database is new.
+            version, schema = conn.execute(
+                "SELECT user_version, schema_version FROM"
+                " pragma_user_version, pragma_schema_version").fetchone()
+            new = version == 0 and schema == 0
+            if version != LAYOUT_VERSION and not new:
+                raise _OtherLayout(
+                    f"has layout version {version}, this build writes"
+                    f" {LAYOUT_VERSION}")
+            # auto_vacuum must be configured before the first table
+            # exists for incremental_vacuum to reclaim pruned pages.
+            conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            if new:
+                # One transaction, so a concurrent opener finds either no
+                # table or the stamp.
+                conn.executescript(
+                    f"BEGIN IMMEDIATE; {_SCHEMA}"
+                    f" PRAGMA user_version = {LAYOUT_VERSION}; COMMIT;")
+        except BaseException:
+            conn.close()
+            raise
         return conn
+
+    def _reopen_cold(self, reason: str) -> sqlite3.Connection:
+        """Move the database aside, kept for the postmortem, and open a
+        fresh one."""
+        moved = quarantine_database(self.path, reason=reason)
+        log.warning(
+            "history store %s %s; quarantined to %s, starting a fresh"
+            " database", self.path, reason, moved)
+        return self._open()
 
     def _load_state(self) -> None:
         """Read the writer's in-memory state back from the database."""
@@ -493,7 +469,7 @@ class HistoryStore:
         inc = summary.incremental
         rules_skipped = rules_evaluated = frames_clean = frames_dirty = 0
         if inc is not None and getattr(inc, "active", False):
-            rules_skipped = inc.rules_replayed + inc.composites_replayed
+            rules_skipped = inc.rules_skipped
             rules_evaluated = inc.rules_evaluated + inc.composites_evaluated
             frames_clean = inc.frames_clean
             frames_dirty = inc.frames_dirty
@@ -646,7 +622,7 @@ class HistoryStore:
         """Close the open runs of ``closed`` keys at the previous
         successful cycle and insert ``opened`` (key, first cycle,
         values...) rows; returns the rows written."""
-        table, key, values, _old = spec
+        table, key, values = spec
         if closed:
             self._conn.executemany(
                 f"UPDATE {table} SET last_cycle = ? WHERE {key} = ?"
@@ -975,13 +951,7 @@ class HistoryStore:
 
     def stats(self) -> HistoryStoreStats:
         with self._lock:
-            snapshot = HistoryStoreStats(
-                cycles_recorded=self._stats.cycles_recorded,
-                error_cycles_recorded=self._stats.error_cycles_recorded,
-                rows_written=self._stats.rows_written,
-                write_seconds=self._stats.write_seconds,
-                cycles_pruned=self._stats.cycles_pruned,
-            )
+            snapshot = replace(self._stats)
             try:
                 snapshot.db_cycles = int(self._conn.execute(
                     "SELECT COUNT(*) AS n FROM cycles"
@@ -990,57 +960,16 @@ class HistoryStore:
                 # A pull-style metrics scrape can outlive the store
                 # (e.g. --metrics-out written at exit); report the
                 # in-memory tallies with a zero gauge instead of dying.
-                snapshot.db_cycles = 0
+                pass
         if self.path != ":memory:":
-            try:
-                snapshot.db_bytes = os.path.getsize(self.path)
-            except OSError:
-                snapshot.db_bytes = 0
+            # In WAL mode new rows sit in the -wal file until a
+            # checkpoint copies them into the main one.
+            for name in (self.path, self.path + "-wal"):
+                try:
+                    snapshot.db_bytes += os.path.getsize(name)
+                except OSError:
+                    pass
         return snapshot
-
-    def attach_to(self, registry) -> None:
-        """Register a pull collector exporting ``repro_history_*``."""
-        cycles_total = registry.counter(
-            "repro_history_cycles_recorded_total",
-            "Scan cycles persisted to the history store by this process.",
-        )
-        error_total = registry.counter(
-            "repro_history_error_cycles_total",
-            "Cycles persisted as scan errors (no report produced).",
-        )
-        rows_total = registry.counter(
-            "repro_history_rows_written_total",
-            "Rows written to the history store (cycles + verdict and"
-            " entity-rollup runs opened or closed).",
-        )
-        write_seconds = registry.counter(
-            "repro_history_write_seconds_total",
-            "Wall time spent writing history rows.",
-        )
-        pruned_total = registry.counter(
-            "repro_history_cycles_pruned_total",
-            "Cycles removed by retention pruning.",
-        )
-        db_cycles = registry.gauge(
-            "repro_history_db_cycles",
-            "Cycles currently resident in the history database.",
-        )
-        db_bytes = registry.gauge(
-            "repro_history_db_bytes",
-            "History database size on disk (0 for in-memory stores).",
-        )
-
-        def collect() -> None:
-            stats = self.stats()
-            cycles_total.set(stats.cycles_recorded)
-            error_total.set(stats.error_cycles_recorded)
-            rows_total.set(stats.rows_written)
-            write_seconds.set(stats.write_seconds)
-            pruned_total.set(stats.cycles_pruned)
-            db_cycles.set(stats.db_cycles)
-            db_bytes.set(stats.db_bytes)
-
-        registry.register_collector(f"history_store:{id(self)}", collect)
 
     def close(self) -> None:
         with self._lock:

@@ -30,7 +30,6 @@ from repro.chaos.fabric import (
 from repro.chaos.plans import named_plan, plan_names, resolve_plan
 from repro.chaos.quarantine import is_corruption, quarantine_database
 from repro.chaos.runner import run_chaos
-from repro.chaos.stats import DegradationStats
 from repro.crawler import Crawler
 from repro.engine import render_json, render_text
 from repro.engine.batch import BatchScanner, ScanStageError
@@ -109,8 +108,8 @@ class TestFabricDeterminism:
         with pytest.raises(FileNotFoundInFrame):
             fabric().fire("fs.read", "/etc/passwd")
         account = fabric().account
-        assert account.injected == {"fs.read": 1}
-        assert account.fired == [("fs.read", "/etc/passwd")]
+        assert account.totals.faults_injected == {"fs.read": 1}
+        assert account.totals.fired == [("fs.read", "/etc/passwd")]
 
     def test_store_error_is_sqlite_error(self):
         arm_plan(_plan({"site": "store.sqlite"}))
@@ -326,7 +325,7 @@ class TestStoreQuarantine:
         assert quarantine_database("/nonexistent/nowhere.db",
                                    reason="test") is None
         delta = fabric().account.delta_since(before)
-        assert delta["stores_quarantined"] == 1
+        assert delta.stores_quarantined == 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +344,9 @@ class TestWebhookChaos:
         sink.emit_many(self._event())
         account = fabric().account
         assert sink.failed_batches == 1
-        assert account.injected.get("webhook.send", 0) > 0
-        assert (account.absorbed.get("webhook.send", 0)
-                == account.injected.get("webhook.send", 0))
+        assert account.totals.faults_injected.get("webhook.send", 0) > 0
+        assert (account.totals.faults_absorbed.get("webhook.send", 0)
+                == account.totals.faults_injected.get("webhook.send", 0))
 
     def test_injected_failure_absorbed_by_retry(self, monkeypatch):
         # Fault fires on the first post only (count=1): the retry
@@ -373,7 +372,7 @@ class TestWebhookChaos:
         sink.emit_many(self._event())
         account = fabric().account
         assert sink.delivered == 1 and sink.failed_batches == 0
-        assert account.absorbed.get("webhook.send", 0) == 1
+        assert account.totals.faults_absorbed.get("webhook.send", 0) == 1
 
 
 class TestScanErrorAttribution:
@@ -521,8 +520,8 @@ class TestDegradationReporting:
         account.note_injected("fs.read", "/etc/x")
         account.note_absorbed("fs.read")
         account.note_frame_quarantined()
-        stats = DegradationStats.from_delta(account.delta_since(before),
-                                            plan="unit")
+        stats = account.delta_since(before)
+        stats.plan = "unit"
         assert stats.degraded
         assert stats.total_injected == 1 == stats.total_absorbed
         doc = stats.to_dict()

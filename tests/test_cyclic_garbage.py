@@ -18,9 +18,12 @@ import random
 import pytest
 
 from repro.augtree.lenses import default_registry
+from repro.chaos.stats import DegradationStats
 from repro.crawler import ContainerEntity, DockerImageEntity, HostEntity
 from repro.engine import VerdictStore
 from repro.engine.batch import BatchScanner
+from repro.engine.report import render_json
+from repro.engine.results import ValidationReport
 from repro.fs.vfs import VirtualFilesystem
 from repro.history import FleetMonitor, HistoryStore, MonitorConfig
 from repro.rules import load_builtin_validator
@@ -149,21 +152,29 @@ def _mixed_fleet() -> list:
 
 
 def test_cold_mixed_scans_leave_no_cycles(logs_kept_nowhere):
-    """A fresh validator per cycle over containers, an image and a host
-    (the report is not rendered: ``json.dumps(indent=2)`` builds a
-    stdlib encoder whose closures refer to each other)."""
+    """A fresh validator per cycle over containers, an image and a host,
+    and the JSON report of each scan."""
     entities = _mixed_fleet()
 
     def run():
         validator = load_builtin_validator()
         try:
-            BatchScanner(validator).scan_entities(entities)
+            render_json(BatchScanner(validator).scan_entities(entities).report)
         finally:
             validator.close()
 
     for _ in range(WARMUP):
         run()
     assert _cyclic_garbage(run) == {}
+
+
+def test_degraded_report_renders_without_cycles():
+    """The degradation block's by-site counts are nested objects."""
+    report = ValidationReport(target="fleet")
+    report.degradation = DegradationStats(
+        plan="fs-error", faults_injected={"fs.read": 2},
+        faults_absorbed={"fs.read": 2})
+    assert _cyclic_garbage(lambda: render_json(report)) == {}
 
 
 def test_incremental_monitor_cycles_leave_no_cycles(tmp_path,

@@ -117,24 +117,10 @@ class TestDurability:
             assert reopened.cycle_count() == 1
             assert reopened.latest_cycle_id() == cycle_id
             assert reopened.verdict_map(cycle_id) == expected
-        # A database from a version that filled an ``exec_json`` column
-        # (with the on-disk parse tier's counters) opens, records and
-        # lists as before: the column keeps its rows and its default.
-        conn = sqlite3.connect(path)
-        try:
-            conn.execute("ALTER TABLE cycles ADD COLUMN exec_json TEXT"
-                         " NOT NULL DEFAULT ''")
-            conn.execute("UPDATE cycles SET exec_json = ?",
-                         ('{"store":{"hits":3,"misses":1}}',))
-            conn.commit()
-        finally:
-            conn.close()
-        with HistoryStore(path) as older:
-            newer = older.record_cycle(summary)
-            rows = older.cycles()
-            assert [row.cycle_id for row in rows] == [cycle_id, newer]
-            assert older.verdict_map(newer) == expected
-            assert "exec" not in rows[0].to_dict()
+            reopened.record_cycle(summary)
+        with HistoryStore(path) as again:
+            assert again.cycle_count() == 2
+        assert not list(tmp_path.glob("history.sqlite.quarantined.*"))
 
     def test_close_checkpoints_wal(self, summary, tmp_path):
         path = str(tmp_path / "history.sqlite")
@@ -142,6 +128,63 @@ class TestDurability:
             store.record_cycle(summary)
         wal = tmp_path / "history.sqlite-wal"
         assert not wal.exists() or wal.stat().st_size == 0
+
+    def test_db_bytes_counts_the_wal(self, summary, tmp_path):
+        """Until a checkpoint the rows sit in the -wal file, so the size
+        on disk is the main file's plus the WAL's."""
+        path = tmp_path / "history.sqlite"
+        wal = tmp_path / "history.sqlite-wal"
+        with HistoryStore(str(path)) as store:
+            for _ in range(3):
+                store.record_cycle(summary)
+            assert wal.stat().st_size > 0
+            assert store.stats().db_bytes == (path.stat().st_size
+                                              + wal.stat().st_size)
+
+    @pytest.mark.parametrize("layout", ["unstamped", "autoincrement",
+                                        "other-version"])
+    def test_other_layout_is_quarantined(self, summary, tmp_path, layout):
+        """A database this build did not write -- unstamped, as every
+        build before the layout stamp left it, or stamped with another
+        version -- moves aside with its rows, and a fresh one starts."""
+        from repro.chaos.fabric import fabric
+        from repro.history.store import _SCHEMA, LAYOUT_VERSION
+
+        path = tmp_path / "history.sqlite"
+        schema = _SCHEMA
+        if layout == "autoincrement":
+            schema = _SCHEMA.replace(
+                "cycle_id       INTEGER PRIMARY KEY,",
+                "cycle_id       INTEGER PRIMARY KEY AUTOINCREMENT,")
+        version = LAYOUT_VERSION + 1 if layout == "other-version" else 0
+        conn = sqlite3.connect(path)
+        try:
+            conn.executescript(schema)
+            conn.execute("INSERT INTO cycles (started_at) VALUES (1.0)")
+            conn.execute(f"PRAGMA user_version = {version}")
+            conn.commit()
+        finally:
+            conn.close()
+        before = fabric().account.snapshot()
+        with HistoryStore(str(path)) as store:
+            assert store.cycle_count() == 0
+            cycle_id = store.record_cycle(summary)
+            assert store.verdict_map(cycle_id) == report_verdict_map(
+                summary.report)
+        assert fabric().account.delta_since(before).stores_quarantined == 1
+        (moved,) = tmp_path.glob("history.sqlite.quarantined.*")
+        conn = sqlite3.connect(moved)
+        try:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM cycles").fetchone()[0] == 1
+            assert conn.execute(
+                "PRAGMA user_version").fetchone()[0] == version
+        finally:
+            conn.close()
+        # The fresh database carries this build's stamp: it reopens.
+        with HistoryStore(str(path)) as reopened:
+            assert reopened.cycle_count() == 1
+        assert len(list(tmp_path.glob("history.sqlite.quarantined.*"))) == 1
 
 
 class TestRetention:
@@ -184,22 +227,11 @@ class TestRetention:
             # One-off prune must not install a standing retention.
             assert store.retain_cycles is None
 
-    @pytest.mark.parametrize("autoincrement", [False, True],
-                             ids=["rowid", "autoincrement"])
-    def test_cycle_ids_increase_across_prune_and_reopen(
-            self, summary, tmp_path, autoincrement):
-        """New databases key cycles by plain rowid; one created with
-        AUTOINCREMENT keeps it.  Either way a pruned, reopened store
+    def test_cycle_ids_increase_across_prune_and_reopen(self, summary,
+                                                        tmp_path):
+        """Cycles are keyed by plain rowid, and a pruned, reopened store
         never reuses an id, since retention keeps the newest cycle."""
-        from repro.history import store as store_module
-
         path = str(tmp_path / "history.sqlite")
-        if autoincrement:
-            conn = sqlite3.connect(path)
-            conn.executescript(store_module._SCHEMA.replace(
-                "cycle_id       INTEGER PRIMARY KEY,",
-                "cycle_id       INTEGER PRIMARY KEY AUTOINCREMENT,"))
-            conn.close()
         with HistoryStore(path) as store:
             ids = [store.record_cycle(summary) for _ in range(3)]
             ids.append(store.record_scan_error("crawler exploded"))
@@ -217,7 +249,7 @@ class TestRetention:
                 ("sqlite_sequence",)).fetchone()
         finally:
             conn.close()
-        assert (sequence is not None) == autoincrement
+        assert sequence is None
 
     def test_retain_cycles_validation(self):
         with pytest.raises(ValueError):
@@ -314,10 +346,11 @@ class TestWindows:
 
     def test_attach_to_exports_counters(self, summary):
         from repro.telemetry import Telemetry
+        from repro.telemetry.stats import publish_on_scrape
 
         telemetry = Telemetry()
         with HistoryStore() as store:
-            store.attach_to(telemetry.metrics)
+            publish_on_scrape(telemetry.metrics, store.stats)
             store.record_cycle(summary)
             from repro.telemetry.export import render_prometheus
 

@@ -10,15 +10,13 @@ and without the reports' verdict deltas, and every reader must agree:
 ``rule_history`` with and without ``last``, ``provenance_for``,
 ``entity_trend``, ``targets``, the analyzer's ``regression_counts``,
 ``streaks`` and flap state, and ``repro explain --since``.  A database
-the reference wrote must convert at open to the same answers.
+the reference wrote is another layout: the store quarantines it at open.
 """
 
 import argparse
 import json
 import random
-import shutil
 import sqlite3
-import time
 
 import pytest
 
@@ -353,15 +351,6 @@ def _with_delta(report, previous, rng, provenance):
         token=object(), base=base, provenance=provenance)
 
 
-def _run_rows(path):
-    conn = sqlite3.connect(path)
-    try:
-        return [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("verdict_runs", "entity_runs")]
-    finally:
-        conn.close()
-
-
 def _answers(store, keys, targets, explain):
     """Every reader's output, as plain data."""
     out = {"cycles": [row.to_dict() for row in store.cycles()]}
@@ -471,35 +460,14 @@ def test_runs_store_matches_row_reference(tmp_path, capsys, seed):
                    for row in got["cycles"])
         assert any(row["scan_error"] for row in got["cycles"])
         assert any(text for text in got["explain"])
-        # The reference's database converts at open to the same answers.
+        # The reference's database is another layout: it moves aside
+        # with its rows, and the store starts empty.
         rows.close()
-        converted_path = str(tmp_path / "converted.sqlite")
-        shutil.copy(rows_path, converted_path)
-        rows = RowStore(rows_path)
-        with HistoryStore(converted_path) as converted:
-            assert _answers(converted, keys, TARGETS, explain) == expected
-            # Runs reaching the newest good cycle are open: repeating
-            # that cycle's report writes no run.
-            runs_before = _run_rows(converted_path)
-            converted.record_cycle(summary)
-            rows.record_cycle(summary)
-            assert _run_rows(converted_path) == runs_before
-            # ...and keeps agreeing as both record on.
-            fleet.step()
-            summary = scanner._summarize(fleet.report(cycles, False),
-                                         len(fleet.present), 0.01,
-                                         started_at=time.time())
-            converted.record_cycle(summary)
-            rows.record_cycle(summary)
-            assert _answers(converted, keys, TARGETS, explain) == _answers(
-                rows, keys, TARGETS, _reference_explain)
-        conn = sqlite3.connect(converted_path)
-        try:
-            tables = {row[0] for row in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")}
-        finally:
-            conn.close()
-        assert "verdicts" not in tables and "entity_rollups" not in tables
+        with HistoryStore(rows_path) as fresh:
+            assert fresh.cycle_count() == 0
+        (moved,) = tmp_path.glob("rows.sqlite.quarantined.*")
+        rows = RowStore(str(moved))
+        assert _answers(rows, keys, TARGETS, _reference_explain) == expected
     finally:
         runs.close()
         rows.close()

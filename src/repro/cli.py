@@ -40,7 +40,7 @@ from repro.crawler import (
     DockerImageEntity,
     HostEntity,
 )
-from repro.engine import render_json, render_text
+from repro.engine import StageTimings, render_json, render_text
 from repro.fs import RealFilesystem
 from repro.rules import (
     EXTENSION_TARGETS,
@@ -76,7 +76,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             provenance=args.provenance,
             **_validator_kwargs_from_args(args),
         )
-    timings = _make_timings(args)
+    timings = StageTimings() if args.stage_timings else None
     server = _start_metrics_server(args, telemetry)
     entity = HostEntity(args.name, RealFilesystem(args.root))
     report = validator.validate_entity(
@@ -133,14 +133,6 @@ def _arm_chaos_from_args(args: argparse.Namespace) -> None:
         arm_plan(resolve_plan(plan_ref))
     except ChaosPlanError as exc:
         raise SystemExit(str(exc))
-
-
-def _make_timings(args: argparse.Namespace):
-    if not getattr(args, "stage_timings", False):
-        return None
-    from repro.engine.stages import StageTimings
-
-    return StageTimings()
 
 
 def _telemetry_from_args(args: argparse.Namespace, *, force: bool = False):
@@ -283,7 +275,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         use_plans=not args.no_plan, provenance=args.provenance,
         **_validator_kwargs_from_args(args),
     )
-    timings = _make_timings(args)
+    timings = StageTimings() if args.stage_timings else None
     server = _start_metrics_server(args, telemetry)
     if args.scenario == "host":
         entity = ubuntu_host_entity(
@@ -352,7 +344,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(telemetry.profiler.render(top=args.top))
     print()
     print("stage latency (aggregate worker-seconds):")
-    print(summary.stage_timings.render_extended())
+    print(summary.stage_timings.render())
     print(validator.cache_stats().render())
     _emit_telemetry(args, telemetry, server)
     return 0
@@ -632,12 +624,23 @@ def _format_cycle_time(stamp: float) -> str:
     )
 
 
+def _read_history(path: str):
+    """The history store at ``path``, opened read-only; exits 1 with the
+    reason when there is none this build can read."""
+    import sqlite3
+
+    from repro.history.store import HistoryStore, OtherLayoutError
+
+    try:
+        return HistoryStore(path, readonly=True)
+    except (OSError, sqlite3.Error, OtherLayoutError) as error:
+        raise SystemExit(f"cannot read history store {path}: {error}")
+
+
 def _cmd_history(args: argparse.Namespace) -> int:
     import json
 
-    from repro.history import HistoryStore
-
-    store = HistoryStore(args.db)
+    store = _read_history(args.db)
     try:
         if args.entity:
             rows = [row.to_dict()
@@ -704,9 +707,9 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_flaps(args: argparse.Namespace) -> int:
     import json
 
-    from repro.history import HealthAnalyzer, HistoryStore
+    from repro.history import HealthAnalyzer
 
-    store = HistoryStore(args.db)
+    store = _read_history(args.db)
     try:
         analyzer = HealthAnalyzer(
             store, flap_window=args.window,
@@ -810,13 +813,12 @@ def _explain_frames(args: argparse.Namespace) -> list:
 def _explain_since(args: argparse.Namespace) -> int:
     """Cross-cycle mode: locate and explain the current failing streak."""
     from repro.engine.explain import failing_streak_start, render_transition
-    from repro.history import HistoryStore
 
     if not args.rule:
         print("explain --since requires an explicit rule name",
               file=sys.stderr)
         return 2
-    store = HistoryStore(args.history_db)
+    store = _read_history(args.history_db)
     try:
         rendered = []
         for target in store.targets():

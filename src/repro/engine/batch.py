@@ -16,7 +16,7 @@ from repro.crawler.crawler import Crawler
 from repro.crawler.entities import Entity
 from repro.crawler.frame import ConfigFrame
 from repro.engine.delta import report_token
-from repro.engine.engine import WORKER_BUSY, ConfigValidator
+from repro.engine.engine import ConfigValidator
 from repro.engine.parse_cache import CacheStats
 from repro.engine.results import RuleResult, ValidationReport, Verdict
 from repro.engine.stages import StageTimings
@@ -76,10 +76,6 @@ class RuleRollup:
     def checked(self) -> int:
         return self.failed + self.passed
 
-    @property
-    def failure_rate(self) -> float:
-        return self.failed / self.checked if self.checked else 0.0
-
 
 @dataclass
 class EntityRollup:
@@ -108,7 +104,7 @@ class FleetSummary:
     rules: dict[tuple[str, str], RuleRollup] = field(default_factory=dict)
     entities: dict[str, EntityRollup] = field(default_factory=dict)
     tag_failures: dict[str, int] = field(default_factory=dict)
-    #: Per-stage wall time of this scan cycle (None when not collected).
+    #: Per-stage self time of this scan cycle (None when not collected).
     stage_timings: StageTimings | None = None
     #: Parse-cache counters snapshotted at the end of the cycle.
     cache_stats: CacheStats | None = None
@@ -450,9 +446,19 @@ class BatchScanner:
                       tags: list[str] | None = None,
                       workers: int | None = None) -> FleetSummary:
         """Crawl + validate ``entities`` and roll the results up."""
+        return self._scan(entities, crawl=True, tags=tags, workers=workers)
+
+    def scan_frames(self, frames: list[ConfigFrame], *,
+                    tags: list[str] | None = None,
+                    workers: int | None = None) -> FleetSummary:
+        """Validate pre-captured frames (the decoupled pipeline)."""
+        return self._scan(frames, crawl=False, tags=tags, workers=workers)
+
+    def _scan(self, targets: list, *, crawl: bool,
+              tags: list[str] | None, workers: int | None) -> FleetSummary:
+        """One scan cycle over entities (``crawl``) or frames."""
         workers = self._workers if workers is None else max(1, workers)
         timings = StageTimings()
-        busy_before = self._busy_seconds()
         started_at = time.time()
         if _CHAOS.armed:
             # Injected clock skew on the cycle's wall stamp: history rows
@@ -461,16 +467,18 @@ class BatchScanner:
             started_at += _CHAOS.skew("scan-cycle")
         started = time.perf_counter()
         with self.telemetry.spans.span("scan_cycle", category="cycle",
-                                       entities=str(len(entities)),
+                                       entities=str(len(targets)),
                                        workers=str(workers)):
-            with timings.timer("crawl"):
-                try:
-                    frames = self._crawler.crawl_many(
-                        entities, workers=workers)
-                except ScanStageError:
-                    raise
-                except Exception as error:
-                    raise ScanStageError("crawl", error) from error
+            frames = targets
+            if crawl:
+                with timings.timer("crawl"):
+                    try:
+                        frames = self._crawler.crawl_many(
+                            targets, workers=workers)
+                    except ScanStageError:
+                        raise
+                    except Exception as error:
+                        raise ScanStageError("crawl", error) from error
             try:
                 report = self._validator.validate_frames(
                     frames, tags=tags, workers=workers, timings=timings
@@ -480,42 +488,9 @@ class BatchScanner:
             except Exception as error:
                 raise ScanStageError("validate", error) from error
         return self._summarize(
-            report, len(entities), time.perf_counter() - started, timings,
-            workers=workers, busy_before=busy_before, started_at=started_at,
+            report, len(targets), time.perf_counter() - started, timings,
+            workers=workers, started_at=started_at,
         )
-
-    def scan_frames(self, frames: list[ConfigFrame], *,
-                    tags: list[str] | None = None,
-                    workers: int | None = None) -> FleetSummary:
-        """Validate pre-captured frames (the decoupled pipeline)."""
-        workers = self._workers if workers is None else max(1, workers)
-        timings = StageTimings()
-        busy_before = self._busy_seconds()
-        started_at = time.time()
-        if _CHAOS.armed:
-            started_at += _CHAOS.skew("scan-cycle")
-        started = time.perf_counter()
-        with self.telemetry.spans.span("scan_cycle", category="cycle",
-                                       entities=str(len(frames)),
-                                       workers=str(workers)):
-            try:
-                report = self._validator.validate_frames(
-                    frames, tags=tags, workers=workers, timings=timings
-                )
-            except ScanStageError:
-                raise
-            except Exception as error:
-                raise ScanStageError("validate", error) from error
-        return self._summarize(
-            report, len(frames), time.perf_counter() - started, timings,
-            workers=workers, busy_before=busy_before, started_at=started_at,
-        )
-
-    def _busy_seconds(self) -> float:
-        """Current value of the cumulative worker-busy counter."""
-        if not self.telemetry.enabled:
-            return 0.0
-        return self.telemetry.metrics.counter(*WORKER_BUSY).value()
 
     def _summarize(
         self,
@@ -525,7 +500,6 @@ class BatchScanner:
         timings: StageTimings | None = None,
         *,
         workers: int = 1,
-        busy_before: float = 0.0,
         started_at: float = 0.0,
     ) -> FleetSummary:
         telemetry = self.telemetry
@@ -536,8 +510,10 @@ class BatchScanner:
             telemetry.metrics.gauge(
                 "repro_workers", "Configured worker threads."
             ).set(workers)
-            busy = self._busy_seconds() - busy_before
-            if elapsed > 0:
+            if elapsed > 0 and timings is not None:
+                # The frames' blocks hold the cycle's worker-seconds.
+                busy = (timings.total_seconds - timings.seconds("crawl")
+                        - timings.seconds("composite"))
                 telemetry.metrics.gauge(
                     "repro_worker_utilization_ratio",
                     "Worker busy-seconds / (workers * cycle wall time) "

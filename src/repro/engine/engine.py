@@ -91,15 +91,50 @@ _VERDICT_STR = {verdict: verdict.value for verdict in Verdict}
 #: Resolves a cvl_file reference to YAML text.
 Resolver = Callable[[str], str]
 
-#: The worker-busy counter family: ``validate_frames`` adds each frame's
-#: seconds, and :class:`~repro.engine.batch.BatchScanner` reads it.
-WORKER_BUSY = ("repro_worker_busy_seconds_total",
-               "Aggregate worker-seconds spent validating frames.")
-
-
 #: A per-entity verdict as a composite term sees it.
 _TERM_VALUE = {Verdict.COMPLIANT: True, Verdict.NONCOMPLIANT: False,
                Verdict.NOT_APPLICABLE: None, Verdict.ERROR: None}
+
+
+class _PendingRuleMetrics:
+    """Frames' result lists awaiting the per-rule counter and histogram,
+    tallied at scrape time.  As a collector it holds neither the
+    validator nor the registry, so neither keeps the other alive."""
+
+    __slots__ = ("_batches", "_lock")
+
+    def __init__(self):
+        self._batches: list[list[RuleResult]] = []
+        self._lock = threading.Lock()
+
+    def append(self, results: list[RuleResult]) -> None:
+        with self._lock:
+            self._batches.append(results)
+
+    def collect(self, registry) -> None:
+        """Fold the pending results into ``registry``; both families are
+        declared even while every verdict replays."""
+        rules_total = registry.counter(
+            "repro_rules_evaluated_total",
+            "Rule evaluations by terminal verdict.",
+            labels=("verdict",),
+        )
+        rule_hist = registry.histogram(
+            "repro_rule_eval_seconds", "Per-rule evaluation latency."
+        )
+        with self._lock:
+            batches = self._batches
+            self._batches = []
+        if not batches:
+            return
+        results = [r for batch in batches for r in batch]
+        verdicts = [_VERDICT_STR[r.verdict] for r in results]
+        # Verdict strings are shared singletons, so list.count is a
+        # C-level identity scan -- cheaper than a Python tally loop for
+        # a handful of distinct verdicts.
+        for verdict in set(verdicts):
+            rules_total.inc(verdicts.count(verdict), verdict=verdict)
+        rule_hist.observe_batch([r.duration_s for r in results])
 
 
 class _RunContext:
@@ -248,10 +283,8 @@ class ConfigValidator:
         self.parse_cache = parse_cache
         self._crawler = crawler or Crawler(telemetry=self.telemetry,
                                            parse_cache=parse_cache)
-        #: Frames' result lists awaiting scrape-time tallying into the
-        #: per-rule counter/histogram (see :meth:`_collect_rule_metrics`).
-        self._pending_rule_metrics: list[list[RuleResult]] = []
-        self._pending_rule_lock = threading.Lock()
+        #: Frames' result lists awaiting the scrape-time per-rule tally.
+        self._rule_metrics = _PendingRuleMetrics()
         #: Cross-cycle verdict store; None means every run is a full
         #: revalidation (the default).
         self.verdict_store = verdict_store
@@ -267,7 +300,7 @@ class ConfigValidator:
             publish_on_scrape(metrics, plan_cache_stats)
             publish_on_scrape(metrics, parse_cache.stats)
             metrics.register_collector(
-                f"rule-metrics-{id(self)}", self._collect_rule_metrics
+                f"rule-metrics-{id(self)}", self._rule_metrics.collect
             )
             if verdict_store is not None:
                 publish_on_scrape(metrics, verdict_store.stats)
@@ -283,39 +316,6 @@ class ConfigValidator:
         """Release held resources; a no-op, since a validator holds only
         in-memory state.  Kept so callers that close a validator when
         they are done with it keep working."""
-
-    def _collect_rule_metrics(self) -> None:
-        """Fold pending per-rule results into counters/histograms.
-
-        Registered as a pull-style collector (like the parse-cache
-        stats): the scan cycle's hot path only appends each frame's
-        result list here, and the verdict tally plus latency histogram
-        are computed when the metrics are actually scraped or rendered.
-        Both families are declared on every scrape, so they are exposed
-        even while every verdict replays.
-        """
-        rules_total = self.telemetry.metrics.counter(
-            "repro_rules_evaluated_total",
-            "Rule evaluations by terminal verdict.",
-            labels=("verdict",),
-        )
-        rule_hist = self.telemetry.metrics.histogram(
-            "repro_rule_eval_seconds", "Per-rule evaluation latency."
-        )
-        with self._pending_rule_lock:
-            batches = self._pending_rule_metrics
-            self._pending_rule_metrics = []
-        if not batches:
-            return
-        verdict_str = _VERDICT_STR
-        results = [r for batch in batches for r in batch]
-        verdicts = [verdict_str[r.verdict] for r in results]
-        # Verdict strings are shared singletons, so list.count is a
-        # C-level identity scan -- cheaper than a Python tally loop for
-        # a handful of distinct verdicts.
-        for verdict in set(verdicts):
-            rules_total.inc(verdicts.count(verdict), verdict=verdict)
-        rule_hist.observe_batch([r.duration_s for r in results])
 
     # ---- configuration ----------------------------------------------------
 
@@ -461,12 +461,14 @@ class ConfigValidator:
         if enabled:
             # Fold what earlier runs left pending: a process nobody
             # scrapes holds one run's rule results, not every run's.
-            self._collect_rule_metrics()
+            self._rule_metrics.collect(telemetry.metrics)
             telemetry.profiler.fold()
             frames_total = telemetry.metrics.counter(
                 "repro_frames_scanned_total", "Frames validated."
             )
-            busy_total = telemetry.metrics.counter(*WORKER_BUSY)
+            busy_total = telemetry.metrics.counter(
+                "repro_worker_busy_seconds_total",
+                "Aggregate worker-seconds spent validating frames.")
         prep = self._prepare_run(frames, tags=tags, use_plans=use_plans,
                                  provenance=provenance, timings=timings)
         if prep.deadline is not None:
@@ -486,6 +488,11 @@ class ConfigValidator:
         clean_frames = prep.clean_frames
         plan_stats = prep.plan_stats
         normalizer = prep.normalizer
+        composite_timings = None
+        if timings is not None:
+            # The composite step charges a block of its own, as frames do.
+            composite_timings = StageTimings()
+            normalizer = normalizer.charging(composite_timings)
         context = _RunContext(self, normalizer)
         target = ",".join(frame.describe() for frame in frames)
         report = ValidationReport(target=target)
@@ -515,13 +522,12 @@ class ConfigValidator:
                 everything telemetry needs (rule, verdict, timing), so
                 each consumer takes the frame's result list by
                 reference: the counter/histogram tally happens at scrape
-                time (:meth:`_collect_rule_metrics`), span expansion at
+                time (:class:`_PendingRuleMetrics`), span expansion at
                 export time, profile aggregation at read time.
                 """
                 if not results:
                     return
-                with self._pending_rule_lock:
-                    self._pending_rule_metrics.append(results)
+                self._rule_metrics.append(results)
                 telemetry.profiler.record_rules(results)
                 spans.record_rules(results)
 
@@ -530,6 +536,7 @@ class ConfigValidator:
                 int,
                 set[tuple[str, str]],
                 PlanRunStats | None,
+                StageTimings | None,
             ]:
                 frame_started = time.perf_counter()
                 # Explicit parent: with workers > 1 this runs on a pool
@@ -537,16 +544,17 @@ class ConfigValidator:
                 with spans.span(frame.describe(), category="frame",
                                 parent=run_span):
                     with spans.span("evaluate", category="stage"):
-                        placements, fresh, replayed, recomputed, frame_plan = (
-                            self._evaluate_frame_rules(frame, prep)
-                        )
+                        (placements, fresh, replayed, recomputed, frame_plan,
+                         frame_timings) = self._evaluate_frame_rules(
+                            frame, prep)
                         if enabled:
                             # Inside the stage span so rule spans parent
                             # to this frame's "evaluate".
                             flush_rule_telemetry(fresh)
                 if enabled:
                     busy_total.inc(time.perf_counter() - frame_started)
-                return placements, replayed, recomputed, frame_plan
+                return (placements, replayed, recomputed, frame_plan,
+                        frame_timings)
 
             # A clean frame whose stored block replays resolves here, in
             # one lookup with no span; only the rest fan out.
@@ -556,7 +564,8 @@ class ConfigValidator:
                 block = key in clean_frames and store.fresh_block(
                     key, (prep.frame_digests[key], prep.block_key))
                 per_frame.append(
-                    block and (block.placements, block.rules, set(), None))
+                    block and (block.placements, block.rules, set(), None,
+                               None))
             pending = [frame for frame, done in zip(frames, per_frame)
                        if not done]
             if workers > 1 and len(pending) > 1:
@@ -574,14 +583,15 @@ class ConfigValidator:
             # Deterministic merge barrier: document order, not completion
             # order.
             recomputed_pairs: set[tuple[str, str]] = set()
-            for frame, (placements, replayed, recomputed, frame_plan) in zip(
-                frames, per_frame
-            ):
+            for frame, (placements, replayed, recomputed, frame_plan,
+                        frame_timings) in zip(frames, per_frame):
                 for manifest, frame_results in placements:
                     context.record(manifest, frame, frame_results)
                     report.extend(frame_results)
                 if plan_stats is not None and frame_plan is not None:
                     plan_stats.merge(frame_plan)
+                if frame_timings is not None:
+                    timings.merge(frame_timings)
                 if store is not None:
                     recomputed_pairs |= recomputed
                     inc_stats.rules_replayed += replayed
@@ -595,6 +605,7 @@ class ConfigValidator:
 
             composite_results: list[RuleResult] = []
             if include_composites:
+                composite_started = time.perf_counter()
                 with spans.span("composite", category="stage"):
                     fresh_composites: list[RuleResult] = []
                     for manifest, rule in composites:
@@ -653,12 +664,15 @@ class ConfigValidator:
                         report.add(result)
                         composite_results.append(result)
                         fresh_composites.append(result)
-                        if timings is not None:
-                            timings.add("composite", duration)
                     if enabled:
                         # Inside the stage span so rule spans parent to
                         # "composite".
                         flush_rule_telemetry(fresh_composites)
+                if composite_timings is not None:
+                    composite_timings.add_self(
+                        "composite", time.perf_counter() - composite_started,
+                        len(fresh_composites))
+                    timings.merge(composite_timings)
 
         if store is not None:
             run = RunRecord(
@@ -723,10 +737,7 @@ class ConfigValidator:
         timings: StageTimings | None = None,
     ) -> ValidationReport:
         """Crawl ``entity`` and validate the resulting frame."""
-        if timings is not None:
-            with timings.timer("crawl"):
-                frame = self._crawler.crawl(entity)
-        else:
+        with (timings or StageTimings()).timer("crawl"):
             frame = self._crawler.crawl(entity)
         return self.validate_frame(frame, tags=tags, timings=timings)
 
@@ -737,10 +748,7 @@ class ConfigValidator:
         """Crawl and validate a group of entities together (composites see
         the whole group)."""
         workers = self.workers if workers is None else max(1, workers)
-        if timings is not None:
-            with timings.timer("crawl"):
-                frames = self._crawler.crawl_many(entities, workers=workers)
-        else:
+        with (timings or StageTimings()).timer("crawl"):
             frames = self._crawler.crawl_many(entities, workers=workers)
         return self.validate_frames(frames, tags=tags, workers=workers,
                                     timings=timings)
@@ -829,7 +837,7 @@ class ConfigValidator:
         block_key = (tuple(sorted(digests.items())), tuple(tags or ()),
                      provenance)
         normalizer = Normalizer(self._lenses, self._schemas,
-                                cache=self.parse_cache, timings=timings,
+                                cache=self.parse_cache,
                                 telemetry=self.telemetry, recorder=recorder)
         # Passive deadline checks ride in the prep; validate_frames
         # starts the watchdog thread.
@@ -855,6 +863,7 @@ class ConfigValidator:
         int,
         set[tuple[str, str]],
         PlanRunStats,
+        StageTimings | None,
     ]:
         """Every per-entity rule of one frame, against shared run state.
 
@@ -874,14 +883,21 @@ class ConfigValidator:
         fingerprints = prep.fingerprints
         clean_frames = prep.clean_frames
         normalizer = prep.normalizer
-        timings = prep.timings
+        timings = None
+        if prep.timings is not None:
+            # The frame's own block, merged at the barrier: discovery and
+            # parsing are charged through a view of the run's normalizer,
+            # and the rest of the frame's wall is its evaluate time.
+            frame_started = time.perf_counter()
+            timings = StageTimings()
+            normalizer = normalizer.charging(timings)
         tags = prep.tags
         provenance = prep.provenance
         deadline = prep.deadline
         # Monotonic stamp for the frame's deadline budget (RunDeadline
         # compares against time.monotonic, not perf_counter).
         frame_clock = time.monotonic() if deadline is not None else 0.0
-        frame_cancelled = False
+        cancelled = 0
         placements: list[tuple[Manifest, list[RuleResult]]] = []
         #: Freshly evaluated results only -- replays carry no new
         #: timing or verdict information for telemetry.
@@ -919,8 +935,6 @@ class ConfigValidator:
                     store.put(frame_key, manifest.entity, rule.name,
                               tape, fingerprints, result)
                 recomputed.add((manifest.entity, rule.name))
-            if timings is not None:
-                timings.add("evaluate", duration)
             if result.verdict is Verdict.ERROR:
                 log.warning(
                     "rule %s/%s errored on %s: %s",
@@ -1014,7 +1028,7 @@ class ConfigValidator:
                         frame_clock):
                     results[position] = self._cancelled_result(
                         manifest, rule, frame_key)
-                    frame_cancelled = True
+                    cancelled += 1
                     continue
                 if (rule.name in fell_back
                         or rule.name in plan.fallback_names):
@@ -1039,7 +1053,7 @@ class ConfigValidator:
                     time.perf_counter() - started, started, direct_ctx)
             placements.append((manifest, results))
             fresh.extend(results[position] for position in pending)
-        if frame_cancelled:
+        if cancelled:
             _CHAOS.account.note_frame_quarantined()
             log.warning("frame %s quarantined: deadline exceeded, "
                         "remaining rules cancelled", frame_key)
@@ -1051,7 +1065,10 @@ class ConfigValidator:
             else:
                 store.put_block(frame_key, block_key, placements,
                                 replayed + len(fresh), provenance)
-        return placements, fresh, replayed, recomputed, frame_plan
+        if timings is not None:
+            timings.add_self("evaluate", time.perf_counter() - frame_started,
+                             len(fresh) - cancelled)
+        return placements, fresh, replayed, recomputed, frame_plan, timings
 
     def _evaluate_protected(
         self,

@@ -20,6 +20,7 @@ immutable to the evaluators).
 
 from __future__ import annotations
 
+import copy
 import fnmatch
 import posixpath
 import time
@@ -99,7 +100,6 @@ class Normalizer:
         schemas: SchemaParserRegistry | None = None,
         *,
         cache: ParseCache | None = None,
-        timings: StageTimings | None = None,
         telemetry: Telemetry | None = None,
         recorder=None,
     ):
@@ -108,7 +108,7 @@ class Normalizer:
         #: Shared content-addressed cache (private to this run when the
         #: caller did not supply one).
         self.cache = cache if cache is not None else ParseCache()
-        self.timings = timings
+        self.timings: StageTimings | None = None  # see charging()
         self.telemetry = telemetry or DISABLED
         #: Incremental-mode dependency recorder (None outside incremental
         #: runs).  Hooks sit at method *entry*, before the memo checks:
@@ -121,6 +121,13 @@ class Normalizer:
         self._file_index: dict[tuple[int, tuple[str, ...]], FileTargetIndex] = {}
         self._digests: dict[tuple[int, str], tuple[str, int]] = {}
         self._queries: dict[tuple[str, str], Query] = {}
+
+    def charging(self, timings: StageTimings) -> "Normalizer":
+        """A view that shares this normalizer's caches and charges the
+        discovery and parsing done through it to ``timings``."""
+        view = copy.copy(self)
+        view.timings = timings
+        return view
 
     # ---- discovery --------------------------------------------------------
 

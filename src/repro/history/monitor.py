@@ -27,7 +27,7 @@ import json
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.batch import BatchScanner, FleetSummary
 from repro.history.analyzer import (
@@ -39,7 +39,7 @@ from repro.history.events import HealthEvent
 from repro.history.store import HistoryStore
 from repro.telemetry import get_logger
 from repro.telemetry.export import MetricsServer
-from repro.telemetry.stats import publish_on_scrape
+from repro.telemetry.stats import Stats, publish_on_scrape, stat
 
 log = get_logger("history.monitor")
 
@@ -61,13 +61,43 @@ class MonitorConfig:
 
 
 @dataclass
-class MonitorStats:
-    """What one :meth:`FleetMonitor.run` did."""
+class MonitorStats(Stats):
+    """What one :meth:`FleetMonitor.run` did and how its latest cycle
+    went, published after every cycle; the report gauges stay None, so
+    unexported, until a cycle has produced a report."""
 
-    cycles: int = 0
-    scan_errors: int = 0
-    events: int = 0
-    events_by_kind: dict[str, int] = field(default_factory=dict)
+    snapshot = True
+
+    cycles: int = stat("repro_monitor_cycles_total",
+                       "Monitor scan cycles attempted.")
+    scan_errors: int = stat(
+        "repro_monitor_scan_errors_total",
+        "Monitor cycles that failed before producing a report.")
+    events: int = stat()
+    events_by_kind: dict[str, int] = stat(
+        "repro_history_events_total", "Health events emitted, by kind.",
+        label="kind", default_factory=dict)
+    last_cycle_seconds: float = stat(
+        "repro_monitor_last_cycle_seconds",
+        "Wall time of the most recent monitor cycle.", "gauge", default=0.0)
+    last_cycle_regressions: int = stat(
+        "repro_history_last_cycle_regressions",
+        "Regression events in the most recent cycle.", "gauge")
+    last_cycle_fixes: int = stat(
+        "repro_history_last_cycle_fixes",
+        "Fix events in the most recent cycle.", "gauge")
+    flapping_rules: int = stat(
+        "repro_history_flapping_rules",
+        "Rules currently classified as flapping.", "gauge")
+    compliance_ratio: float | None = stat(
+        "repro_fleet_compliance_ratio",
+        "Fleet-wide compliance of the most recent cycle.", "gauge",
+        default=None)
+    degraded: float | None = stat(
+        "repro_degraded_last_cycle",
+        "1 when the most recent cycle degraded (faults absorbed,"
+        " frames quarantined, or deadline cancellations).", "gauge",
+        default=None)
     elapsed_s: float = 0.0
 
     def render(self) -> str:
@@ -251,40 +281,19 @@ class FleetMonitor:
     def _publish_metrics(self, summary: FleetSummary | None,
                          events: list[HealthEvent],
                          cycle_seconds: float) -> None:
-        metrics = self._metrics
-        metrics.counter(
-            "repro_monitor_cycles_total", "Monitor scan cycles attempted."
-        ).inc()
-        if summary is None:
-            metrics.counter(
-                "repro_monitor_scan_errors_total",
-                "Monitor cycles that failed before producing a report.",
-            ).inc()
-        events_total = metrics.counter(
-            "repro_history_events_total",
-            "Health events emitted, by kind.", labels=("kind",),
-        )
-        for event in events:
-            events_total.inc(kind=event.kind)
-        metrics.gauge(
-            "repro_monitor_last_cycle_seconds",
-            "Wall time of the most recent monitor cycle.",
-        ).set(cycle_seconds)
-        regressions = sum(1 for e in events if e.kind == "regression")
-        fixes = sum(1 for e in events if e.kind == "fix")
-        metrics.gauge(
-            "repro_history_last_cycle_regressions",
-            "Regression events in the most recent cycle.",
-        ).set(regressions)
-        metrics.gauge(
-            "repro_history_last_cycle_fixes",
-            "Fix events in the most recent cycle.",
-        ).set(fixes)
-        metrics.gauge(
-            "repro_history_flapping_rules",
-            "Rules currently classified as flapping.",
-        ).set(len(self.analyzer.flapping()))
-        flap_gauge = metrics.gauge(
+        stats = self.stats
+        stats.last_cycle_seconds = cycle_seconds
+        stats.last_cycle_regressions = sum(
+            1 for e in events if e.kind == "regression")
+        stats.last_cycle_fixes = sum(1 for e in events if e.kind == "fix")
+        stats.flapping_rules = len(self.analyzer.flapping())
+        if summary is not None:
+            stats.compliance_ratio = summary.compliance_rate()
+            degradation = summary.degradation
+            stats.degraded = float(degradation is not None
+                                   and degradation.degraded)
+        stats.publish(self._metrics)
+        flap_gauge = self._metrics.gauge(
             "repro_history_rule_flapping",
             "1 for each rule currently flapping.",
             labels=("target", "entity", "rule"),
@@ -296,20 +305,6 @@ class FleetMonitor:
             elif event.kind == "flap_end":
                 flap_gauge.remove(target=event.target, entity=event.entity,
                                   rule=event.rule)
-        if summary is not None:
-            metrics.gauge(
-                "repro_fleet_compliance_ratio",
-                "Fleet-wide compliance of the most recent cycle.",
-            ).set(summary.compliance_rate())
-            degradation = getattr(summary, "degradation", None)
-            metrics.gauge(
-                "repro_degraded_last_cycle",
-                "1 when the most recent cycle degraded (faults absorbed,"
-                " frames quarantined, or deadline cancellations).",
-            ).set(
-                1.0 if degradation is not None
-                and getattr(degradation, "degraded", False) else 0.0
-            )
 
     # ---- the persistent HTTP endpoint --------------------------------------
 

@@ -54,6 +54,7 @@ import os
 import sqlite3
 import threading
 import time
+import urllib.parse
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.chaos.fabric import _CHAOS, absorbed as _chaos_absorbed
@@ -66,7 +67,7 @@ from repro.engine.delta import (
     report_token,
 )
 from repro.engine.results import ValidationReport, Verdict
-from repro.engine.stages import STAGES
+from repro.engine.stages import STAGES, StageTimings
 from repro.telemetry import get_logger
 from repro.telemetry.stats import Stats, stat
 
@@ -195,8 +196,14 @@ _RUN_TABLES = (
 LAYOUT_VERSION = 1
 
 
-class _OtherLayout(Exception):
+class OtherLayoutError(Exception):
     """The database was written with another layout than this build's."""
+
+
+def _check_layout(version: int) -> None:
+    if version != LAYOUT_VERSION:
+        raise OtherLayoutError(f"has layout version {version}, this build"
+                               f" writes {LAYOUT_VERSION}")
 
 
 @dataclass
@@ -339,33 +346,59 @@ class HistoryStore:
     """Append-only, thread-safe fleet-health store (SQLite, WAL)."""
 
     def __init__(self, path: str = ":memory:", *,
-                 retain_cycles: int | None = None):
+                 retain_cycles: int | None = None, readonly: bool = False):
+        """With ``readonly``, only read an existing store: raise for a
+        missing file or another layout, and create or move nothing."""
         _check_retention(retain_cycles)
         self.path = path
         self.retain_cycles = retain_cycles
+        self.readonly = readonly
         self._lock = threading.RLock()
-        if path != ":memory:":
-            parent = os.path.dirname(os.path.abspath(path))
+        self._conn = (self._open_readonly() if readonly
+                      else self._open_for_writing())
+        self._stats = HistoryStoreStats()
+        self._load_state()
+
+    def _open_for_writing(self) -> sqlite3.Connection:
+        if self.path != ":memory:":
+            parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
         try:
             if _CHAOS.armed:
                 _CHAOS.fire("store.sqlite", self.path)
-            self._conn = self._open()
+            return self._open()
         except sqlite3.Error as error:
-            if not is_corruption(error) or path == ":memory:":
+            if not is_corruption(error) or self.path == ":memory:":
                 raise
             # A corrupt history file must not kill the monitor.
             _chaos_absorbed(error)
-            self._conn = self._reopen_cold(f"corrupt at open: {error}")
-        except _OtherLayout as error:
-            self._conn = self._reopen_cold(str(error))
-        self._stats = HistoryStoreStats()
-        self._load_state()
+            return self._reopen_cold(f"corrupt at open: {error}")
+        except OtherLayoutError as error:
+            return self._reopen_cold(str(error))
+
+    def _open_readonly(self) -> sqlite3.Connection:
+        """A ``mode=ro`` URI connection: no schema, pragma or prune."""
+        with open(self.path, "rb") as handle:
+            header = handle.read(64)
+        if (header.startswith(b"SQLite format 3\0")
+                and not os.path.exists(self.path + "-wal")):
+            # No write-ahead log, so the header's stamp is current: another
+            # layout is refused before a connection adds -wal/-shm files.
+            _check_layout(int.from_bytes(header[60:64], "big"))
+        uri = f"file:{urllib.parse.quote(os.path.abspath(self.path))}?mode=ro"
+        conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
+        conn.row_factory = sqlite3.Row
+        try:
+            _check_layout(conn.execute("PRAGMA user_version").fetchone()[0])
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
     def _open(self) -> sqlite3.Connection:
         """Connect and apply pragmas; a new database gets the schema and
-        the layout stamp.  Raises :class:`_OtherLayout` for a database
-        with any other stamp."""
+        the layout stamp.  Raises :class:`OtherLayoutError` for a
+        database with any other stamp."""
         conn = sqlite3.connect(
             self.path, check_same_thread=False, timeout=30.0
         )
@@ -377,10 +410,8 @@ class HistoryStore:
                 "SELECT user_version, schema_version FROM"
                 " pragma_user_version, pragma_schema_version").fetchone()
             new = version == 0 and schema == 0
-            if version != LAYOUT_VERSION and not new:
-                raise _OtherLayout(
-                    f"has layout version {version}, this build writes"
-                    f" {LAYOUT_VERSION}")
+            if not new:
+                _check_layout(version)
             # auto_vacuum must be configured before the first table
             # exists for incremental_vacuum to reclaim pruned pages.
             conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
@@ -460,11 +491,7 @@ class HistoryStore:
 
     def record_cycle(self, summary: FleetSummary) -> int:
         """Persist one completed scan cycle; returns its cycle id."""
-        timings = summary.stage_timings
-        stage = {name: 0.0 for name in STAGES}
-        if timings is not None:
-            for name in STAGES:
-                stage[name] = timings.seconds(name)
+        stage = summary.stage_timings or StageTimings()
         cache = summary.cache_stats
         inc = summary.incremental
         rules_skipped = rules_evaluated = frames_clean = frames_dirty = 0
@@ -512,8 +539,7 @@ class HistoryStore:
                         counts[Verdict.ERROR.value],
                         counts[Verdict.NOT_APPLICABLE.value],
                         compliant / checked if checked else 1.0,
-                        stage["crawl"], stage["discover"], stage["parse"],
-                        stage["evaluate"], stage["composite"],
+                        *map(stage.seconds, STAGES),
                         cache.hits if cache else 0,
                         cache.misses if cache else 0,
                         cache.hit_rate if cache else 0.0,
@@ -973,10 +999,11 @@ class HistoryStore:
 
     def close(self) -> None:
         with self._lock:
-            try:
-                self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            except sqlite3.Error:  # read-only media, torn WAL, ...
-                pass
+            if not self.readonly:
+                try:
+                    self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                except sqlite3.Error:  # read-only media, torn WAL, ...
+                    pass
             self._conn.close()
 
     def __enter__(self) -> "HistoryStore":

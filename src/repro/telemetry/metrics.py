@@ -7,7 +7,7 @@ model, scoped to what the scan cycle needs:
   schema; children are addressed by label values
   (``counter.inc(verdict="compliant")``);
 * histograms use fixed upper bounds chosen at creation (cumulative
-  bucket counts, ``sum``/``count``/``min``/``max``);
+  bucket counts, ``sum`` and ``count``);
 * a registry owns the families and renders the Prometheus text
   exposition format (via :mod:`repro.telemetry.export`).
 
@@ -121,14 +121,12 @@ class Gauge(Counter):
 
 
 class _HistogramChild:
-    __slots__ = ("bucket_counts", "total", "count", "min", "max")
+    __slots__ = ("bucket_counts", "total", "count")
 
     def __init__(self, nbuckets: int):
         self.bucket_counts = [0] * nbuckets   # per-bucket, not cumulative
         self.total = 0.0
         self.count = 0
-        self.min = float("inf")
-        self.max = float("-inf")
 
 
 class Histogram(_Family):
@@ -157,10 +155,6 @@ class Histogram(_Family):
             child.bucket_counts[index] += 1
             child.total += value
             child.count += 1
-            if value < child.min:
-                child.min = value
-            if value > child.max:
-                child.max = value
 
     def observe_batch(self, values, **labels: str) -> None:
         """Observe many values under one lock, with exact buckets.
@@ -188,36 +182,21 @@ class Histogram(_Family):
             counts[-1] += len(ordered) - below
             child.total += sum(ordered)
             child.count += len(ordered)
-            if ordered[0] < child.min:
-                child.min = ordered[0]
-            if ordered[-1] > child.max:
-                child.max = ordered[-1]
 
     def observe_aggregate(self, total: float, count: int,
-                          min_value: float | None = None,
-                          max_value: float | None = None,
                           **labels: str) -> None:
-        """Fold in ``count`` observations summing to ``total`` at once
-        (merging another accumulator).  Bucket credit goes to the mean
-        value -- an approximation, but exact for ``sum``/``count`` and,
-        when ``min_value``/``max_value`` are given, for the extremes.
-        """
+        """Fold in ``count`` observations summing to ``total`` at once.
+        Bucket credit goes to the mean value -- an approximation, but
+        exact for ``sum`` and ``count``."""
         if count <= 0:
             return
         key = self._key(labels)
-        mean = total / count
-        index = bisect.bisect_left(self.buckets, mean)
-        low = mean if min_value is None else min_value
-        high = mean if max_value is None else max_value
+        index = bisect.bisect_left(self.buckets, total / count)
         with self._lock:
             child = self._child(key)
             child.bucket_counts[index] += count
             child.total += total
             child.count += count
-            if low < child.min:
-                child.min = low
-            if high > child.max:
-                child.max = high
 
     # ---- accessors --------------------------------------------------------
 
@@ -234,18 +213,6 @@ class Histogram(_Family):
         child = self._snap(labels)
         return child.count if child else 0
 
-    def min(self, **labels: str) -> float:
-        child = self._snap(labels)
-        return child.min if child and child.count else 0.0
-
-    def max(self, **labels: str) -> float:
-        child = self._snap(labels)
-        return child.max if child and child.count else 0.0
-
-    def mean(self, **labels: str) -> float:
-        child = self._snap(labels)
-        return child.total / child.count if child and child.count else 0.0
-
     def samples(self) -> list[tuple[LabelValues, _HistogramChild]]:
         with self._lock:
             # Children are mutated in place; copy the numeric state.
@@ -254,7 +221,6 @@ class Histogram(_Family):
                 snap = _HistogramChild(len(self.buckets) + 1)
                 snap.bucket_counts = list(child.bucket_counts)
                 snap.total, snap.count = child.total, child.count
-                snap.min, snap.max = child.min, child.max
                 out.append((key, snap))
             return out
 
@@ -267,7 +233,7 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
-        self._collectors: dict[str, Callable[[], None]] = {}
+        self._collectors: dict[str, Callable[[MetricsRegistry], None]] = {}
 
     def _get_or_create(self, cls, name: str, help_text: str,
                        labels: tuple[str, ...], **kwargs) -> _Family:
@@ -300,8 +266,10 @@ class MetricsRegistry:
             Histogram, name, help_text, labels, buckets=buckets
         )
 
-    def register_collector(self, key: str, collect: Callable[[], None]) -> None:
-        """Register (or replace) a pre-scrape refresh callback.
+    def register_collector(self, key: str,
+                           collect: Callable[[MetricsRegistry], None]) -> None:
+        """Register (or replace) a pre-scrape refresh callback, called
+        with this registry.
 
         Keyed so re-attaching the same source (e.g. the same parse
         cache) is idempotent rather than duplicating work.
@@ -314,7 +282,7 @@ class MetricsRegistry:
         with self._lock:
             collectors = list(self._collectors.values())
         for collect in collectors:
-            collect()
+            collect(self)
 
     def families(self) -> Iterator[_Family]:
         with self._lock:
@@ -341,8 +309,7 @@ class _NoopInstrument:
     def clear(self) -> None: ...
     def observe(self, value: float, **labels) -> None: ...
     def observe_batch(self, values, **labels) -> None: ...
-    def observe_aggregate(self, total, count, min_value=None,
-                          max_value=None, **labels) -> None: ...
+    def observe_aggregate(self, total, count, **labels) -> None: ...
     def value(self, **labels) -> float:
         return 0.0
     def sum(self, **labels) -> float:

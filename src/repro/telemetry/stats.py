@@ -117,14 +117,15 @@ class Stats:
                 setattr(self, spec.name, value + sign * theirs)
 
     def publish(self, registry) -> None:
-        """Write every exported statistic into ``registry``."""
+        """Write every exported statistic into ``registry``; a statistic
+        that is None (nothing has measured it yet) is left out."""
         write = "set" if self.snapshot else "inc"
         for spec in _specs(type(self)):
-            if spec.metric is None:
+            value = None if spec.metric is None else getattr(self, spec.name)
+            if value is None:
                 continue
             family = getattr(registry, spec.kind)(
                 spec.metric, spec.help, (spec.label,) if spec.label else ())
-            value = getattr(self, spec.name)
             if spec.label:
                 for key, count in value.items():
                     getattr(family, write)(count, **{spec.label: key})
@@ -136,9 +137,10 @@ def publish_on_scrape(registry, snapshot: Callable[[], Stats]) -> None:
     """Publish ``snapshot()`` into ``registry`` right before each scrape.
 
     Keyed by the source (a bound method's object, else the function), so
-    attaching one source twice registers it once.
+    attaching one source twice registers it once.  The collector holds
+    no reference to the registry, which hands itself in.
     """
     source = getattr(snapshot, "__self__", snapshot)
     registry.register_collector(
         f"stats:{type(source).__name__}:{id(source)}",
-        lambda: snapshot().publish(registry))
+        lambda into: snapshot().publish(into))

@@ -356,3 +356,65 @@ class TestIncrementalOptions:
         assert reports["incremental"] == reports["full"]
         assert skipped["full"] == [0, 0]
         assert skipped["incremental"][0] == 0 < skipped["incremental"][1]
+
+
+class TestHistoryInspectionIsReadOnly:
+    """``history``, ``flaps`` and ``explain --since`` only read a store:
+    they create no database and never move one aside."""
+
+    COMMANDS = {
+        "history": lambda db: ["history", "--db", db, "--json"],
+        "flaps": lambda db: ["flaps", "--db", db],
+        "explain": lambda db: ["explain", "sshd", "sshd_permit_root_login",
+                               "--since", "--history-db", db],
+    }
+
+    @staticmethod
+    def _tree(directory) -> dict:
+        return {path.name: path.read_bytes()
+                for path in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_database_is_not_created(self, command, tmp_path):
+        db = str(tmp_path / "nothere.sqlite")
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command](db))
+        assert "cannot read history store" in str(exc.value.code)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("journal", ["delete", "wal"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_other_layout_is_left_untouched(self, command, journal,
+                                            tmp_path):
+        import sqlite3
+
+        from repro.history.store import LAYOUT_VERSION
+
+        db = tmp_path / "older.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute(f"PRAGMA journal_mode={journal}")
+        conn.execute("CREATE TABLE cycles (cycle_id INTEGER PRIMARY KEY)")
+        conn.execute("INSERT INTO cycles VALUES (1)")
+        conn.execute(f"PRAGMA user_version = {LAYOUT_VERSION + 1}")
+        conn.commit()
+        conn.close()
+        before = self._tree(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command](str(db)))
+        message = str(exc.value.code)
+        assert (f"layout version {LAYOUT_VERSION + 1}, this build writes"
+                f" {LAYOUT_VERSION}") in message
+        assert self._tree(tmp_path) == before
+
+    def test_monitor_database_is_read_in_place(self, tmp_path, capsys):
+        db = tmp_path / "history.sqlite"
+        assert main(["monitor", "--scenario", "host", "--interval", "0",
+                     "--max-cycles", "2", "--history-db", str(db)]) == 0
+        before = db.read_bytes()
+        capsys.readouterr()
+        assert main(self.COMMANDS["history"](str(db))) == 0
+        cycles = json.loads(capsys.readouterr().out)["cycles"]
+        assert [row["cycle_id"] for row in cycles] == [1, 2]
+        assert main(self.COMMANDS["flaps"](str(db))) == 0
+        assert db.read_bytes() == before
+        assert not list(tmp_path.glob("*.quarantined.*"))

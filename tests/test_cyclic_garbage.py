@@ -177,6 +177,20 @@ def test_degraded_report_renders_without_cycles():
     assert _cyclic_garbage(lambda: render_json(report)) == {}
 
 
+def test_dropped_validator_with_telemetry_leaves_no_cycles():
+    """The scrape-time collectors a validator registers hold neither the
+    validator nor the registry they are registered in."""
+
+    def run():
+        validator = load_builtin_validator(telemetry=Telemetry(),
+                                           verdict_store=VerdictStore())
+        validator.telemetry.metrics.render()
+        del validator
+
+    run()
+    assert _cyclic_garbage(run) == {}
+
+
 def test_incremental_monitor_cycles_leave_no_cycles(tmp_path,
                                                     logs_kept_nowhere):
     """``repro monitor --incremental``: a verdict store, telemetry on and

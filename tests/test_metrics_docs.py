@@ -3,9 +3,9 @@
 The metric tables of ``docs/observability.md`` and ``docs/monitoring.md``
 give each family one row with its kind.  ``/metrics`` is rendered after
 incremental monitor cycles with a history store and after a cycle under
-the ``fs-error`` fault plan; between them the two export every family
-but the one only a failed cycle exports, and their ``# TYPE`` lines
-must name exactly the documented families and kinds.
+the ``fs-error`` fault plan; between them the two export every family,
+and their ``# TYPE`` lines must name exactly the documented families
+and kinds.
 """
 
 import re
@@ -18,8 +18,6 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 _ROW = re.compile(r"^\| `(repro_[a-z_]+)(?:\{[a-z_,]+\})?` \| (\w+) \|",
                   re.MULTILINE)
 _TYPE = re.compile(r"^# TYPE (\S+) (\S+)$", re.MULTILINE)
-#: Exported only by a monitor cycle that died before producing a report.
-FAILED_CYCLE_ONLY = {"repro_monitor_scan_errors_total": "counter"}
 
 
 def _documented() -> dict[str, str]:
@@ -50,4 +48,4 @@ def test_exported_families_are_the_documented_ones(tmp_path, capsys):
                          "--max-cycles", "1")
     assert "repro_history_db_bytes" in incremental
     assert "repro_degraded_cycles_total" in degraded
-    assert {**incremental, **degraded, **FAILED_CYCLE_ONLY} == _documented()
+    assert {**incremental, **degraded} == _documented()

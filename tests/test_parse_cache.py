@@ -202,17 +202,18 @@ class TestStageTimings:
         assert first.seconds("parse") == pytest.approx(3.0)
         assert first.count("parse") == 3
 
-    def test_thread_safety(self):
-        timings = StageTimings()
-
-        def worker():
-            for _ in range(1000):
-                timings.add("evaluate", 0.001)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert timings.count("evaluate") == 8000
-        assert timings.seconds("evaluate") == pytest.approx(8.0)
+    def test_charging_view_shares_the_caches(self):
+        """A frame's view of the run's normalizer charges its own block
+        and reuses what any other view already discovered or parsed."""
+        frame = _frame({"/etc/ssh/sshd_config": "Port 22\n"})
+        normalizer = Normalizer()
+        first, second = StageTimings(), StageTimings()
+        view = normalizer.charging(first)
+        tree = view.tree_for(frame, "/etc/ssh/sshd_config", "sshd")
+        files = view.files_in_search_paths(frame, ["/etc/ssh"])
+        other = normalizer.charging(second)
+        assert other.tree_for(frame, "/etc/ssh/sshd_config", "sshd") is tree
+        assert other.files_in_search_paths(frame, ["/etc/ssh"]) is files
+        assert first.ops == {"parse": 1, "discover": 1}
+        assert second.ops == {}
+        assert normalizer.timings is None

@@ -19,7 +19,7 @@ from repro.engine.batch import BatchScanner, render_fleet_summary
 from repro.engine.evaluators import evaluate_schema
 from repro.engine.normalizer import Normalizer
 from repro.engine.report import render_junit
-from repro.engine.stages import STAGE_METRIC, StageTimings
+from repro.engine.stages import STAGE_METRIC, STAGES, StageTimings
 from repro.fs import VirtualFilesystem
 from repro.rules import load_builtin_validator
 from repro.telemetry import (
@@ -193,24 +193,24 @@ class TestMetricsRegistry:
             hist.observe(value)
         assert hist.count() == 3
         assert hist.sum() == pytest.approx(2.55)
-        assert hist.min() == 0.05
-        assert hist.max() == 2.0
-        assert hist.mean() == pytest.approx(0.85)
+        ((_labels, child),) = hist.samples()
+        assert child.bucket_counts == [1, 1, 1]
 
-    def test_observe_aggregate_folds_extremes(self):
+    def test_observe_aggregate_credits_the_mean(self):
         registry = MetricsRegistry()
         hist = registry.histogram("h_seconds", buckets=(0.1, 1.0))
-        hist.observe_aggregate(3.0, 4, min_value=0.01, max_value=2.5)
+        hist.observe_aggregate(3.0, 4)
         assert hist.count() == 4
         assert hist.sum() == 3.0
-        assert hist.min() == 0.01
-        assert hist.max() == 2.5
+        ((_labels, child),) = hist.samples()
+        assert child.bucket_counts == [0, 4, 0]
 
     def test_pull_collector_runs_at_scrape_time(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("pulled")
-        registry.register_collector("src", lambda: gauge.set(42))
-        registry.register_collector("src", lambda: gauge.set(7))  # replaces
+        registry.register_collector("src", lambda into: gauge.set(42))
+        registry.register_collector(  # replaces
+            "src", lambda into: into.gauge("pulled").set(7))
         text = render_prometheus(registry)
         assert "pulled 7" in text
 
@@ -433,37 +433,30 @@ class TestPrometheusExport:
 
 
 class TestStageTimingsStats:
-    def test_min_max_mean(self):
-        timings = StageTimings()
-        for seconds in (0.1, 0.3, 0.2):
-            timings.add("parse", seconds)
-        assert timings.min_seconds("parse") == pytest.approx(0.1)
-        assert timings.max_seconds("parse") == pytest.approx(0.3)
-        assert timings.mean_seconds("parse") == pytest.approx(0.2)
-        stats = timings.as_dict()["parse"]
-        assert stats["count"] == 3
-        assert stats["seconds"] == pytest.approx(0.6)
-
     def test_render_format_unchanged(self):
         timings = StageTimings()
         timings.add("evaluate", 0.5)
         lines = timings.render().splitlines()
         assert lines[0] == f"{'stage':<12}{'time [ms]':>12}{'share':>8}{'ops':>10}"
-        assert any(line.startswith("evaluate") for line in lines)
-        extended = timings.render_extended().splitlines()
-        assert "min [ms]" in extended[0] and "max [ms]" in extended[0]
+        assert lines[4] == f"{'evaluate':<12}{500.0:>12.2f}{1.0:>8.1%}{1:>10d}"
+        assert [line.split()[0] for line in lines[1:]] == list(STAGES)
 
     def test_publish_folds_into_registry(self):
+        """One aggregate observation per stage: the sum and the count."""
         registry = MetricsRegistry()
         timings = StageTimings()
         timings.add("crawl", 0.2)
         timings.add("crawl", 0.4)
+        timings.add("evaluate", 0.3, count=7)
         timings.publish(registry)
         hist = registry.histogram(STAGE_METRIC, labels=("stage",))
         assert hist.count(stage="crawl") == 2
         assert hist.sum(stage="crawl") == pytest.approx(0.6)
-        assert hist.min(stage="crawl") == pytest.approx(0.2)
-        assert hist.max(stage="crawl") == pytest.approx(0.4)
+        assert hist.count(stage="evaluate") == 7
+        assert hist.count(stage="parse") == 0
+        text = render_prometheus(registry)
+        assert f'{STAGE_METRIC}_count{{stage="evaluate"}} 7' in text
+        assert 'stage="parse"' not in text
 
     def test_merge_keeps_per_cycle_isolation(self):
         first, second = StageTimings(), StageTimings()
@@ -473,7 +466,21 @@ class TestStageTimingsStats:
         total.merge(first)
         total.merge(second)
         assert total.count("parse") == 2
+        assert total.seconds("parse") == pytest.approx(0.3)
         assert first.count("parse") == 1  # unchanged
+
+    def test_add_self_charges_what_the_block_does_not_hold(self):
+        frame = StageTimings()
+        frame.add("discover", 0.01, count=3)
+        frame.add("parse", 0.04)
+        frame.add_self("evaluate", 0.1, 12)
+        assert frame.seconds("evaluate") == pytest.approx(0.05)
+        assert frame.count("evaluate") == 12
+        assert frame.total_seconds == pytest.approx(0.1)
+
+    def test_unknown_stage_is_rejected(self):
+        with pytest.raises(KeyError):
+            StageTimings().add("report", 0.1)
 
 
 # ---- profiler ----------------------------------------------------------------

@@ -167,17 +167,6 @@ class FaultRule:
             skew_s=float(doc.get("skew_s", 0.0)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "match": self.match,
-            "probability": self.probability,
-            "count": self.count,
-            "mode": self.mode,
-            "delay_s": self.delay_s,
-            "skew_s": self.skew_s,
-        }
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -216,16 +205,6 @@ class FaultPlan:
         except OSError as exc:
             raise ChaosPlanError(f"cannot read fault plan {path!r}: {exc}") from exc
         return cls.from_json(text)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

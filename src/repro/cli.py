@@ -520,6 +520,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             )
         for event in events:
             print(f"  {event.render()}", file=sys.stderr)
+        if args.stage_timings and summary is not None:
+            _print_stats(summary.stage_timings, validator, summary.report)
 
     monitor = FleetMonitor(scanner, history, entities=entities,
                            config=config, sinks=tuple(sinks),

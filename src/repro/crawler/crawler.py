@@ -54,7 +54,6 @@ class Crawler:
         *,
         strict_plugins: bool = False,
         parent_span=None,
-        signatures: dict | None = None,
     ) -> ConfigFrame:
         """Snapshot ``entity``.
 
@@ -63,8 +62,6 @@ class Crawler:
         namespaces are still extracted (a broken MySQL extractor must not
         block sshd validation).  ``parent_span`` nests the crawl span
         under a span opened on another thread (pool fan-out).
-        ``signatures`` maps plugin names to the signatures
-        :meth:`crawl_many` took, so no plugin reads its input twice.
         """
         unknown = set(features) - set(ALL_FEATURES)
         if unknown:
@@ -89,8 +86,7 @@ class Crawler:
                 for plugin in self._plugins.applicable(entity):
                     try:
                         frame.runtime[plugin.name] = plugin.extract_with(
-                            entity, self._parse,
-                            (signatures or {}).get(plugin.name))
+                            entity, self._parse)
                     except PluginError:
                         raise
                     except Exception as exc:  # plugin bug: isolate, don't abort
@@ -176,8 +172,7 @@ class Crawler:
                 # Keep the stored signature: the new one dies young.
                 return previous[2], previous[1], True
             frame = self.crawl(entity, features, strict_plugins=strict_plugins,
-                               parent_span=parent,
-                               signatures=signature and signature[-1])
+                               parent_span=parent)
             if any(key.startswith("plugin_error:") for key in frame.metadata):
                 signature = None  # never reused
             return frame, signature, False

@@ -110,6 +110,19 @@ class DockerImage:
             "RootFS": {"Type": "layers", "Layers": [f"layer{i}" for i in range(len(self.layers))]},
         }
 
+    def inspect_signature(self) -> tuple:
+        """Every field :meth:`inspect` reads, lists and dicts copied into
+        tuples: equal signatures mean equal documents."""
+        config = self.config
+        healthcheck = config.healthcheck
+        return (
+            self.image_id, self.name, self.tag, tuple(config.env.items()),
+            config.user, tuple(config.exposed_ports),
+            tuple(config.entrypoint), tuple(config.cmd),
+            tuple(config.labels.items()), config.workdir,
+            healthcheck and tuple(healthcheck.test), len(self.layers),
+        )
+
 
 class ImageBuilder:
     """Dockerfile-like fluent builder.
@@ -340,6 +353,28 @@ class Container:
             "HostConfig": self.host_config.as_dict(),
             "Mounts": [mount.as_dict() for mount in self.host_config.mounts],
         }
+
+    def inspect_signature(self) -> tuple:
+        """Every field :meth:`inspect` reads, lists, dicts and mounts
+        copied into tuples: a snapshot, so it sees in-place edits and
+        direct ``host_config`` assignments alike."""
+        image = self.image
+        healthcheck = image.config.healthcheck
+        host = self.host_config
+        return (
+            self.container_id, self.name, image.image_id, image.name,
+            image.tag, self.state, self.exit_code, self.health, self.user,
+            tuple(self.env.items()), tuple(image.config.labels.items()),
+            healthcheck and tuple(healthcheck.test),
+            host.privileged, host.network_mode, host.pid_mode, host.ipc_mode,
+            host.userns_mode, host.readonly_rootfs, tuple(host.cap_add),
+            tuple(host.cap_drop), tuple(host.security_opt), host.memory,
+            host.cpu_shares, host.pids_limit, host.restart_policy,
+            host.restart_max_retries, tuple(host.port_bindings.items()),
+            tuple((mount.source, mount.destination, mount.read_only)
+                  for mount in host.mounts),
+            tuple(host.devices),
+        )
 
 
 class DockerDaemon:

@@ -20,8 +20,10 @@ Dependency keys are ``(kind, arg)`` string pairs:
   search paths (``arg`` is the newline-joined path tuple).  Catches
   files appearing or disappearing where a rule discovers candidates;
 * ``("runtime", ns)``     -- one plugin runtime namespace, keys+values;
-* ``("runtime_keys", "")``-- the set of runtime namespaces;
-* ``("packages", "")``    -- the installed-package database.
+* ``("runtime_keys", "")``-- the set of runtime namespaces.
+
+No rule reads the package database; the whole-frame digest still folds
+it in, so an installed or removed package dirties its frame.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ FILEMETA = "filemeta"
 LISTING = "listing"
 RUNTIME = "runtime"
 RUNTIME_KEYS = "runtime_keys"
-PACKAGES = "packages"
 
 #: Separator used to fold a search-path tuple into one ``listing`` arg.
 LISTING_SEP = "\n"
@@ -207,8 +208,6 @@ class FrameFingerprint:
             return self._runtime_digest(arg)
         if kind == RUNTIME_KEYS:
             return _sha256(",".join(sorted(self._runtime)))
-        if kind == PACKAGES:
-            return self._packages_digest()
         raise ValueError(f"unknown dependency kind {kind!r}")
 
     def _file_digest(self, path: str) -> str:
@@ -268,14 +267,6 @@ class FrameFingerprint:
         if values is None:
             return ABSENT
         return _sha256(json.dumps(values, sort_keys=True))
-
-    def _packages_digest(self) -> str:
-        return _sha256(
-            LISTING_SEP.join(
-                f"{p.name}={p.version}:{p.architecture}"
-                for p in self._packages
-            )
-        )
 
 
 def normalize_file_arg(path: str) -> str:

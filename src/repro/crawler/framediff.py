@@ -170,32 +170,6 @@ def _count_changed_lines(old_lines: list[str], new_lines: list[str]) -> int:
     return changed
 
 
-def diff_dependencies(diff: FrameDiff) -> set[tuple[str, str]]:
-    """The dependency keys a :class:`FrameDiff` dirties.
-
-    This is the frame-level dirty-set oracle for incremental
-    revalidation: a stored verdict whose recorded dependency slice (see
-    :mod:`repro.crawler.fingerprint`) intersects this set cannot replay.
-    Useful for explaining *why* a rule re-ran on an "unchanged" entity.
-    """
-    from repro.crawler import fingerprint as fp
-
-    dirty: set[tuple[str, str]] = set()
-    for change in diff.files:
-        if change.change in ("added", "removed"):
-            dirty.add((fp.FILE, change.path))
-            dirty.add((fp.FILEMETA, change.path))
-        elif change.change == "content":
-            dirty.add((fp.FILE, change.path))
-        elif change.change == "metadata":
-            dirty.add((fp.FILEMETA, change.path))
-    if diff.packages_added or diff.packages_removed or diff.packages_changed:
-        dirty.add((fp.PACKAGES, ""))
-    for namespace in diff.runtime_changed:
-        dirty.add((fp.RUNTIME, namespace))
-    return dirty
-
-
 def render_frame_diff(diff: FrameDiff, *, unified_for: list[str] | None = None,
                       baseline: ConfigFrame | None = None,
                       current: ConfigFrame | None = None) -> str:

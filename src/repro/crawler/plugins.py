@@ -94,15 +94,13 @@ class RuntimePlugin(ABC):
     def extract(self, entity: Entity) -> dict[str, str]:
         """Flat key-value runtime state for ``entity``."""
 
-    def extract_with(self, entity: Entity, parse: ParseFn,
-                     signature: object = None) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
         """:meth:`extract`, parsing config files with ``parse``.
 
         The crawler calls this; its ``parse`` goes through the
         validator's parse cache when it has one.  Plugins that parse
         config files override it and have :meth:`extract` call it with
-        :func:`parse_text`; the default ignores ``parse`` and
-        ``signature``, this crawl's :meth:`signature` if it was taken.
+        :func:`parse_text`; the default ignores ``parse``.
         """
         return self.extract(entity)
 
@@ -113,22 +111,21 @@ class DockerInspectPlugin(RuntimePlugin):
     name = "docker"
     kinds = ("container", "image")
 
-    def signature(self, entity: Entity) -> dict:
-        """The raw ``docker inspect`` document."""
+    @staticmethod
+    def _target(entity: Entity):
         context = entity.runtime_context()
         target = context.get("container") or context.get("image")
         if target is None:
             raise PluginError(f"docker plugin: no docker object on {entity!r}")
-        return target.inspect()
+        return target
+
+    def signature(self, entity: Entity) -> tuple:
+        """Every field ``docker inspect`` reads, as a flat tuple: far
+        cheaper to build and compare than the document itself."""
+        return self._target(entity).inspect_signature()
 
     def extract(self, entity: Entity) -> dict[str, str]:
-        return self.extract_with(entity, parse_text)
-
-    def extract_with(self, entity: Entity, parse: ParseFn,
-                     signature: object = None) -> dict[str, str]:
-        """Flattens the inspect document the crawl already fetched."""
-        return flatten_json(signature if signature is not None
-                            else self.signature(entity))
+        return flatten_json(self._target(entity).inspect())
 
 
 class MySQLVariablesPlugin(RuntimePlugin):
@@ -170,8 +167,7 @@ class MySQLVariablesPlugin(RuntimePlugin):
     def extract(self, entity: Entity) -> dict[str, str]:
         return self.extract_with(entity, parse_text)
 
-    def extract_with(self, entity: Entity, parse: ParseFn,
-                     signature: object = None) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
         from repro.augtree.lenses.ini import IniLens
 
         variables = dict(self._DEFAULTS)
@@ -220,8 +216,7 @@ class LiveSysctlPlugin(RuntimePlugin):
     def extract(self, entity: Entity) -> dict[str, str]:
         return self.extract_with(entity, parse_text)
 
-    def extract_with(self, entity: Entity, parse: ParseFn,
-                     signature: object = None) -> dict[str, str]:
+    def extract_with(self, entity: Entity, parse: ParseFn) -> dict[str, str]:
         from repro.augtree.lenses.sysctl import SysctlLens
 
         state = dict(self._DEFAULTS)

@@ -54,7 +54,6 @@ from repro.crawler.fingerprint import (
     FILEMETA,
     FrameFingerprint,
     LISTING,
-    PACKAGES,
     RUNTIME,
     RUNTIME_KEYS,
     listing_arg,
@@ -141,11 +140,6 @@ class DependencyRecorder:
         if tape is not None:
             tape[(frame.describe(), RUNTIME_KEYS, "")] = None
 
-    def record_packages(self, frame: "ConfigFrame") -> None:
-        tape = self._tape()
-        if tape is not None:
-            tape[(frame.describe(), PACKAGES, "")] = None
-
 
 # ---- replay -----------------------------------------------------------------
 
@@ -227,9 +221,19 @@ def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
     every authored keyword, including ones a subclass adds later; the
     explicit fields guard programmatically built rules whose ``raw`` is
     empty.  Per-rule content hashes are memoized (see
-    :func:`_rule_content_digest`); enablement is hashed live so toggling
-    ``rule.enabled`` between runs is always observed.
+    :func:`_rule_content_digest`), and so is the digest, on ``ruleset``,
+    under everything else it reads: the manifest's fields, each rule
+    object (held, so no identity is reused) and its live ``enabled``.
+    Toggling ``rule.enabled`` or any other such edit recomputes it.
     """
+    rules = tuple(ruleset.rules)
+    key = (manifest.entity, tuple(manifest.config_search_paths),
+           manifest.lens, manifest.schema_parser,
+           tuple(manifest.entity_kinds or ()), rules,
+           tuple([rule.enabled for rule in rules]))
+    memo = ruleset.__dict__.get("_digest_memo")
+    if memo is not None and memo[0] == key:
+        return memo[1]
     doc = {
         "manifest": {
             "entity": manifest.entity,
@@ -239,12 +243,13 @@ def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
             "entity_kinds": sorted(manifest.entity_kinds or []),
         },
         "rules": [
-            [_rule_content_digest(rule), rule.enabled]
-            for rule in ruleset.rules
+            [_rule_content_digest(rule), rule.enabled] for rule in rules
         ],
     }
     blob = json.dumps(doc, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    ruleset.__dict__["_digest_memo"] = (key, digest)
+    return digest
 
 
 # ---- stats ------------------------------------------------------------------

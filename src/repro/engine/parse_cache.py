@@ -101,6 +101,8 @@ class ParseCache:
         self._maxsize = max(0, maxsize)
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str, str], Any] = OrderedDict()
+        #: key -> a lock its running parse holds (see :meth:`get_or_parse`).
+        self._inflight: dict[tuple[str, str, str], threading.Lock] = {}
         #: The counters; :meth:`stats` adds the entry count.
         self._counts = CacheStats()
 
@@ -117,19 +119,37 @@ class ParseCache:
         """Return the cached artifact for ``key``, parsing on first sight.
 
         ``parse`` runs outside the lock so a slow parse never blocks other
-        workers' hits; two threads racing the same cold key may both parse
-        (both count as misses) and the first store wins.  Parser
-        exceptions propagate and cache nothing, matching the uncached
-        semantics.
+        workers' hits.  Misses are single-flight: while one thread parses
+        a cold key, a racing lookup of the same key waits for that parse
+        and then looks again, a hit, so a key parses once however many
+        workers ask for it.  Parser exceptions propagate and cache
+        nothing, so the lookups that waited find no entry and parse for
+        themselves, as uncached lookups would.
         """
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._counts.hits += 1
-                self._counts.bytes_deduped += nbytes
-                return cached
-        value = parse()
+        while True:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+                    self._counts.hits += 1
+                    self._counts.bytes_deduped += nbytes
+                    return cached
+                flight = self._inflight.get(key)
+                if flight is None:
+                    if self._maxsize:  # lead: held until the parse ends
+                        flight = self._inflight[key] = threading.Lock()
+                        flight.acquire()
+                    break
+            with flight:
+                pass  # that parse has ended: look the key up again
+        try:
+            value = parse()
+        except BaseException:
+            if flight is not None:
+                with self._lock:
+                    del self._inflight[key]
+                flight.release()
+            raise
         with self._lock:
             self._counts.misses += 1
             self._counts.bytes_parsed += nbytes
@@ -141,6 +161,10 @@ class ParseCache:
                     while len(self._entries) > self._maxsize:
                         self._entries.popitem(last=False)
                         self._counts.evictions += 1
+            if flight is not None:
+                del self._inflight[key]
+        if flight is not None:
+            flight.release()
         return value
 
     def parse(

@@ -131,9 +131,6 @@ class RuleResult:
     def failed(self) -> bool:
         return self.verdict is Verdict.NONCOMPLIANT
 
-    def found_values(self) -> list[str]:
-        return [item.value for item in self.evidence]
-
     def __repr__(self) -> str:
         return (
             f"RuleResult({self.rule.name!r}, {self.entity!r}, "

@@ -305,14 +305,5 @@ class Query:
             return [row.values for row in selected]
         return [row.project(self.columns) for row in selected]
 
-    def matching_rows(self, table: SchemaTable, values: list[str] | None = None) -> list[Row]:
-        """Matching rows without projection."""
-        bindings = _Bindings([str(v) for v in (values or [])])
-        return [
-            row
-            for row in table
-            if self._ast is None or self._ast.evaluate(row, bindings)
-        ]
-
     def __repr__(self) -> str:
         return f"Query({self.constraints!r}, columns={self.columns})"

@@ -9,6 +9,7 @@ Pushgateway-style importer for metrics) -- no agent or sidecar needed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -98,8 +99,11 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+@functools.lru_cache(maxsize=4096)
 def _format_labels(names: tuple[str, ...], values: tuple[str, ...],
                    extra: tuple[tuple[str, str], ...] = ()) -> str:
+    """``{name="value",...}``, escaped; rendered once per label set, so
+    a scrape re-renders only the sample values."""
     pairs = [
         f'{name}="{_escape_label_value(value)}"'
         for name, value in zip(names, values)

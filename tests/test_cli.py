@@ -358,6 +358,24 @@ class TestIncrementalOptions:
         assert skipped["incremental"][0] == 0 < skipped["incremental"][1]
 
 
+def test_monitor_stage_timings_prints_a_table_per_cycle(tmp_path, capsys):
+    from repro.engine.stages import STAGES
+
+    assert main(["monitor", "--scenario", "host", "--max-cycles", "2",
+                 "--interval", "0", "--stage-timings",
+                 "--history-db", str(tmp_path / "history.sqlite")]) == 0
+    err = capsys.readouterr().err
+    tables = err.split("stage timings (aggregate worker-seconds):")[1:]
+    assert len(tables) == 2
+    for table in tables:
+        rows = [line.split() for line in table.splitlines()]
+        assert [row[0] for row in rows
+                if len(row) == 4 and row[0] in STAGES] == list(STAGES)
+        assert "parse cache: " in table
+    assert err.index("cycle 1 ") < err.index("stage timings") \
+        < err.index("cycle 2 ")
+
+
 class TestHistoryInspectionIsReadOnly:
     """``history``, ``flaps`` and ``explain --since`` only read a store:
     they create no database and never move one aside."""

@@ -39,7 +39,6 @@ from repro.crawler.fingerprint import (
     FILE,
     FILEMETA,
     LISTING,
-    PACKAGES,
     RUNTIME,
     RUNTIME_KEYS,
 )
@@ -249,7 +248,7 @@ _DEPS = (
                                         "/opt", "/"]
      for kind in (FILE, FILEMETA)]
     + [(LISTING, "/etc"), (LISTING, "/etc\n/opt"), (LISTING, "/"),
-       (RUNTIME_KEYS, ""), (PACKAGES, "")]
+       (RUNTIME_KEYS, "")]
 )
 
 

@@ -115,6 +115,80 @@ class TestParseCache:
         assert len(cache) == 16
 
 
+class _SignallingLock:
+    """A cache's lock that sets ``released`` each time ``thread``
+    releases it: the moment that thread has looked a key up."""
+
+    def __init__(self, lock, thread, released):
+        self._lock, self._thread, self._released = lock, thread, released
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        if threading.current_thread() is self._thread:
+            self._released.set()
+
+
+class TestSingleFlight:
+    """Two workers that miss one cold key parse it once."""
+
+    KEY = (content_digest("a=1\n"), "tree", "keyvalue")
+
+    def _race(self, first_parse, second_parse):
+        """Look KEY up on two threads; the first parse blocks until the
+        second thread has looked the key up.  Returns ``(cache, results,
+        errors)``."""
+        cache = ParseCache()
+        started, asked = threading.Event(), threading.Event()
+        results, errors = [], []
+
+        def lookup(parse):
+            def parse_after_the_race():
+                started.set()
+                asked.wait(5)
+                return parse()
+            try:
+                results.append(cache.get_or_parse(self.KEY, 4,
+                                                  parse_after_the_race))
+            except ValueError as error:
+                errors.append(error)
+
+        first = threading.Thread(target=lookup, args=(first_parse,))
+        second = threading.Thread(target=lookup, args=(second_parse,))
+        cache._lock = _SignallingLock(cache._lock, second, asked)
+        first.start()
+        started.wait(5)
+        second.start()
+        first.join(10)
+        second.join(10)
+        return cache, results, errors
+
+    def test_racing_lookup_waits_and_counts_as_a_hit(self):
+        parses = []
+        cache, results, errors = self._race(
+            lambda: parses.append("first") or "first tree",
+            lambda: parses.append("second") or "second tree")
+        assert parses == ["first"]
+        assert results == ["first tree", "first tree"] and not errors
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert (stats.bytes_parsed, stats.bytes_deduped) == (4, 4)
+        assert not cache._inflight
+
+    def test_waiters_parse_for_themselves_after_a_failed_parse(self):
+        def fail():
+            raise ValueError("bad parse")
+
+        cache, results, errors = self._race(fail, lambda: "second tree")
+        assert results == ["second tree"] and len(errors) == 1
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, 0)
+        assert cache.get_or_parse(self.KEY, 4, fail) == "second tree"
+        assert not cache._inflight
+
+
 class TestContentAddressing:
     def test_identical_content_parses_once_across_frames(self):
         content = "PermitRootLogin no\nPort 22\n"

@@ -5,8 +5,10 @@ is enforced two ways: passively (every ``should_cancel`` check compares
 the monotonic clock) and actively (a watchdog thread trips the expiry
 event the moment the budget runs out, so a cycle stuck inside one long
 evaluation is flagged without waiting for the next check).  The frame
-deadline is purely passive -- it is checked at stage boundaries inside
-``_evaluate_frame_rules``.
+deadline is purely passive -- it is checked at rule boundaries in the
+fan-out step's per-pack work (``_Run._evaluate_pack`` in
+:mod:`repro.engine.engine`).  The run's account step starts the
+watchdog and stops it however the run ends.
 
 Deadlines are *soft*: nothing is killed.  An over-deadline frame is
 cancelled at the next rule boundary, its remaining rules reported as

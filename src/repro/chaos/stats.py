@@ -4,10 +4,11 @@ A cycle that absorbed faults, cancelled over-deadline frames, or
 quarantined a corrupt store still completes and still emits a report --
 but downstream consumers must never mistake that partial cycle for a
 clean one.  :class:`DegradationStats` is the per-cycle ledger: attached
-to ``ValidationReport.degradation`` / ``FleetSummary.degradation``,
-rendered under ``--stage-timings``, exported as the ``repro_chaos_*`` /
-``repro_degraded_*`` metric families, and the source of the
-``degraded: true`` marker in JSON/JUnit output.
+to ``ValidationReport.degradation`` by the run's account step (a fleet
+summary reads it off its report), rendered under ``--stage-timings``,
+exported as the ``repro_chaos_*`` / ``repro_degraded_*`` metric
+families, and the source of the ``degraded: true`` marker in JSON/JUnit
+output.
 """
 
 from __future__ import annotations

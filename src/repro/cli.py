@@ -41,6 +41,7 @@ from repro.crawler import (
     HostEntity,
 )
 from repro.engine import StageTimings, render_json, render_text
+from repro.engine.report import render_stats
 from repro.fs import RealFilesystem
 from repro.rules import (
     EXTENSION_TARGETS,
@@ -53,29 +54,7 @@ from repro.workloads import FleetSpec, build_cloud_project, build_fleet, ubuntu_
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
-    if args.rules_dir:
-        from repro.rules.repository import load_validator_from_directory
-
-        validator = load_validator_from_directory(
-            args.rules_dir, cache_size=args.cache_size, workers=args.workers,
-            telemetry=telemetry, use_plans=not args.no_plan,
-            provenance=args.provenance,
-            **_validator_kwargs_from_args(args),
-        )
-        if args.targets:
-            wanted = set(args.targets.split(","))
-            for manifest in validator.manifests():
-                manifest.enabled = manifest.entity in wanted
-    else:
-        validator = load_builtin_validator(
-            only=args.targets.split(",") if args.targets else None,
-            cache_size=args.cache_size,
-            workers=args.workers,
-            telemetry=telemetry,
-            use_plans=not args.no_plan,
-            provenance=args.provenance,
-            **_validator_kwargs_from_args(args),
-        )
+    validator = _validator_from_args(args, telemetry)
     timings = StageTimings() if args.stage_timings else None
     server = _start_metrics_server(args, telemetry)
     entity = HostEntity(args.name, RealFilesystem(args.root))
@@ -107,18 +86,54 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.compliant else 1
 
 
-def _validator_kwargs_from_args(args: argparse.Namespace) -> dict:
-    """Validator kwargs for the deadline flags (empty dict when both are
-    at their default); arms --chaos-plan."""
-    kwargs: dict = {}
-    deadline = getattr(args, "deadline", None)
-    if deadline is not None:
-        kwargs["deadline_s"] = deadline
-    frame_deadline = getattr(args, "frame_deadline", None)
-    if frame_deadline is not None:
-        kwargs["frame_deadline_s"] = frame_deadline
+def _validator_from_args(args: argparse.Namespace, telemetry, **extra):
+    """The validator a command runs: the shipped packs, or the repository
+    at ``--rules-dir``, limited to ``--targets`` and set up by whichever
+    scaling, plan, provenance and deadline flags the command has, with
+    ``extra`` constructor arguments.  Arms ``--chaos-plan`` first."""
     _arm_chaos_from_args(args)
-    return kwargs
+    kwargs = dict(
+        cache_size=getattr(args, "cache_size", None),
+        workers=getattr(args, "workers", 1),
+        telemetry=telemetry,
+        use_plans=not args.no_plan,
+        provenance=getattr(args, "provenance", False),
+        deadline_s=getattr(args, "deadline", None),
+        frame_deadline_s=getattr(args, "frame_deadline", None),
+        **extra,
+    )
+    targets = getattr(args, "targets", "")
+    targets = targets.split(",") if targets else None
+    if not getattr(args, "rules_dir", ""):
+        return load_builtin_validator(only=targets, **kwargs)
+    from repro.rules.repository import load_validator_from_directory
+
+    validator = load_validator_from_directory(args.rules_dir, **kwargs)
+    if targets:
+        for manifest in validator.manifests():
+            manifest.enabled = manifest.entity in targets
+    return validator
+
+
+def _scenario_entities(args: argparse.Namespace) -> list:
+    """The entities a command scans: the tree at ``--root``, or else the
+    synthetic ``--scenario`` at ``--size`` and ``--hardening`` (0.5 for a
+    command without that flag)."""
+    if getattr(args, "root", ""):
+        return [HostEntity(args.name, RealFilesystem(args.root))]
+    hardening = getattr(args, "hardening", 0.5)
+    if args.scenario == "host":
+        return [ubuntu_host_entity("demo-host", hardening=hardening,
+                                   with_nginx=True, with_mysql=True)]
+    if args.scenario == "cloud":
+        return [build_cloud_project("demo", violations=hardening < 1.0)]
+    _daemon, images, containers = build_fleet(
+        FleetSpec(images=args.size, containers_per_image=3,
+                  misconfig_rate=1.0 - hardening)
+    )
+    entities = [ContainerEntity(c) for c in containers]
+    entities += [DockerImageEntity(i) for i in images]
+    return entities
 
 
 def _arm_chaos_from_args(args: argparse.Namespace) -> None:
@@ -216,15 +231,14 @@ def _emit_telemetry(args: argparse.Namespace, telemetry,
 
 
 def _print_stats(timings, validator, report) -> None:
-    """Stage timings and the cache, plan and degradation stats on stderr
-    (with --stage-timings; stdout stays report-only)."""
+    """Stage timings and the run's stats blocks on stderr (with
+    --stage-timings; stdout stays report-only)."""
     if timings is None:
         return
     print("\nstage timings (aggregate worker-seconds):", file=sys.stderr)
     print(timings.render(), file=sys.stderr)
-    for stats in (validator.cache_stats(), report.plan, report.degradation):
-        if stats is not None:
-            print(stats.render(), file=sys.stderr)
+    for block in render_stats(validator.cache_stats(), report):
+        print(block, file=sys.stderr)
 
 
 def _cmd_coverage(_args: argparse.Namespace) -> int:
@@ -270,32 +284,11 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
-    validator = load_builtin_validator(
-        cache_size=args.cache_size, workers=args.workers, telemetry=telemetry,
-        use_plans=not args.no_plan, provenance=args.provenance,
-        **_validator_kwargs_from_args(args),
-    )
+    validator = _validator_from_args(args, telemetry)
     timings = StageTimings() if args.stage_timings else None
     server = _start_metrics_server(args, telemetry)
-    if args.scenario == "host":
-        entity = ubuntu_host_entity(
-            "demo-host", hardening=args.hardening,
-            with_nginx=True, with_mysql=True,
-        )
-        report = validator.validate_entity(entity, timings=timings)
-    elif args.scenario == "fleet":
-        _daemon, images, containers = build_fleet(
-            FleetSpec(images=args.size, containers_per_image=3,
-                      misconfig_rate=1.0 - args.hardening)
-        )
-        entities = [ContainerEntity(c) for c in containers]
-        entities += [DockerImageEntity(i) for i in images]
-        report = validator.validate_entities(
-            entities, workers=args.workers, timings=timings
-        )
-    else:  # cloud
-        entity = build_cloud_project("demo", violations=args.hardening < 1.0)
-        report = validator.validate_entity(entity, timings=timings)
+    report = validator.validate_entities(
+        _scenario_entities(args), workers=args.workers, timings=timings)
     print(render_text(report, only_failures=args.only_failures))
     _print_stats(timings, validator, report)
     _emit_telemetry(args, telemetry, server)
@@ -307,31 +300,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchScanner
 
     telemetry = _telemetry_from_args(args, force=True)
-    validator = load_builtin_validator(
-        only=args.targets.split(",") if args.targets else None,
-        cache_size=args.cache_size,
-        workers=args.workers,
-        telemetry=telemetry,
-        use_plans=not args.no_plan,
-        **_validator_kwargs_from_args(args),
-    )
-    if args.root:
-        entities = [HostEntity(args.name, RealFilesystem(args.root))]
-    elif args.scenario == "host":
-        entities = [
-            ubuntu_host_entity(
-                "demo-host", hardening=0.5, with_nginx=True, with_mysql=True
-            )
-        ]
-    elif args.scenario == "cloud":
-        entities = [build_cloud_project("demo", violations=True)]
-    else:  # fleet
-        _daemon, images, containers = build_fleet(
-            FleetSpec(images=args.size, containers_per_image=3,
-                      misconfig_rate=0.5)
-        )
-        entities = [ContainerEntity(c) for c in containers]
-        entities += [DockerImageEntity(i) for i in images]
+    validator = _validator_from_args(args, telemetry)
+    entities = _scenario_entities(args)
     server = _start_metrics_server(args, telemetry)
     scanner = BatchScanner(validator, workers=args.workers,
                            cache_size=args.cache_size, telemetry=telemetry)
@@ -396,12 +366,7 @@ def _cmd_validate_frame(args: argparse.Namespace) -> int:
     server = _start_metrics_server(args, telemetry)
     with open(args.frame, "r", encoding="utf-8") as handle:
         frame = load_frame(handle.read())
-    validator = load_builtin_validator(
-        only=args.targets.split(",") if args.targets else None,
-        telemetry=telemetry,
-        use_plans=not args.no_plan,
-        provenance=args.provenance,
-    )
+    validator = _validator_from_args(args, telemetry)
     report = validator.validate_frame(frame)
     if args.json:
         print(render_json(report))
@@ -440,25 +405,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     return 0 if drift.clean else 1
 
 
-def _monitor_entities(args: argparse.Namespace) -> list:
-    """The fleet one monitor cycle scans (re-crawled every cycle)."""
-    if args.root:
-        return [HostEntity(args.name, RealFilesystem(args.root))]
-    if args.scenario == "host":
-        return [ubuntu_host_entity("demo-host", hardening=args.hardening,
-                                   with_nginx=True, with_mysql=True)]
-    if args.scenario == "cloud":
-        return [build_cloud_project("demo",
-                                    violations=args.hardening < 1.0)]
-    _daemon, images, containers = build_fleet(
-        FleetSpec(images=args.size, containers_per_image=3,
-                  misconfig_rate=1.0 - args.hardening)
-    )
-    entities = [ContainerEntity(c) for c in containers]
-    entities += [DockerImageEntity(i) for i in images]
-    return entities
-
-
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchScanner
     from repro.engine.incremental import VerdictStore
@@ -471,19 +417,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     telemetry = _telemetry_from_args(args, force=True)
-    validator = load_builtin_validator(
-        only=args.targets.split(",") if args.targets else None,
-        cache_size=args.cache_size,
-        workers=args.workers,
-        telemetry=telemetry,
-        verdict_store=VerdictStore() if args.incremental else None,
-        use_plans=not args.no_plan,
-        provenance=args.provenance,
-        **_validator_kwargs_from_args(args),
-    )
+    validator = _validator_from_args(
+        args, telemetry,
+        verdict_store=VerdictStore() if args.incremental else None)
     scanner = BatchScanner(validator, workers=args.workers,
                            cache_size=args.cache_size, telemetry=telemetry)
-    entities = _monitor_entities(args)
+    # Built once: every cycle re-crawls the same entities.
+    entities = _scenario_entities(args)
     history = HistoryStore(args.history_db,
                            retain_cycles=args.retain_cycles)
     sinks = []
@@ -791,25 +731,7 @@ def _explain_frames(args: argparse.Namespace) -> list:
 
         with open(args.frame, "r", encoding="utf-8") as handle:
             return [load_frame(handle.read())]
-    if args.root:
-        crawler = Crawler()
-        return [crawler.crawl(HostEntity(args.name,
-                                         RealFilesystem(args.root)))]
-    if args.scenario == "host":
-        entities = [ubuntu_host_entity("demo-host",
-                                       hardening=args.hardening,
-                                       with_nginx=True, with_mysql=True)]
-    elif args.scenario == "cloud":
-        entities = [build_cloud_project("demo",
-                                        violations=args.hardening < 1.0)]
-    else:  # fleet
-        _daemon, images, containers = build_fleet(
-            FleetSpec(images=args.size, containers_per_image=3,
-                      misconfig_rate=1.0 - args.hardening)
-        )
-        entities = [ContainerEntity(c) for c in containers]
-        entities += [DockerImageEntity(i) for i in images]
-    return list(Crawler().crawl_many(entities, workers=4))
+    return Crawler().crawl_many(_scenario_entities(args), workers=4)
 
 
 def _explain_since(args: argparse.Namespace) -> int:

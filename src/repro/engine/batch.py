@@ -18,6 +18,7 @@ from repro.crawler.frame import ConfigFrame
 from repro.engine.delta import report_token
 from repro.engine.engine import ConfigValidator
 from repro.engine.parse_cache import CacheStats
+from repro.engine.report import render_stats
 from repro.engine.results import RuleResult, ValidationReport, Verdict
 from repro.engine.stages import StageTimings
 from repro.telemetry import RuleProfiler, Telemetry, get_logger
@@ -112,18 +113,6 @@ class FleetSummary:
     #: Process-cumulative: a long-running scanner's rankings sharpen
     #: cycle over cycle.
     profile: RuleProfiler | None = None
-    #: Incremental-revalidation stats for this cycle
-    #: (:class:`repro.engine.incremental.IncrementalRunStats`); None when
-    #: the validator has no verdict store.
-    incremental: object | None = None
-    #: Rule-plan stats for this cycle
-    #: (:class:`repro.engine.plan.PlanRunStats`); None when the cycle ran
-    #: with ``--no-plan`` (plans without fused units).
-    plan: object | None = None
-    #: Degradation accounting for this cycle
-    #: (:class:`repro.chaos.stats.DegradationStats`); None on clean
-    #: cycles with no chaos plan armed.
-    degradation: object | None = None
     #: The report's verdict tally, in ``report.counts()``'s shape, kept
     #: by the scanner's rollups; None on a summary built elsewhere.
     tally: dict[str, int] | None = None
@@ -529,9 +518,6 @@ class BatchScanner:
             stage_timings=timings,
             cache_stats=self._validator.cache_stats(),
             profile=telemetry.profiler if telemetry.enabled else None,
-            incremental=report.incremental,
-            plan=report.plan,
-            degradation=report.degradation,
         )
         log.info(
             "scan cycle: %d entities, %d checks in %.2fs",
@@ -602,10 +588,8 @@ def render_fleet_summary(summary: FleetSummary, *, top: int = 10) -> str:
         lines.append("stage timings (aggregate worker-seconds):")
         for row in summary.stage_timings.render().splitlines():
             lines.append(f"  {row}")
-    for stats in (summary.cache_stats, summary.incremental, summary.plan,
-                  summary.degradation):
-        if stats is not None:
-            lines += ["", stats.render()]
+    for block in render_stats(summary.cache_stats, summary.report):
+        lines += ["", block]
     if summary.profile is not None and len(summary.profile):
         lines.append("")
         lines.append("rule/lens profile (process-cumulative):")

@@ -66,6 +66,17 @@ def render_text(
     return "\n".join(lines)
 
 
+def render_stats(cache_stats, report: ValidationReport) -> list[str]:
+    """A run's stats blocks as text, in order: the parse cache, then the
+    report's incremental replay, rule plans and degradation, leaving out
+    a block that is None.  ``--stage-timings`` and the fleet summary
+    both print these."""
+    return [stats.render()
+            for stats in (cache_stats, report.incremental, report.plan,
+                          report.degradation)
+            if stats is not None]
+
+
 def result_to_dict(result: RuleResult) -> dict:
     payload = {
         "rule": result.rule.name,

@@ -289,7 +289,7 @@ class FleetMonitor:
         stats.flapping_rules = len(self.analyzer.flapping())
         if summary is not None:
             stats.compliance_ratio = summary.compliance_rate()
-            degradation = summary.degradation
+            degradation = summary.report.degradation
             stats.degraded = float(degradation is not None
                                    and degradation.degraded)
         stats.publish(self._metrics)

@@ -493,7 +493,7 @@ class HistoryStore:
         """Persist one completed scan cycle; returns its cycle id."""
         stage = summary.stage_timings or StageTimings()
         cache = summary.cache_stats
-        inc = summary.incremental
+        inc = summary.report.incremental
         rules_skipped = rules_evaluated = frames_clean = frames_dirty = 0
         if inc is not None and getattr(inc, "active", False):
             rules_skipped = inc.rules_skipped

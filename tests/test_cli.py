@@ -361,19 +361,24 @@ class TestIncrementalOptions:
 def test_monitor_stage_timings_prints_a_table_per_cycle(tmp_path, capsys):
     from repro.engine.stages import STAGES
 
-    assert main(["monitor", "--scenario", "host", "--max-cycles", "2",
-                 "--interval", "0", "--stage-timings",
-                 "--history-db", str(tmp_path / "history.sqlite")]) == 0
-    err = capsys.readouterr().err
-    tables = err.split("stage timings (aggregate worker-seconds):")[1:]
-    assert len(tables) == 2
-    for table in tables:
-        rows = [line.split() for line in table.splitlines()]
-        assert [row[0] for row in rows
-                if len(row) == 4 and row[0] in STAGES] == list(STAGES)
-        assert "parse cache: " in table
-    assert err.index("cycle 1 ") < err.index("stage timings") \
-        < err.index("cycle 2 ")
+    for extra in ([], ["--incremental"]):
+        db = tmp_path / f"history{len(extra)}.sqlite"
+        assert main(["monitor", "--scenario", "host", "--max-cycles", "2",
+                     "--interval", "0", "--stage-timings",
+                     "--history-db", str(db), *extra]) == 0
+        err = capsys.readouterr().err
+        tables = err.split("stage timings (aggregate worker-seconds):")[1:]
+        assert len(tables) == 2
+        for table in tables:
+            rows = [line.split() for line in table.splitlines()]
+            assert [row[0] for row in rows
+                    if len(row) == 4 and row[0] in STAGES] == list(STAGES)
+            assert "parse cache: " in table
+            # An incremental monitor's tables also say what replayed.
+            assert ("\nincremental: " in table) == bool(extra)
+            assert ("\nverdict store: " in table) == bool(extra)
+        assert err.index("cycle 1 ") < err.index("stage timings") \
+            < err.index("cycle 2 ")
 
 
 class TestHistoryInspectionIsReadOnly:

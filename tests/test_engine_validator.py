@@ -1,6 +1,7 @@
 """Tests for the ConfigValidator engine: scoping, composites, reports."""
 
 import json
+import threading
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.crawler import Crawler, HostEntity
 from repro.cvl import Manifest, load_rules
 from repro.engine import (
     ConfigValidator,
+    Normalizer,
     Verdict,
     render_json,
     render_result,
@@ -141,6 +143,22 @@ class TestValidatorCore:
         validator = _validator()
         manifest = validator.manifest("sshd")
         assert validator.ruleset_for(manifest) is validator.ruleset_for(manifest)
+
+    def test_failed_run_stops_its_deadline_watchdog(self, monkeypatch):
+        """A run that raises stops its watchdog thread too: left running,
+        it would outlive the run and log a missed deadline later."""
+        def unreadable(self, frame, search_paths):
+            raise OSError("search paths unreadable")
+
+        # Component presence lists the search paths outside the per-rule
+        # protection, so the OSError ends the run.
+        monkeypatch.setattr(Normalizer, "files_in_search_paths", unreadable)
+        validator = ConfigValidator(resolver=RULES.__getitem__, deadline_s=30)
+        validator.add_manifest_text(MANIFEST)
+        with pytest.raises(OSError):
+            validator.validate_entity(_host())
+        assert "repro-deadline-watchdog" not in [
+            thread.name for thread in threading.enumerate()]
 
 
 class TestCrossEntityComposites:

@@ -555,12 +555,12 @@ class TestMonitorCli:
         # Byte-identity against the CLI's own fleet builder.
         import argparse
 
-        from repro.cli import _monitor_entities
+        from repro.cli import _scenario_entities
         from repro.engine import render_json as render
 
         args = argparse.Namespace(root="", scenario="fleet", size=1,
                                   hardening=0.5, name="host")
         reference = load_builtin_validator().validate_entities(
-            _monitor_entities(args)
+            _scenario_entities(args)
         )
         assert report_out.read_text() == render(reference) + "\n"

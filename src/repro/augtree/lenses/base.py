@@ -15,6 +15,13 @@ from abc import ABC, abstractmethod
 from repro.errors import LensError
 from repro.augtree.tree import ConfigTree
 
+#: Deepest nesting of blocks, collections or elements a lens accepts.
+#: Trees are walked, compared and rendered by recursion (``==`` takes two
+#: frames a level), so this stays far enough below Python's default
+#: recursion limit of 1000 to leave the caller's frames room on any thread.
+MAX_NESTING = 256
+TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
+
 
 class Lens(ABC):
     """Parser for one config-file format.

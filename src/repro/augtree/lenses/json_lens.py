@@ -7,7 +7,7 @@ import json.decoder
 import json.scanner
 from bisect import bisect_right
 
-from repro.augtree.lenses.base import Lens
+from repro.augtree.lenses.base import TOO_DEEP, Lens
 from repro.augtree.lenses.util import _render_scalar, scalar_to_tree
 from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
 
@@ -37,16 +37,18 @@ class JsonLens(Lens):
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
         if not text.strip():
             return ConfigTree(ConfigNode("(root)"), source=source, lens=self.name)
+        root = ConfigNode("(root)")
         try:
             data = json.loads(text)
+            if isinstance(data, dict):
+                for key, value in data.items():
+                    scalar_to_tree(str(key), value, root)
+            else:
+                scalar_to_tree("(document)", data, root)
         except json.JSONDecodeError as exc:
             raise self.error(f"invalid JSON: {exc.msg}", exc.lineno) from exc
-        root = ConfigNode("(root)")
-        if isinstance(data, dict):
-            for key, value in data.items():
-                scalar_to_tree(str(key), value, root)
-        else:
-            scalar_to_tree("(document)", data, root)
+        except RecursionError:  # the bound, or deeper than json.loads goes
+            raise self.error(TOO_DEEP) from None
         # ``json.loads`` stays the semantic source of truth; a second
         # span-tracking pass over the (already validated) text harvests
         # offsets, and is only trusted when it rebuilds the identical tree.

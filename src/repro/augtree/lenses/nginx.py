@@ -15,32 +15,46 @@ simple directives carry their arguments (space-joined) as the node value;
 block directives carry their block arguments (e.g. ``location /api``) as
 value and their body as children.  Repeated blocks (two ``server``s) become
 repeated sibling labels, addressable as ``server[1]`` / ``server[2]``.
+
+The lens scans with one regular-expression match per directive and keeps
+its open blocks on a stack: a block nested deeper than
+:data:`~repro.augtree.lenses.base.MAX_NESTING` is a ``LensError``.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.augtree.lenses.base import Lens
+from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP, Lens
 from repro.augtree.lenses.util import unescape
 from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
+from repro.errors import LensError
 
-_PUNCT = "{};"
+#: Whitespace and comments.  Only ``\n`` ends a line; ``\r`` is
+#: whitespace.  A comment runs to its line's end: the lookahead keeps a
+#: backtracking match from reading a comment's tail as a word.
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_WORD = r"[^\n \t\r\#'\"{};]+"
 
-#: One token per match, tried where the previous one ended; every
-#: character starts exactly one alternative.  Whitespace and comments
-#: match no named group.  Only ``\n`` ends a line; ``\r`` is whitespace.
-#: A string's closing quote is optional so that the pattern never fails:
-#: a string whose match stops short of it is unterminated.
-_TOKENS = re.compile(r"""
-    (?P<newline>\n)
-  | [ \t\r]+
-  | \#[^\n]*
-  | (?P<punct>[{};])
-  | (?P<word>[^\n \t\r\#'"{};]+)
-  | "(?P<dquoted>(?:[^"\\]|\\.)*)"?
-  | '(?P<squoted>(?:[^'\\]|\\.)*)'?
-""", re.VERBOSE | re.DOTALL)
+#: One match per directive: the gap before it, a bare name, its bare
+#: arguments (``args`` while they are one space apart, ``more`` after
+#: that), and the character that stopped the match -- ``;``, ``{``,
+#: ``}``, a quote, or none at the end of the text.  Every part may be
+#: empty, so the pattern always matches.  After a quoted token the scan
+#: goes on with the same pattern; its name is then an argument.
+_DIRECTIVE = re.compile(rf"""
+    {_GAP} (?P<name>{_WORD})? (?:\x20(?P<args>{_WORD}(?:\x20{_WORD})*))?
+    (?P<more>(?:{_GAP}{_WORD})*) {_GAP}
+    (?P<end>[;{{}}'"]?)""", re.VERBOSE)
+_WORDS = re.compile(_WORD)
+_COMMENT = re.compile(r"#[^\n]*")
+
+#: A quoted string from its opening quote; no match if unterminated.
+_STRING = re.compile(r""""((?:[^"\\]|\\.)*)"|'((?:[^'\\]|\\.)*)'""", re.DOTALL)
+
+#: Text from a token's start up to an unterminated string, if any.
+_TERMINATED = re.compile(
+    r"""(?:[^'"#]+|#[^\n]*|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')*""", re.DOTALL)
 
 
 class NginxLens(Lens):
@@ -54,99 +68,99 @@ class NginxLens(Lens):
     )
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
-        tokens = self._tokenize(text)
-        root = ConfigNode("(root)")
-        index = self._parse_block(tokens, 0, root, top_level=True)
-        if index != len(tokens):
-            line = tokens[index][1]
-            raise self.error(f"unexpected {tokens[index][0]!r}", line)
-        return ConfigTree(root, source=source, lens=self.name)
+        root = parent = ConfigNode("(root)")
+        #: Open blocks, innermost last: each node with its name's line,
+        #: column and offset.
+        stack: list[tuple[ConfigNode, int, int, int]] = []
+        #: The directive being read: its name (None between directives)
+        #: and its arguments so far, in pieces to join with spaces.
+        name = None
+        args: list[str] = []
+        #: ``line`` is the line of offset ``seen``; it starts at ``line_start``.
+        line, line_start, seen = 1, 0, 0
 
-    # ---- tokenizer ---------------------------------------------------------
+        def locate(at: int) -> tuple[int, int]:
+            """Line and column of offset ``at``, which never moves back."""
+            nonlocal line, line_start, seen
+            newlines = text.count("\n", seen, at)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", seen, at) + 1
+            seen = at
+            return line, at - line_start + 1
 
-    def _tokenize(self, text: str) -> list[tuple[str, int, int, int, int]]:
-        """``(token, line, column, start, end)`` tuples.
+        def fail(message: str, at: int) -> LensError:
+            """The error for a parse problem at the token at ``at``.  An
+            unterminated string later on is reported instead, as it was
+            when a tokenizer read the whole text before parsing."""
+            stop = _TERMINATED.match(text, at).end()
+            if stop < len(text):
+                return self.error("unterminated string",
+                                  text.count("\n", 0, stop) + 1)
+            return self.error(message, locate(at)[0])
 
-        Strings keep their content only, but line/column/offsets cover the
-        raw region including the quotes.
-        """
-        tokens = []
-        line = 1
-        line_start = 0
-        match = _TOKENS.match
         pos = 0
-        while pos < len(text):
-            token = match(text, pos)
-            start, pos = token.span()
-            kind = token.lastgroup
-            if kind is None:  # whitespace or comment
+        while True:
+            match = _DIRECTIVE.match(text, pos)
+            first, simple, more, end = match.group("name", "args", "more", "end")
+            pos = match.end()
+            if first is not None:
+                if name is None:
+                    name, start = first, match.start("name")
+                    name_line, name_col = locate(start)
+                else:
+                    args.append(first)
+                if simple:
+                    args.append(simple)
+                if more:
+                    args += _WORDS.findall(_COMMENT.sub("", more))
+            if not end:
+                break
+            at = pos - 1
+            if end in "'\"":
+                string = _STRING.match(text, at)
+                if string is None:
+                    raise self.error("unterminated string", locate(at)[0])
+                token = unescape(string.group(string.lastindex))
+                pos = string.end()
+            else:
+                token = end
+            # A token is punctuation by its text, quoted or not.
+            if name is None:
+                if token == "}":
+                    if not stack:
+                        raise fail("unmatched '}'", at)
+                    node, open_line, open_col, open_start = stack.pop()
+                    close_line, close_col = locate(at)
+                    node.span = SourceSpan(open_line, open_col, close_line,
+                                           close_col + 1, open_start, pos)
+                    parent = stack[-1][0] if stack else root
+                elif token in "{;":
+                    raise fail(f"unexpected {token!r}", at)
+                else:
+                    name, start = token, at
+                    name_line, name_col = locate(at)
                 continue
-            if kind == "newline":
-                line += 1
-                line_start = pos
-            elif kind == "word" or kind == "punct":
-                tokens.append((token.group(), line, start - line_start + 1,
-                               start, pos))
-            else:
-                body = token.group(kind)
-                if token.end(kind) == pos:
-                    raise self.error("unterminated string", line)
-                tokens.append((unescape(body), line, start - line_start + 1,
-                               start, pos))
-                newlines = body.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = start + 2 + body.rindex("\n")
-        return tokens
-
-    # ---- recursive-descent parser ------------------------------------------
-
-    def _parse_block(
-        self,
-        tokens: list[tuple[str, int, int, int, int]],
-        index: int,
-        parent: ConfigNode,
-        *,
-        top_level: bool,
-    ) -> int:
-        """Parse directives until ``}`` (or EOF at top level); return the
-        index just past the closing brace (or EOF)."""
-        while index < len(tokens):
-            token, line = tokens[index][0], tokens[index][1]
-            if token == "}":
-                if top_level:
-                    raise self.error("unmatched '}'", line)
-                return index + 1
-            if token in "{;":
-                raise self.error(f"unexpected {token!r}", line)
-            # Collect the directive name and its arguments.
-            name = token
-            name_line, name_col, name_start = tokens[index][1:4]
-            index += 1
-            args: list[str] = []
-            while index < len(tokens) and tokens[index][0] not in _PUNCT:
-                args.append(tokens[index][0])
-                index += 1
-            if index >= len(tokens):
-                raise self.error(f"directive {name!r} missing ';' or '{{'", line)
-            terminator, term_line = tokens[index][0], tokens[index][1]
+            if token not in "{};":
+                args.append(token)
+                continue
             value = " ".join(args) if args else None
-            if terminator == ";":
-                term = tokens[index]
-                span = SourceSpan(name_line, name_col, term[1], term[2] + 1,
-                                  name_start, term[4])
-                parent.add(name, value, span)
-                index += 1
-            elif terminator == "{":
-                node = parent.add(name, value)
-                index = self._parse_block(tokens, index + 1, node, top_level=False)
-                # Span the whole block through its closing brace so nested
-                # constructs report their true extent.
-                closing = tokens[index - 1]
-                node.span = SourceSpan(name_line, name_col, closing[1],
-                                       closing[2] + 1, name_start, closing[4])
+            if token == ";":
+                term_line, term_col = locate(at)
+                parent.add(name, value, SourceSpan(
+                    name_line, name_col, term_line, term_col + 1, start, pos))
+            elif token == "{":
+                if len(stack) == MAX_NESTING:
+                    raise fail(TOO_DEEP, at)
+                parent = parent.add(name, value)
+                stack.append((parent, name_line, name_col, start))
             else:
-                raise self.error(f"unexpected '}}' after {name!r}", term_line)
-        if not top_level:
+                raise fail(f"unexpected '}}' after {name!r}", at)
+            name = None
+            args = []
+        if name is not None:
+            raise self.error(f"directive {name!r} missing ';' or '{{'",
+                             name_line)
+        if stack:
             raise self.error("unexpected end of file inside a block")
-        return index
+        return ConfigTree(root, source=source, lens=self.name)

@@ -10,6 +10,7 @@ import functools
 import re
 from typing import Iterator
 
+from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP
 from repro.augtree.tree import ConfigNode, SourceSpan
 
 #: Line terminators recognised by ``str.splitlines``.  A line from
@@ -106,20 +107,24 @@ def unescape(text: str) -> str:
     return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
-def scalar_to_tree(label: str, value: object, parent: ConfigNode) -> None:
+def scalar_to_tree(label: str, value: object, parent: ConfigNode,
+                   depth: int = 1) -> None:
     """Convert a decoded JSON/YAML value into tree children under ``parent``.
 
     Mappings become child nodes per key; sequences become repeated children
     with the same label; scalars become string values (booleans rendered
-    lowercase like their on-disk form, None as empty value).
+    lowercase like their on-disk form, None as empty value).  Collections
+    nested deeper than :data:`MAX_NESTING` raise ``RecursionError``.
     """
+    if depth > MAX_NESTING:
+        raise RecursionError(TOO_DEEP)
     if isinstance(value, dict):
         node = parent.add(str(label))
         for key, item in value.items():
-            scalar_to_tree(str(key), item, node)
+            scalar_to_tree(str(key), item, node, depth + 1)
     elif isinstance(value, (list, tuple)):
         for item in value:
-            scalar_to_tree(str(label), item, parent)
+            scalar_to_tree(str(label), item, parent, depth + 1)
     else:
         parent.add(str(label), _render_scalar(value))
 

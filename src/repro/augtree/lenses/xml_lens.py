@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from repro.augtree.lenses.base import Lens
+from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP, Lens
 from repro.augtree.tree import ConfigNode, ConfigTree
 
 
@@ -35,14 +35,17 @@ class XmlLens(Lens):
         self._convert(element, root)
         return ConfigTree(root, source=source, lens=self.name)
 
-    def _convert(self, element: ET.Element, parent: ConfigNode) -> None:
+    def _convert(self, element: ET.Element, parent: ConfigNode,
+                 depth: int = 1) -> None:
+        if depth > MAX_NESTING:
+            raise self.error(TOO_DEEP)
         tag = self._strip_namespace(element.tag)
         text = (element.text or "").strip()
         node = parent.add(tag, text or None)
         for name, value in sorted(element.attrib.items()):
             node.add(f"@{self._strip_namespace(name)}", value)
         for child in element:
-            self._convert(child, node)
+            self._convert(child, node, depth + 1)
 
     @staticmethod
     def _strip_namespace(tag: str) -> str:

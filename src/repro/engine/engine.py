@@ -145,8 +145,7 @@ class _RunContext:
     computed the first time a composite asks for it, then memoized.
     """
 
-    def __init__(self, validator: "ConfigValidator", normalizer: Normalizer):
-        self._validator = validator
+    def __init__(self, normalizer: Normalizer):
         self._normalizer = normalizer
         #: (component, rule name) -> bool | None, filled on request
         self._verdicts: dict[tuple[str, str], bool | None] = {}
@@ -564,7 +563,7 @@ class _Run:
             # The composite step charges a block of its own, as frames do.
             self.composite_timings = StageTimings()
             normalizer = normalizer.charging(self.composite_timings)
-        self.context = _RunContext(validator, normalizer)
+        self.context = _RunContext(normalizer)
         #: Per frame in document order: its replayed block, or its
         #: :class:`_FrameWork` once the fan-out has evaluated it.
         self.work: list = []

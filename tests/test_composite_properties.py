@@ -150,7 +150,7 @@ def test_lazy_rule_verdict_matches_eager_merge(placed):
     from repro.engine.engine import _RunContext
     from repro.engine.results import Outcome, RuleResult, Verdict
 
-    context = _RunContext(None, None)
+    context = _RunContext(None)
     placements = []
     for entity, rows in placed:
         results = [RuleResult(rule=Rule(name=config), entity=entity,

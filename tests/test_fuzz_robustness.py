@@ -170,8 +170,14 @@ class TestReDoSRegressions:
         "key = " + "'\"" * 100_000,
         "key = '" + "x#" * 100_000,
         'add_header "' + "\\" * 100_000 + '";\n',
+        "w " * 100_000,
+        "a{" * 100_000,
+        ";" * 200_000,
+        "w " * 100_000 + '"',
     ], ids=["alternating-quotes", "unterminated-quote",
-            "nginx-string-backslashes"])
+            "nginx-string-backslashes", "nginx-unterminated-directive",
+            "nginx-open-blocks", "nginx-semicolons",
+            "nginx-words-then-quote"])
     @pytest.mark.parametrize("lens_name", default_registry().names())
     def test_lens_scan_is_linear(self, lens_name, text):
         # 200k characters: a scan that backtracks or re-reads the line

@@ -1,13 +1,15 @@
 """Differential tests of the lens lexers against per-character references.
 
-``strip_inline_comment``, ``logical_spans``, ``NginxLens._tokenize`` and
-``PropertiesLens._split`` scan with compiled regular expressions.  The per-character loops they
-replaced are kept below, verbatim, as reference oracles: on every input
-the two must give equal output, or raise the same error type with the
-same message and line.  Inputs are drawn from the characters the lexers
-treat specially -- quotes, backslashes, comment and punctuation
-characters, and every kind of line break ``str.splitlines`` knows --
-plus a few words so that lenses build real trees.
+``strip_inline_comment``, ``logical_spans`` and ``PropertiesLens._split``
+scan with compiled regular expressions, and ``NginxLens`` with one match
+per directive.  The per-character loops they replaced, and the nginx
+lens's recursive descent over its token list, are kept below, verbatim,
+as reference oracles: on every input the two must give equal output, or
+raise the same error type with the same message and line.  Inputs are
+drawn from the characters the lexers treat specially -- quotes,
+backslashes, comment and punctuation characters, and every kind of line
+break ``str.splitlines`` knows -- plus a few words so that lenses build
+real trees.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.augtree.lenses import (
     ApacheLens,
@@ -181,7 +183,8 @@ _PUNCT = "{};"
 
 
 class ReferenceNginxLens(NginxLens):
-    """nginx lens with the per-character tokenizer."""
+    """nginx lens as it was: the per-character tokenizer, then a
+    recursive descent over its token list."""
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
         tokens = list(self._tokenize(text))
@@ -191,6 +194,56 @@ class ReferenceNginxLens(NginxLens):
             line = tokens[index][1]
             raise self.error(f"unexpected {tokens[index][0]!r}", line)
         return ConfigTree(root, source=source, lens=self.name)
+
+    def _parse_block(
+        self,
+        tokens: list[tuple[str, int, int, int, int]],
+        index: int,
+        parent: ConfigNode,
+        *,
+        top_level: bool,
+    ) -> int:
+        """Parse directives until ``}`` (or EOF at top level); return the
+        index just past the closing brace (or EOF)."""
+        while index < len(tokens):
+            token, line = tokens[index][0], tokens[index][1]
+            if token == "}":
+                if top_level:
+                    raise self.error("unmatched '}'", line)
+                return index + 1
+            if token in "{;":
+                raise self.error(f"unexpected {token!r}", line)
+            # Collect the directive name and its arguments.
+            name = token
+            name_line, name_col, name_start = tokens[index][1:4]
+            index += 1
+            args: list[str] = []
+            while index < len(tokens) and tokens[index][0] not in _PUNCT:
+                args.append(tokens[index][0])
+                index += 1
+            if index >= len(tokens):
+                raise self.error(f"directive {name!r} missing ';' or '{{'", line)
+            terminator, term_line = tokens[index][0], tokens[index][1]
+            value = " ".join(args) if args else None
+            if terminator == ";":
+                term = tokens[index]
+                span = SourceSpan(name_line, name_col, term[1], term[2] + 1,
+                                  name_start, term[4])
+                parent.add(name, value, span)
+                index += 1
+            elif terminator == "{":
+                node = parent.add(name, value)
+                index = self._parse_block(tokens, index + 1, node, top_level=False)
+                # Span the whole block through its closing brace so nested
+                # constructs report their true extent.
+                closing = tokens[index - 1]
+                node.span = SourceSpan(name_line, name_col, closing[1],
+                                       closing[2] + 1, name_start, closing[4])
+            else:
+                raise self.error(f"unexpected '}}' after {name!r}", term_line)
+        if not top_level:
+            raise self.error("unexpected end of file inside a block")
+        return index
 
     def _tokenize(self, text: str):
         """Yield ``(token, line, column, start, end)`` tuples.
@@ -378,11 +431,24 @@ class TestPropertiesSplit:
 
 
 class TestNginxTokens:
+    """The scanner has no token stream of its own: text drawn from the
+    tokenizer's alphabet must give the reference's tree, spans and
+    errors."""
+
     @settings(max_examples=600, deadline=None)
     @given(text=_lexer_text)
+    @example(text="a b # c ; d\n e;")  # a comment between arguments
+    @example(text='a "x\ny" b;')  # an argument spanning lines
+    @example(text="'a b' c;")  # a quoted name
+    @example(text='a "" b;')  # an empty quoted argument
+    @example(text="a\vb c\x85d e\u2028f;")  # str.isspace() inside words
+    @example(text="\x0b")
+    @example(text="a{")
+    @example(text="a;;")
+    @example(text="a b}")  # ``}`` right after arguments
+    @example(text='} "x')  # an unterminated string after a stray ``}``
     def test_token_stream_matches_reference(self, text):
-        assert (_outcome(lambda: NginxLens()._tokenize(text))
-                == _outcome(lambda: list(ReferenceNginxLens()._tokenize(text))))
+        _assert_same_tree(NginxLens(), text)
 
     @pytest.mark.parametrize("text", [
         'a "x\\"y\n z" b;\n  c;',
@@ -392,8 +458,7 @@ class TestNginxTokens:
         "x\vy\x85z {\u2028}",
     ])
     def test_edge_cases_match_reference(self, text):
-        assert (_outcome(lambda: NginxLens()._tokenize(text))
-                == _outcome(lambda: list(ReferenceNginxLens()._tokenize(text))))
+        _assert_same_tree(NginxLens(), text)
 
 
 _LENSES = [ApacheLens(), IniLens(), KeyValueLens(), ModprobeLens(),

@@ -47,6 +47,8 @@ class JsonLens(Lens):
                 scalar_to_tree("(document)", data, root)
         except json.JSONDecodeError as exc:
             raise self.error(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+        except ValueError as exc:  # an int past Python's digit limit
+            raise self.error(f"invalid JSON: {exc}") from exc
         except RecursionError:  # the bound, or deeper than json.loads goes
             raise self.error(TOO_DEEP) from None
         # ``json.loads`` stays the semantic source of truth; a second

@@ -43,7 +43,6 @@ members' state.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -184,34 +183,6 @@ def _replay(entry, want_provenance: bool = False) -> RuleResult:
 # ---- ruleset digest ---------------------------------------------------------
 
 
-def _rule_content_digest(rule) -> str:
-    """Content hash of one rule, memoized on the rule object.
-
-    The digest is recomputed every validation run (it keys both the
-    verdict store and the plan cache), so the expensive part -- JSON
-    serialization of the rule's ``raw`` mapping -- is cached per rule
-    object.  Rule *content* is treated as immutable once loaded; the
-    supported in-place toggle, :attr:`Rule.enabled`, deliberately stays
-    out of this memo and is hashed live by :func:`ruleset_digest`.
-    """
-    memo = rule.__dict__.get("_content_digest")
-    if memo is None:
-        doc = {
-            "type": rule.rule_type,
-            "name": rule.name,
-            "severity": rule.severity,
-            "tags": list(rule.tags),
-            "preferred": list(rule.preferred_value),
-            "non_preferred": list(rule.non_preferred_value),
-            "not_present_pass": rule.not_present_pass,
-            "raw": rule.raw,
-        }
-        blob = json.dumps(doc, sort_keys=True, default=str)
-        memo = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        rule.__dict__["_content_digest"] = memo
-    return memo
-
-
 def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
     """Content hash of everything about a pack that can change a verdict.
 
@@ -220,11 +191,14 @@ def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
     recompiles the entity's rule plan.  The ``raw`` mapping carries
     every authored keyword, including ones a subclass adds later; the
     explicit fields guard programmatically built rules whose ``raw`` is
-    empty.  Per-rule content hashes are memoized (see
-    :func:`_rule_content_digest`), and so is the digest, on ``ruleset``,
-    under everything else it reads: the manifest's fields, each rule
-    object (held, so no identity is reused) and its live ``enabled``.
-    Toggling ``rule.enabled`` or any other such edit recomputes it.
+    empty.  One ``sha256`` hashes one ``repr`` of the manifest's fields
+    and each rule's, so reordering a rule's keys also changes it: that
+    costs a recompile, never a wrong verdict.  The digest lives only in
+    memory.  It is memoized on ``ruleset``, under everything it reads
+    besides rule content: the manifest's fields, each rule object (held,
+    so no identity is reused) and its live ``enabled``.  Toggling
+    ``rule.enabled`` or any other such edit recomputes it; rule content
+    is treated as immutable once loaded.
     """
     rules = tuple(ruleset.rules)
     key = (manifest.entity, tuple(manifest.config_search_paths),
@@ -234,19 +208,11 @@ def ruleset_digest(manifest: "Manifest", ruleset: "RuleSet") -> str:
     memo = ruleset.__dict__.get("_digest_memo")
     if memo is not None and memo[0] == key:
         return memo[1]
-    doc = {
-        "manifest": {
-            "entity": manifest.entity,
-            "search_paths": list(manifest.config_search_paths),
-            "lens": manifest.lens,
-            "schema_parser": manifest.schema_parser,
-            "entity_kinds": sorted(manifest.entity_kinds or []),
-        },
-        "rules": [
-            [_rule_content_digest(rule), rule.enabled] for rule in rules
-        ],
-    }
-    blob = json.dumps(doc, sort_keys=True, default=str)
+    blob = repr((key[:5], [
+        (rule.rule_type, rule.name, rule.severity, rule.tags,
+         rule.preferred_value, rule.non_preferred_value,
+         rule.not_present_pass, rule.raw, rule.enabled)
+        for rule in rules]))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     ruleset.__dict__["_digest_memo"] = (key, digest)
     return digest

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
-from repro.engine.results import RuleResult, ValidationReport, Verdict
+from repro.engine.results import Outcome, RuleResult, ValidationReport, Verdict
 
 _BADGES = {
     Verdict.COMPLIANT: "PASS",
@@ -145,11 +145,35 @@ def _array(items: list[str], newline: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
-def _result_json(result: RuleResult) -> str:
-    """:func:`result_to_dict` as ``json.dumps(doc, indent=2)`` writes it
-    in a report's results."""
-    rule = result.rule
+#: Each verdict's and outcome's rendered value.
+_ENUMS = {member: _escape(member.value)
+          for enum in (Verdict, Outcome) for member in enum}
+
+
+def _rule_json(rule) -> tuple[str, str, str]:
+    """A rule's fields in a result of it: its name and type (the head of
+    the result), its severity, and its tags with its suggested action."""
     tags = _array([_json(tag, _L4) for tag in rule.tags], _L3)
+    return (f'{{{_L3}"rule": {_json(rule.name, _L3)},'
+            f'{_L3}"rule_type": {_json(rule.rule_type, _L3)},',
+            _json(rule.severity, _L3),
+            f'{tags},{_L3}"suggested_action": '
+            f'{_json(rule.suggested_action, _L3)}')
+
+
+def _result_json(result: RuleResult, rules: dict, places: dict) -> str:
+    """:func:`result_to_dict` as ``json.dumps(doc, indent=2)`` writes it
+    in a report's results.  ``rules`` (by rule identity) and ``places``
+    (by entity and target) hold what one render has already written."""
+    parts = rules.get(id(result.rule))
+    if parts is None:
+        parts = rules[id(result.rule)] = _rule_json(result.rule)
+    head, severity, tags = parts
+    key = (result.entity, result.target)
+    place = places.get(key)
+    if place is None:
+        place = places[key] = (f'{_L3}"entity": {_json(key[0], _L3)},'
+                               f'{_L3}"target": {_json(key[1], _L3)},')
     evidence = _array([
         f'{{{_L5}"file": {_json(item.file, _L5)},'
         f'{_L5}"location": {_json(item.location, _L5)},'
@@ -157,16 +181,12 @@ def _result_json(result: RuleResult) -> str:
         for item in result.evidence
     ], _L3)
     text = (
-        f'{{{_L3}"rule": {_json(rule.name, _L3)},'
-        f'{_L3}"rule_type": {_json(rule.rule_type, _L3)},'
-        f'{_L3}"entity": {_json(result.entity, _L3)},'
-        f'{_L3}"target": {_json(result.target, _L3)},'
-        f'{_L3}"verdict": {_json(result.verdict.value, _L3)},'
-        f'{_L3}"outcome": {_json(result.outcome.value, _L3)},'
-        f'{_L3}"severity": {_json(rule.severity, _L3)},'
+        f'{head}{place}'
+        f'{_L3}"verdict": {_ENUMS[result.verdict]},'
+        f'{_L3}"outcome": {_ENUMS[result.outcome]},'
+        f'{_L3}"severity": {severity},'
         f'{_L3}"message": {_json(result.message, _L3)},'
         f'{_L3}"tags": {tags},'
-        f'{_L3}"suggested_action": {_json(rule.suggested_action, _L3)},'
         f'{_L3}"evidence": {evidence},'
         f'{_L3}"detail": {_json(result.detail, _L3)}'
     )
@@ -184,8 +204,13 @@ def render_json(report: ValidationReport) -> str:
     {"target": ..., "summary": report.counts(), "results":
     [result_to_dict(result), ...]}`` (and ``"degraded"`` and
     ``"degradation"`` on a degraded cycle), written field by field.
+    Each rule's fields and each entity and target are written once per
+    call, so a rule edited between two calls shows its edit.
     """
-    results = _array([_result_json(result) for result in report], _L1)
+    rules: dict[int, tuple[str, str, str]] = {}
+    places: dict[tuple, str] = {}
+    results = _array([_result_json(result, rules, places)
+                      for result in report], _L1)
     text = (
         f'{{{_L1}"target": {_json(report.target, _L1)},'
         f'{_L1}"summary": {_json(report.counts(), _L1)},'

@@ -37,10 +37,13 @@ SYSTEM_SERVICE_TARGETS = ["audit", "fstab", "sshd", "sysctl", "modprobe"]
 EXTENSION_TARGETS = ["accounts", "kubernetes"]
 
 
+#: The package's own directory, where its rule files are.
+_PACKAGE = resources.files(__name__)
+
+
 def builtin_resolver(path: str) -> str:
     """Read a packaged rule file (``component_configs/nginx.yaml``...)."""
-    package = resources.files(__name__)
-    return (package / path).read_text(encoding="utf-8")
+    return (_PACKAGE / path).read_text(encoding="utf-8")
 
 
 def builtin_manifest_text() -> str:

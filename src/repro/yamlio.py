@@ -8,7 +8,8 @@ at import.  Documents are built from the composed nodes by one walker
 (:class:`_Walker`) for both loaders and both parsers.  It hands every tag
 but ``str``, ``map`` and ``seq`` to PyYAML's ``SafeConstructor``, so
 values are exactly what ``yaml.safe_load`` gives, except for the types
-of mappings and sequences.
+of mappings and sequences, and a value Python cannot hold (an int past
+its digit limit, a date past the calendar) is a :class:`YAMLError`.
 
 Two loaders:
 
@@ -23,7 +24,7 @@ Two loaders:
   forms: such scalars stay strings and mean what a CVL author wrote --
   permission digits, a ``uid:gid`` pair, a umask.  Its mappings are
   :class:`LineDict` (the line a rule starts on is all CVL reports) and
-  its sequences plain lists.
+  its sequences plain lists.  It resolves each plain text once per file.
 """
 
 from __future__ import annotations
@@ -129,7 +130,17 @@ class _Walker:
             else:
                 data = []
         else:
-            return super().construct_object(node, deep)
+            try:
+                data = super().construct_object(node, deep)
+                if data.__class__ is int:
+                    str(data)  # a hex or base-60 int has no digit limit
+            except ValueError as exc:
+                # Values Python cannot hold: an int past its digit limit,
+                # a date past the calendar.
+                raise ConstructorError(
+                    None, None, f"cannot construct {tag}: {exc}",
+                    node.start_mark) from None
+            return data
         self.constructed_objects[node] = data
         # Filled by _fill_collections, in the order PyYAML runs its
         # collection generators, which also wait in this queue.
@@ -195,7 +206,31 @@ class Loader(_Walker, _BASE):
     marked = True
 
 
-class CvlLoader(_Walker, _BASE):
+class _CvlResolver:
+    """Resolves each plain scalar's tag once per file, since CVL keywords
+    repeat (four in five plain scalars of the shipped packs) where a
+    config file's keys mostly do not.  With no path resolvers, PyYAML's
+    tag for a plain scalar depends only on its text, so the memo is
+    exact; a quoted scalar is a str, a collection takes its default tag.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._plain_tags = {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not ScalarNode:
+            return _SEQ_TAG if kind is SequenceNode else _MAP_TAG
+        if not implicit[0]:
+            return _STR_TAG
+        tag = self._plain_tags.get(value)
+        if tag is None:
+            tag = self._plain_tags[value] = super().resolve(kind, value,
+                                                            implicit)
+        return tag
+
+
+class CvlLoader(_CvlResolver, _Walker, _BASE):
     """Safe loading into :class:`LineDict` and lists, with CVL numbers:
     YAML 1.1 ints and floats without the leading-zero octal and base-60
     forms."""
@@ -219,7 +254,8 @@ CvlLoader.yaml_implicit_resolvers = {
 
 def _pure_python(loader: type) -> type:
     """``loader``'s walker and resolvers on PyYAML's pure-Python parser."""
-    return type(f"PurePython{loader.__name__}", (_Walker, yaml.SafeLoader), {
+    bases = loader.__bases__[:-1] + (yaml.SafeLoader,)
+    return type(f"PurePython{loader.__name__}", bases, {
         "marked": loader.marked,
         "yaml_implicit_resolvers": loader.yaml_implicit_resolvers,
     })

@@ -117,10 +117,51 @@ def _reports(draw):
     return report
 
 
+@st.composite
+def _shared_reports(draw):
+    """Results drawn from a small pool of rule objects, entities and
+    targets, so one report renders each of them many times."""
+    rules = draw(st.lists(_rules, min_size=1, max_size=3))
+    places = draw(st.lists(st.tuples(_text, _text), min_size=1, max_size=3))
+    results = []
+    for _ in range(draw(st.integers(0, 12))):
+        entity, target = draw(st.sampled_from(places))
+        result = draw(_results(provenance=False))
+        result.rule = draw(st.sampled_from(rules))
+        result.entity, result.target = entity, target
+        results.append(result)
+    return ValidationReport(target=draw(_text), results=results)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_reports())
 def test_render_json_matches_json_dumps(report):
     assert render_json(report) == _reference(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_reports())
+def test_shared_rules_and_places_render_like_json_dumps(report):
+    assert render_json(report) == _reference(report)
+
+
+def test_rule_edited_between_renders_shows_its_edit():
+    rule = TreeRule(name="first", tags=["#CIS"], severity="low",
+                    suggested_action="fix it")
+    report = ValidationReport(target="fleet", results=[
+        RuleResult(rule=rule, entity=entity, target="host-01",
+                   verdict=Verdict.NONCOMPLIANT,
+                   outcome=Outcome.NOT_MATCHED_PREFERRED, message="m")
+        for entity in ("sshd", "sshd", "nginx")])
+    before = render_json(report)
+    assert before == _reference(report)
+    rule.name = "renamed"
+    rule.tags.append("#PCI")
+    rule.severity = "critical"
+    rule.suggested_action = "fix it now"
+    after = render_json(report)
+    assert after == _reference(report)
+    assert after != before and '"renamed"' in after
 
 
 def test_empty_report():

@@ -14,6 +14,8 @@ the one computed from scratch.
 """
 
 import dataclasses
+import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,10 +32,12 @@ from repro.crawler.serialize import dump_frame
 from repro.cvl.model import RuleSet, TreeRule
 from repro.engine import incremental
 from repro.engine.incremental import ruleset_digest
+from repro.engine.plan import clear_plan_cache, plan_cache_stats
 from repro.fs import VirtualFilesystem
 from repro.rules import load_builtin_validator
 from repro.telemetry import export
 from repro.telemetry.metrics import MetricsRegistry
+from repro.workloads import ubuntu_host_entity
 
 # ---------------------------------------------------------------------------
 # Docker signatures
@@ -218,6 +222,10 @@ _PACK_EDITS = {
     "entity kinds": lambda m, rs: m.entity_kinds.append("cloud"),
     "entity kinds replaced": lambda m, rs: setattr(m, "entity_kinds",
                                                    ["image"]),
+    # A rule that differs in one authored keyword of ``raw`` alone.
+    "raw keyword": lambda m, rs: rs.rules.__setitem__(
+        0, dataclasses.replace(rs.rules[0],
+                               raw={**rs.rules[0].raw, "tags": ["edited"]})),
 }
 
 
@@ -251,11 +259,34 @@ class TestRulesetDigestMemo:
         manifest, ruleset = self._pack()
         digest = ruleset_digest(manifest, ruleset)
         calls = []
-        real = incremental._rule_content_digest
-        monkeypatch.setattr(incremental, "_rule_content_digest",
-                            lambda rule: calls.append(rule) or real(rule))
+        monkeypatch.setattr(incremental, "hashlib", SimpleNamespace(
+            sha256=lambda data: calls.append(data) or hashlib.sha256(data)))
         assert ruleset_digest(manifest, ruleset) == digest
         assert calls == []
+        ruleset.rules[0].enabled = False  # the probe sees a recompute
+        ruleset_digest(manifest, ruleset)
+        assert len(calls) == 1
+
+    def test_fresh_validators_share_digests(self):
+        digests = [
+            {manifest.entity: ruleset_digest(manifest,
+                                             validator.ruleset_for(manifest))
+             for manifest in validator.manifests()}
+            for validator in (load_builtin_validator(),
+                              load_builtin_validator())]
+        assert len(digests[0]) == 14
+        assert digests[0] == digests[1]
+
+    def test_fresh_validators_compile_each_pack_once(self):
+        host = ubuntu_host_entity("host-01", seed=3, with_nginx=True)
+        clear_plan_cache()
+        try:
+            for _ in range(5):
+                load_builtin_validator().validate_entity(host)
+            stats = plan_cache_stats()
+        finally:
+            clear_plan_cache()
+        assert (stats.compiles, stats.hits) == (14, 4 * 14)
 
     def test_one_ruleset_under_two_manifests(self):
         manifest, ruleset = self._pack()

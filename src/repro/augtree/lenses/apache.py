@@ -22,7 +22,7 @@ import re
 
 from repro.augtree.lenses.base import Lens
 from repro.augtree.lenses.util import logical_spans
-from repro.augtree.tree import ConfigNode, ConfigTree
+from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
 
 _OPEN = re.compile(r"<\s*(?P<name>[A-Za-z][\w]*)\s*(?P<args>[^>]*)>\s*$")
 _CLOSE = re.compile(r"</\s*(?P<name>[A-Za-z][\w]*)\s*>\s*$")
@@ -54,9 +54,10 @@ class ApacheLens(Lens):
                 # The section's span grows to cover its whole body, so
                 # nested blocks report their true closing line.
                 if section.span is not None:
-                    section.span = section.span._replace(
-                        end_line=span.end_line, end_column=span.end_column,
-                        end=span.end)
+                    first = SourceSpan._make(section.span)
+                    last = SourceSpan._make(span)
+                    section.span = (first.line, first.column, last.end_line,
+                                    last.end_column, first.start, last.end)
                 continue
             opened = _OPEN.match(line)
             if opened:

@@ -9,7 +9,7 @@ from bisect import bisect_right
 
 from repro.augtree.lenses.base import TOO_DEEP, Lens
 from repro.augtree.lenses.util import _render_scalar, scalar_to_tree
-from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
+from repro.augtree.tree import ConfigNode, ConfigTree
 
 _WHITESPACE = " \t\n\r"
 
@@ -71,10 +71,10 @@ class JsonLens(Lens):
                 if char == "\n":
                     line_starts.append(index + 1)
 
-            def make_span(start: int, end: int) -> SourceSpan:
+            def make_span(start: int, end: int) -> tuple:
                 start_line = bisect_right(line_starts, start)
                 end_line = bisect_right(line_starts, end)
-                return SourceSpan(
+                return (
                     start_line, start - line_starts[start_line - 1] + 1,
                     end_line, end - line_starts[end_line - 1] + 1,
                     start, end,
@@ -95,7 +95,7 @@ class JsonLens(Lens):
             return None
 
     def _spanned_to_tree(self, label: str, spanned: _Spanned,
-                         parent: ConfigNode, span: SourceSpan,
+                         parent: ConfigNode, span: tuple,
                          make_span) -> None:
         """Mirror of :func:`scalar_to_tree` over spanned JSON values."""
         value = spanned.value

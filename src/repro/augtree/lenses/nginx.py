@@ -27,7 +27,7 @@ import re
 
 from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP, Lens
 from repro.augtree.lenses.util import unescape
-from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
+from repro.augtree.tree import ConfigNode, ConfigTree
 from repro.errors import LensError
 
 #: Whitespace and comments.  Only ``\n`` ends a line; ``\r`` is
@@ -121,35 +121,32 @@ class NginxLens(Lens):
                 string = _STRING.match(text, at)
                 if string is None:
                     raise self.error("unterminated string", locate(at)[0])
-                token = unescape(string.group(string.lastindex))
                 pos = string.end()
-            else:
-                token = end
-            # A token is punctuation by its text, quoted or not.
-            if name is None:
-                if token == "}":
-                    if not stack:
-                        raise fail("unmatched '}'", at)
-                    node, open_line, open_col, open_start = stack.pop()
-                    close_line, close_col = locate(at)
-                    node.span = SourceSpan(open_line, open_col, close_line,
-                                           close_col + 1, open_start, pos)
-                    parent = stack[-1][0] if stack else root
-                elif token in "{;":
-                    raise fail(f"unexpected {token!r}", at)
-                else:
-                    name, start = token, at
+                # A quoted token is a word, whatever its text.
+                word = unescape(string.group(string.lastindex))
+                if name is None:
+                    name, start = word, at
                     name_line, name_col = locate(at)
+                else:
+                    args.append(word)
                 continue
-            if token not in "{};":
-                args.append(token)
+            if name is None:
+                if end != "}":
+                    raise fail(f"unexpected {end!r}", at)
+                if not stack:
+                    raise fail("unmatched '}'", at)
+                node, open_line, open_col, open_start = stack.pop()
+                close_line, close_col = locate(at)
+                node.span = (open_line, open_col, close_line, close_col + 1,
+                             open_start, pos)
+                parent = stack[-1][0] if stack else root
                 continue
             value = " ".join(args) if args else None
-            if token == ";":
+            if end == ";":
                 term_line, term_col = locate(at)
-                parent.add(name, value, SourceSpan(
+                parent.add(name, value, (
                     name_line, name_col, term_line, term_col + 1, start, pos))
-            elif token == "{":
+            elif end == "{":
                 if len(stack) == MAX_NESTING:
                     raise fail(TOO_DEEP, at)
                 parent = parent.add(name, value)

@@ -11,7 +11,7 @@ import re
 from typing import Iterator
 
 from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP
-from repro.augtree.tree import ConfigNode, SourceSpan
+from repro.augtree.tree import ConfigNode
 
 #: Line terminators recognised by ``str.splitlines``.  A line from
 #: ``splitlines(keepends=True)`` ends in at most one of them (``\r\n``
@@ -25,7 +25,7 @@ def logical_spans(
     *,
     comment_chars: str = "#",
     join_backslash: bool = False,
-) -> Iterator[tuple[int, SourceSpan, str]]:
+) -> Iterator[tuple[int, tuple, str]]:
     """Yield ``(line_number, span, content)`` for non-blank, non-comment lines.
 
     ``line_number`` is 1-based and refers to the *first* physical line of
@@ -52,7 +52,7 @@ def logical_spans(
             stripped = joined.strip()
             if stripped and stripped[0] not in comment_chars:
                 tail = len(line.rstrip()) or len(line)
-                yield first_number, SourceSpan(
+                yield first_number, (
                     first_number, first_lead + 1, number, tail + 1,
                     first_offset + first_lead, offset + tail,
                 ), joined
@@ -61,7 +61,7 @@ def logical_spans(
             if stripped and stripped[0] not in comment_chars:
                 lead = len(line) - len(line.lstrip())
                 tail = lead + len(stripped)
-                yield number, SourceSpan(
+                yield number, (
                     number, lead + 1, number, tail + 1,
                     offset + lead, offset + tail,
                 ), line
@@ -72,7 +72,7 @@ def logical_spans(
         if stripped and stripped[0] not in comment_chars:
             last = first.rstrip("\\")
             tail = len(last.rstrip()) or len(last)
-            yield first_number, SourceSpan(
+            yield first_number, (
                 first_number, first_lead + 1, first_number, tail + 1,
                 first_offset + first_lead, first_offset + tail,
             ), joined

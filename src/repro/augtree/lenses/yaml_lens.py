@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro import yamlio
 from repro.augtree.lenses.base import MAX_NESTING, TOO_DEEP, Lens
 from repro.augtree.lenses.util import _render_scalar, scalar_to_tree
-from repro.augtree.tree import ConfigNode, ConfigTree, SourceSpan
+from repro.augtree.tree import ConfigNode, ConfigTree
 
 
 class _NotOneToOne(Exception):
@@ -83,8 +83,7 @@ class _SpannedTree:
         else:
             parent.add(label, _render_scalar(value), self.span(marks))
 
-    def span(self, marks) -> SourceSpan:
+    def span(self, marks) -> tuple:
         start, end = marks
-        return SourceSpan(start.line + 1, start.column + 1,
-                          end.line + 1, end.column + 1,
-                          start.index + self.shift, end.index + self.shift)
+        return (start.line + 1, start.column + 1, end.line + 1,
+                end.column + 1, start.index + self.shift, end.index + self.shift)

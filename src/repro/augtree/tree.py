@@ -9,11 +9,12 @@ The model follows Augeas: every node has a *label*, an optional string
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class SourceSpan(NamedTuple):
-    """Where a node came from in the raw file text.
+    """Where a node came from in the raw file text: the named view of a
+    node's plain ``span`` tuple, ``SourceSpan._make(node.span)``.
 
     Lines and columns are 1-based; ``end_line``/``end_column`` point one
     past the last character of the construct (so single-char constructs
@@ -27,9 +28,6 @@ class SourceSpan(NamedTuple):
     end_column: int
     start: int
     end: int
-
-    def to_list(self) -> list[int]:
-        return list(self)
 
     @classmethod
     def from_list(cls, payload: object) -> "SourceSpan | None":
@@ -65,10 +63,10 @@ class ConfigNode:
                  "_label_index", "_indexed_count")
 
     def __init__(self, label: str, value: str | None = None,
-                 span: SourceSpan | None = None):
+                 span: tuple | None = None):
         self.label = label
         self.value = value
-        #: Optional source location recorded by the lens at parse time.
+        #: Optional source location, six ints in :class:`SourceSpan` order.
         #: Deliberately excluded from ``__eq__``/``to_dict``/``render`` so
         #: span-aware and span-less trees stay interchangeable.
         self.span = span
@@ -76,16 +74,16 @@ class ConfigNode:
         #: the shared empty tuple while it is a leaf.  Build trees with
         #: :meth:`add`.
         self.children: list[ConfigNode] | tuple[()] = _NO_CHILDREN
-        #: Lazy label -> children map; built on the first ``children_named``
-        #: and kept current by ``add``.  ``_indexed_count`` guards against
-        #: direct ``children`` mutation: a length mismatch forces a rebuild.
-        self._label_index: dict[str, list[ConfigNode]] | None = _NO_INDEX
+        #: Lazy label -> child map, a list once the label repeats; kept
+        #: current by ``add``.  ``_indexed_count`` guards against direct
+        #: ``children`` mutation: a length mismatch forces a rebuild.
+        self._label_index: dict | None = _NO_INDEX
         self._indexed_count = 0
 
     # ---- construction ----------------------------------------------------
 
     def add(self, label: str, value: str | None = None,
-            span: SourceSpan | None = None) -> "ConfigNode":
+            span: tuple | None = None) -> "ConfigNode":
         """Append a new child and return it."""
         child = ConfigNode(label, value, span)
         children = self.children
@@ -95,38 +93,50 @@ class ConfigNode:
             self.children = [child]
             self._label_index = None
             return child
-        children.append(child)
         index = self._label_index
-        if index is not None:
-            index.setdefault(label, []).append(child)
+        if index is not None and self._indexed_count == len(children):
+            found = index.get(label)
+            if found is None:
+                index[label] = child
+            elif found.__class__ is list:
+                found.append(child)
+            else:
+                index[label] = [found, child]
             self._indexed_count += 1
+        children.append(child)
         return child
 
     # ---- navigation --------------------------------------------------------
 
-    def _index(self) -> dict[str, list["ConfigNode"]]:
+    def _index(self) -> dict[str, "ConfigNode | list[ConfigNode]"]:
         index = self._label_index
         if index is None or self._indexed_count != len(self.children):
             index = {}
             for node in self.children:
-                index.setdefault(node.label, []).append(node)
+                found = index.get(node.label)
+                if found is None:
+                    index[node.label] = node
+                elif found.__class__ is list:
+                    found.append(node)
+                else:
+                    index[node.label] = [found, node]
             self._label_index = index
             self._indexed_count = len(self.children)
         return index
 
     def child(self, label: str) -> "ConfigNode | None":
         """First child with ``label`` (or None)."""
-        nodes = self._index().get(label)
-        return nodes[0] if nodes else None
+        found = self._index().get(label)
+        return found[0] if found.__class__ is list else found
 
-    def children_named(self, label: str) -> list["ConfigNode"]:
-        """All children with ``label``, in document order.
-
-        Returns the index's own list -- callers must treat it as
-        read-only (path matching calls this once per candidate parent,
-        and copying dominated ``**`` traversals on large trees).
-        """
-        return self._index().get(label) or []
+    def children_named(self, label: str) -> Sequence["ConfigNode"]:
+        """All children with ``label``, in document order, as a read-only
+        sequence: the index's own list for a repeated label (path matching
+        calls this once per candidate parent, and copying dominated ``**``
+        traversals on large trees), a one-element tuple for a lone child,
+        ``()`` for none."""
+        found = self._index().get(label, ())
+        return (found,) if isinstance(found, ConfigNode) else found
 
     def get(self, label: str) -> str | None:
         """Value of the first child named ``label`` (or None)."""

@@ -23,6 +23,7 @@ are disabled.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 from repro import yamlio
@@ -51,6 +52,9 @@ Resolver = Callable[[str], str]
 _FILE_LEVEL_KEYS = {"entity_name", "parent_cvl_file", "disabled_rules", "rules"}
 
 _MAX_PARENT_DEPTH = 16
+
+#: Permission bits as written: octal digits, optionally after ``0o``.
+_OCTAL = re.compile(r"(?:0o)?[0-7]+")
 
 
 def load_rules(
@@ -393,16 +397,14 @@ def _columns(value: object) -> str:
 
 
 def _permission(value: object, keyword: str, source: str) -> int | None:
-    """Permissions are written as octal digits (``644`` or ``0644``),
-    whether YAML hands us an int or a string."""
+    """Permissions are written as octal digits (``644``, ``0644`` or
+    ``0o644``), whether YAML hands us an int or a string."""
     if value is None:
         return None
-    try:
-        bits = int(str(value), 8)
-    except ValueError:
+    if not _OCTAL.fullmatch(str(value)):
         raise CVLKeywordError(
-            f"{source}: {keyword} must be octal digits, got {value!r}"
-        ) from None
+            f"{source}: {keyword} must be octal digits, got {value!r}")
+    bits = int(str(value), 8)
     if not 0 <= bits <= 0o7777:
         raise CVLKeywordError(f"{source}: {keyword} {value!r} out of range")
     return bits

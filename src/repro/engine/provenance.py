@@ -48,7 +48,7 @@ class SourceAnchor:
         payload: dict = {"file": self.file, "path": self.path,
                          "value": self.value}
         if self.span is not None:
-            payload["span"] = self.span.to_list()
+            payload["span"] = list(self.span)
         if self.excerpt:
             payload["excerpt"] = self.excerpt
         return payload
@@ -225,7 +225,7 @@ def build_provenance(
     """Derive a record from a finished result (post-hoc, evaluator-free)."""
     anchors = []
     for item in result.evidence:
-        span = item.span if isinstance(item.span, SourceSpan) else None
+        span = SourceSpan._make(item.span) if item.span is not None else None
         excerpt = ""
         if reader is not None and span is not None:
             excerpt = reader.excerpt(frame, item.file, span)

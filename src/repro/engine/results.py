@@ -46,10 +46,10 @@ class Evidence:
     file: str = ""
     location: str = ""   # tree path, row line, runtime key, ...
     value: str = ""
-    #: Source location (:class:`repro.augtree.tree.SourceSpan`) recorded by
-    #: the lens, when known.  Never rendered here -- provenance records
-    #: surface it -- and excluded from equality so span-aware and span-less
-    #: results stay interchangeable.
+    #: Source location recorded by the lens, when known: the node's plain
+    #: span tuple, in :class:`repro.augtree.tree.SourceSpan` order.  Never
+    #: rendered here -- provenance records surface it -- and excluded from
+    #: equality so span-aware and span-less results stay interchangeable.
     span: object = field(default=None, repr=False, compare=False)
 
     @classmethod

@@ -102,6 +102,8 @@ class _Walker:
     #: Whether collections remember where their entries are (the lens
     #: loader) or only the line a mapping starts on (CVL).
     marked = False
+    #: Mapping keys whose int values load as the text written.
+    text_keys: frozenset = frozenset()
 
     def construct_document(self, node):
         data = self.construct_object(node)
@@ -190,6 +192,8 @@ class _Walker:
                     data[key] = value_node.value
                 else:
                     data[key] = build(value_node)
+                    if value_node.tag == _INT_TAG and key in self.text_keys:
+                        data[key] = value_node.value  # a valid int, as written
             if marked:
                 # Merge keys make flatten_mapping rewrite ``node.value``; a
                 # repeated key leaves fewer entries than pairs.
@@ -233,7 +237,10 @@ class _CvlResolver:
 class CvlLoader(_CvlResolver, _Walker, _BASE):
     """Safe loading into :class:`LineDict` and lists, with CVL numbers:
     YAML 1.1 ints and floats without the leading-zero octal and base-60
-    forms."""
+    forms.  Permission digits stay as written, so that ``0x1ff`` or
+    ``1_000`` is not read as some other mode."""
+
+    text_keys = frozenset({"permission", "permission_mask"})
 
 
 _CVL_NUMBERS = {
@@ -257,6 +264,7 @@ def _pure_python(loader: type) -> type:
     bases = loader.__bases__[:-1] + (yaml.SafeLoader,)
     return type(f"PurePython{loader.__name__}", bases, {
         "marked": loader.marked,
+        "text_keys": loader.text_keys,
         "yaml_implicit_resolvers": loader.yaml_implicit_resolvers,
     })
 

@@ -2,6 +2,8 @@
 
 import gc
 
+from hypothesis import given, settings, strategies as st
+
 from repro.augtree import ConfigNode, ConfigTree, parse_path
 
 
@@ -113,3 +115,66 @@ class TestConfigTree:
         tree = ConfigTree()
         assert tree.size() == 0
         assert tree.match("anything") == []
+
+
+#: Tree edits and lookups, each at the node ``at`` (modulo the nodes made
+#: so far) with a label from a small alphabet, so labels repeat.
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["add", "append", "reappend", "lookup"]),
+    st.integers(0, 40), st.sampled_from("abcz")), max_size=80)
+
+
+class TestLabelIndexDifferential:
+    """``children_named``, ``child`` and ``get`` answer from a label index
+    that holds a lone child itself and a list once its label repeats; they
+    must name what a linear scan of ``children`` names, also after
+    ``children`` is edited directly."""
+
+    @staticmethod
+    def _check(node: ConfigNode, label: str) -> None:
+        scan = [child for child in node.children if child.label == label]
+        named = node.children_named(label)
+        assert [id(child) for child in named] == [id(child) for child in scan]
+        assert node.child(label) is (scan[0] if scan else None)
+        assert node.get(label) == (scan[0].value if scan else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=_STEPS)
+    def test_lookups_match_a_linear_scan(self, steps):
+        nodes = [ConfigNode("(root)")]
+        for step, at, label in steps:
+            node = nodes[at % len(nodes)]
+            if step == "add":
+                nodes.append(node.add(label, str(len(nodes))))
+            elif step == "append":
+                # A direct edit; a leaf shares one empty tuple, so it gets
+                # a list of its own.
+                child = ConfigNode(label, str(len(nodes)))
+                if node.children:
+                    node.children.append(child)
+                else:
+                    node.children = [child]
+                nodes.append(child)
+            elif step == "reappend" and node.children:
+                node.children.append(node.children[at % len(node.children)])
+            for probe in (label, "z"):
+                self._check(node, probe)
+        for node in nodes:
+            for label in "abcz":
+                self._check(node, label)
+
+    def test_a_leaf_given_children_directly_shares_no_index(self):
+        leaf, other = ConfigNode("x"), ConfigNode("y")
+        leaf.children = [ConfigNode("a", "1")]
+        leaf.add("b", "2")
+        assert not other.children_named("b")
+        assert [n.value for n in leaf.children_named("b")] == ["2"]
+
+    def test_children_named_sequence_kinds(self):
+        root = ConfigNode("(root)")
+        root.add("once")
+        root.add("twice", "1")
+        root.add("twice", "2")
+        assert root.children_named("none") == ()
+        assert isinstance(root.children_named("once"), tuple)
+        assert [n.value for n in root.children_named("twice")] == ["1", "2"]

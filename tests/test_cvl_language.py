@@ -263,11 +263,21 @@ class TestCvlNumbers:
 
     @pytest.mark.parametrize("spelling,bits", [
         ("0644", 0o644), ("644", 0o644), ("0640", 0o640), ("0600", 0o600),
-        ("0755", 0o755), ("'0644'", 0o644),
-    ], ids=["0644", "644", "0640", "0600", "0755", "quoted-0644"])
+        ("0755", 0o755), ("'0644'", 0o644), ("0o777", 0o777),
+    ], ids=["0644", "644", "0640", "0600", "0755", "quoted-0644", "0o777"])
     def test_permission_spellings(self, spelling, bits):
         rule = load_rules(f"path_name: /x\npermission: {spelling}\n").rules[0]
         assert rule.permission == bits
+
+    @pytest.mark.parametrize("keyword", ["permission", "permission_mask"])
+    @pytest.mark.parametrize("spelling", [
+        "0x1ff", "0b111", "1_000", "'1_000'", "0o7_77", "+644",
+    ])
+    def test_non_octal_permission_rejected(self, keyword, spelling):
+        """YAML reads these as ints (or Python's ``int(..., 8)`` takes
+        them), but none is a string of octal digits."""
+        with pytest.raises(CVLKeywordError, match="must be octal digits"):
+            load_rules(f"path_name: /x\n{keyword}: {spelling}\n")
 
     def test_permission_mask_with_leading_zero(self):
         rule = load_rules("path_name: /x\npermission_mask: 0640\n").rules[0]

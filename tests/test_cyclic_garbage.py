@@ -8,6 +8,11 @@ one sample per registered lens with the collector off and check that
 nothing is left for it; the cycle tests run each kind of scan under
 ``gc.DEBUG_SAVEALL``, which keeps every object a collection would free,
 and check that none was found.
+
+A live tree costs every collection too: the collector visits each
+object it tracks.  Spans are plain tuples of ints, which it stops
+tracking once it has seen them, and a label index holds a lone child
+itself, so a parsed tree is about one tracked object per node.
 """
 
 import collections
@@ -109,6 +114,59 @@ def test_dropped_tree_is_freed_without_the_collector(lens_name):
     finally:
         gc.enable()
     assert found == 0, f"{lens_name}: {found} objects left for the collector"
+
+
+@pytest.mark.parametrize("lens_name", sorted(SAMPLES))
+def test_spans_are_plain_tuples_the_collector_drops(lens_name):
+    tree = default_registry().get(lens_name).parse(SAMPLES[lens_name])
+    spans = [node.span for node in tree.root.walk()]
+    for span in spans:
+        assert span is None or (
+            type(span) is tuple and len(span) == 6
+            and all(type(part) is int for part in span)), span
+    gc.collect()
+    assert not any(gc.is_tracked(span) for span in spans if span is not None)
+
+
+def _tracked_objects(root) -> list:
+    """The objects the collector tracks among all that ``root`` reaches
+    (classes aside)."""
+    reached = {}
+    pending = [root]
+    while pending:
+        obj = pending.pop()
+        if id(obj) not in reached and not isinstance(obj, type):
+            reached[id(obj)] = obj
+            pending.extend(gc.get_referents(obj))
+    return [obj for obj in reached.values() if gc.is_tracked(obj)]
+
+
+def _pod_with_annotations(count: int) -> str:
+    annotations = "".join(f'    perfbench/note-{index:03d}: "3039-{index}"\n'
+                          for index in range(count))
+    return kubernetes_manifest(hardened=True).replace(
+        "\nspec:\n", "\n  annotations:\n" + annotations + "spec:\n", 1)
+
+
+@pytest.mark.parametrize("lens_name,text,bound", [
+    ("nginx", generate_nginx_config(30, seed=17), 1.8),
+    ("sysctl", generate_sysctl_config(200, seed=17), 1.1),
+    ("yaml", _pod_with_annotations(75), 1.3),
+], ids=["nginx", "sysctl", "yaml"])
+def test_parsed_tree_is_about_one_tracked_object_per_node(lens_name, text,
+                                                          bound):
+    """A fanout-parse-shaped file, its label indexes built as matching
+    builds them: nodes, inner nodes' children lists and indexes, and a
+    list per repeated label are all the collector tracks."""
+    tree = default_registry().get(lens_name).parse(text)
+    nodes = list(tree.root.walk())
+    for node in nodes:
+        if node.children:
+            node.children_named(node.children[0].label)
+    gc.collect()
+    tracked = _tracked_objects(tree.root)
+    assert len(tracked) / len(nodes) <= bound, collections.Counter(
+        type(obj).__name__ for obj in tracked)
 
 
 def _parse_heavy_host(name: str, seed: int) -> HostEntity:

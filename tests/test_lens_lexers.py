@@ -3,9 +3,10 @@
 ``strip_inline_comment``, ``logical_spans`` and ``PropertiesLens._split``
 scan with compiled regular expressions, and ``NginxLens`` with one match
 per directive.  The per-character loops they replaced, and the nginx
-lens's recursive descent over its token list, are kept below, verbatim,
-as reference oracles: on every input the two must give equal output, or
-raise the same error type with the same message and line.  Inputs are
+lens's recursive descent over its token list, are kept below, verbatim
+but for one fix (a quoted nginx token is always a word), as reference
+oracles: on every input the two must give equal output, or raise the
+same error type with the same message and line.  Inputs are
 drawn from the characters the lexers treat specially -- quotes,
 backslashes, comment and punctuation characters, and every kind of line
 break ``str.splitlines`` knows -- plus a few words so that lenses build
@@ -182,9 +183,15 @@ def properties_split(line: str) -> tuple[str, str | None]:
 _PUNCT = "{};"
 
 
+def _is_punct(token: tuple, chars: str) -> bool:
+    """Whether an unquoted ``token`` is one of the punctuation ``chars``."""
+    return not token[5] and token[0] in chars
+
+
 class ReferenceNginxLens(NginxLens):
     """nginx lens as it was: the per-character tokenizer, then a
-    recursive descent over its token list."""
+    recursive descent over its token list.  One change since: a quoted
+    token is always a word, whatever its text."""
 
     def parse(self, text: str, source: str = "<memory>") -> ConfigTree:
         tokens = list(self._tokenize(text))
@@ -197,7 +204,7 @@ class ReferenceNginxLens(NginxLens):
 
     def _parse_block(
         self,
-        tokens: list[tuple[str, int, int, int, int]],
+        tokens: list[tuple[str, int, int, int, int, bool]],
         index: int,
         parent: ConfigNode,
         *,
@@ -207,18 +214,18 @@ class ReferenceNginxLens(NginxLens):
         index just past the closing brace (or EOF)."""
         while index < len(tokens):
             token, line = tokens[index][0], tokens[index][1]
-            if token == "}":
+            if _is_punct(tokens[index], "}"):
                 if top_level:
                     raise self.error("unmatched '}'", line)
                 return index + 1
-            if token in "{;":
+            if _is_punct(tokens[index], "{;"):
                 raise self.error(f"unexpected {token!r}", line)
             # Collect the directive name and its arguments.
             name = token
             name_line, name_col, name_start = tokens[index][1:4]
             index += 1
             args: list[str] = []
-            while index < len(tokens) and tokens[index][0] not in _PUNCT:
+            while index < len(tokens) and not _is_punct(tokens[index], _PUNCT):
                 args.append(tokens[index][0])
                 index += 1
             if index >= len(tokens):
@@ -246,7 +253,7 @@ class ReferenceNginxLens(NginxLens):
         return index
 
     def _tokenize(self, text: str):
-        """Yield ``(token, line, column, start, end)`` tuples.
+        """Yield ``(token, line, column, start, end, quoted)`` tuples.
 
         Strings keep their content only, but line/column/offsets cover the
         raw region including the quotes.
@@ -261,7 +268,8 @@ class ReferenceNginxLens(NginxLens):
             nonlocal word
             if word:
                 w_line, w_col, w_start = word_pos
-                yield "".join(word), w_line, w_col, w_start, w_start + len(word)
+                yield ("".join(word), w_line, w_col, w_start,
+                       w_start + len(word), False)
                 word = []
 
         while i < len(text):
@@ -302,10 +310,10 @@ class ReferenceNginxLens(NginxLens):
                 if i >= len(text):
                     raise self.error("unterminated string", start_line)
                 i += 1
-                yield "".join(buffer), start_line, start_col, start, i
+                yield "".join(buffer), start_line, start_col, start, i, True
             elif char in _PUNCT:
                 yield from flush()
-                yield char, line, i - line_start + 1, i, i + 1
+                yield char, line, i - line_start + 1, i, i + 1, False
                 i += 1
             else:
                 if not word:
@@ -441,6 +449,9 @@ class TestNginxTokens:
     @example(text='a "x\ny" b;')  # an argument spanning lines
     @example(text="'a b' c;")  # a quoted name
     @example(text='a "" b;')  # an empty quoted argument
+    @example(text='a "";')  # an empty quoted last argument
+    @example(text='"}" "{" ";" x;')  # quoted punctuation is a word
+    @example(text='a "{" }')  # a quoted brace opens no block
     @example(text="a\vb c\x85d e\u2028f;")  # str.isspace() inside words
     @example(text="\x0b")
     @example(text="a{")

@@ -57,6 +57,11 @@ def _walk(tree):
     yield from inner(root)
 
 
+def _span(node: ConfigNode) -> SourceSpan:
+    """The named view of a node's span tuple."""
+    return SourceSpan._make(node.span)
+
+
 def _line_col_to_offset(text: str, line: int, column: int) -> int:
     """1-based (line, column) -> character offset into ``text``."""
     offset = 0
@@ -73,9 +78,9 @@ def assert_spans_consistent(tree: ConfigNode, text: str) -> int:
     """
     checked = 0
     for node in _walk(tree):
-        span = node.span
-        if span is None:
+        if node.span is None:
             continue
+        span = _span(node)
         checked += 1
         assert 0 <= span.start < span.end <= len(text), (node.label, span)
         assert 1 <= span.line <= span.end_line, (node.label, span)
@@ -204,30 +209,30 @@ class TestNginxMultiLine:
         tree = NginxLens().parse(NGINX_TEXT)
         node = tree.first("http/server/ssl_protocols")
         assert node.value == "SSLv3 TLSv1.2"
-        assert node.span.line == 5
-        assert node.span.end_line == 6
-        assert "TLSv1.2" in NGINX_TEXT[node.span.start : node.span.end]
+        span = _span(node)
+        assert span.line == 5
+        assert span.end_line == 6
+        assert "TLSv1.2" in NGINX_TEXT[span.start : span.end]
 
     def test_block_spans_open_to_close_brace(self):
         tree = NginxLens().parse(NGINX_TEXT)
-        http = tree.first("http")
-        assert http.span.line == 2
-        assert http.span.end_line == 10
-        sliced = NGINX_TEXT[http.span.start : http.span.end]
+        span = _span(tree.first("http"))
+        assert span.line == 2
+        assert span.end_line == 10
+        sliced = NGINX_TEXT[span.start : span.end]
         assert sliced.startswith("http")
         assert sliced.rstrip().endswith("}")
 
     def test_sibling_blocks_get_distinct_spans(self):
         tree = NginxLens().parse(NGINX_TEXT)
-        servers = tree.match("http/server")
-        assert len(servers) == 2
-        assert servers[0].span.line < servers[1].span.line
-        assert servers[0].span.end < servers[1].span.start
+        first, second = map(_span, tree.match("http/server"))
+        assert first.line < second.line
+        assert first.end < second.start
 
     def test_single_line_directive_is_exact(self):
         tree = NginxLens().parse(NGINX_TEXT)
-        node = tree.first("user")
-        assert NGINX_TEXT[node.span.start : node.span.end] == "user www-data;"
+        span = _span(tree.first("user"))
+        assert NGINX_TEXT[span.start : span.end] == "user www-data;"
 
 
 class TestApacheMultiLine:
@@ -235,31 +240,32 @@ class TestApacheMultiLine:
         tree = ApacheLens().parse(APACHE_TEXT)
         node = tree.first("SSLCipherSuite")
         assert node.value.split() == ["HIGH:", "!aNULL:!MD5"]
-        assert node.span.line == 2
-        assert node.span.end_line == 3
-        assert "!MD5" in APACHE_TEXT[node.span.start : node.span.end]
+        span = _span(node)
+        assert span.line == 2
+        assert span.end_line == 3
+        assert "!MD5" in APACHE_TEXT[span.start : span.end]
 
     def test_section_spans_open_to_close_tag(self):
         tree = ApacheLens().parse(APACHE_TEXT)
-        section = tree.first("Directory")
-        assert section.span.line == 4
-        assert section.span.end_line == 7
-        sliced = APACHE_TEXT[section.span.start : section.span.end]
+        span = _span(tree.first("Directory"))
+        assert span.line == 4
+        assert span.end_line == 7
+        sliced = APACHE_TEXT[span.start : span.end]
         assert sliced.startswith("<Directory")
         assert sliced.rstrip().endswith("</Directory>")
 
     def test_directive_inside_section_spans_its_own_line(self):
         tree = ApacheLens().parse(APACHE_TEXT)
-        node = tree.first("Directory/Options")
-        assert node.span.line == node.span.end_line == 5
+        span = _span(tree.first("Directory/Options"))
+        assert span.line == span.end_line == 5
 
 
 class TestPropertiesContinuation:
     def test_backslash_continuation_spans_both_lines(self):
         tree = PropertiesLens().parse(PROPERTIES_TEXT)
-        node = tree.first("long.value")
-        assert node.span.line == 3
-        assert node.span.end_line == 4
+        span = _span(tree.first("long.value"))
+        assert span.line == 3
+        assert span.end_line == 4
 
 
 # ---------------------------------------------------------------------------

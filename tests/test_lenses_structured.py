@@ -48,6 +48,22 @@ class TestNginxLens:
         tree = NginxLens().parse('add_header X-Test "a; b { }";\n')
         assert tree.value_of("add_header") == "X-Test a; b { }"
 
+    @pytest.mark.parametrize("text,value", [
+        ('proxy_set_header Accept-Encoding "";', "Accept-Encoding "),
+        ('a "}";', "}"),
+        ("a ';' '{';", "; {"),
+        ('a "";', ""),
+    ])
+    def test_quoted_punctuation_is_a_word(self, text, value):
+        tree = NginxLens().parse("http { " + text + " server_tokens off; }")
+        assert tree.first("http/*").value == value
+        assert tree.value_of("http/server_tokens") == "off"
+
+    def test_quoted_brace_opens_no_block(self):
+        with pytest.raises(LensError) as exc:
+            NginxLens().parse('a "{" }')
+        assert str(exc.value) == "lens 'nginx': unexpected '}' after 'a' (line 1)"
+
     def test_comments_ignored(self):
         tree = NginxLens().parse("# server { bad }\nuser www-data; # inline\n")
         assert tree.size() == 1

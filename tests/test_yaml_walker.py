@@ -5,7 +5,8 @@ references construct the same graphs PyYAML's way, with a generator per
 collection, on the same parser as the walker they check:
 
 * ``tests/test_yamlio.py``'s ``_ReferenceLoader`` (mappings remember
-  their first line), itself and with CVL numbers;
+  their first line), and ``_ReferenceCvlLoader`` with CVL numbers (whose
+  permission digits stay as written);
 * the same construction with the marks the YAML lens reads.
 
 Generated documents cover anchors and aliases (recursive ones too),
@@ -22,7 +23,12 @@ from hypothesis import example, given, settings, strategies as st
 from yaml.constructor import ConstructorError
 
 from repro import rules, yamlio
-from tests.test_yamlio import LENS_TEXTS, PACKS, _ReferenceLoader
+from tests.test_yamlio import (
+    LENS_TEXTS,
+    PACKS,
+    _ReferenceCvlLoader,
+    _ReferenceLoader,
+)
 
 _MAP_TAG = "tag:yaml.org,2002:map"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
@@ -69,9 +75,10 @@ def _marked_reference(parser: type) -> type:
 
 
 def _cvl_reference(parser: type) -> type:
-    """``_ReferenceLoader``'s construction with CVL numbers on ``parser``."""
+    """``_ReferenceCvlLoader``'s construction with CVL numbers on
+    ``parser``."""
     return type(f"Cvl{parser.__name__}", (parser,), {
-        "yaml_constructors": _ReferenceLoader.yaml_constructors,
+        "yaml_constructors": _ReferenceCvlLoader.yaml_constructors,
         "yaml_implicit_resolvers": yamlio.CvlLoader.yaml_implicit_resolvers,
     })
 
@@ -283,6 +290,11 @@ def _strip_lens_extras(documents):
 @example("{d: 2020-01-01, e: '2020-01-01', f: 2020-01-01}\n")
 @example('{b: &b {x: 1}, c: {<<: *b, \'<<\': y}, d: {"<<": z, <<: *b}}\n')
 @example("{'=': w, =: v, k: {=: x}}\n")
+# Permission digits: as written under their keys, last entry kept.
+@example("{permission: 0x1f, permission_mask: [0644], k: {permission: 1_000}}\n")
+@example("{b: &b {permission: 0b1}, c: {<<: *b, permission_mask: 7}}\n")
+@example("{permission: 10, permission: ~, permission_mask: 1, permission_mask: 2}\n")
+@example("{a: &a 0x1f, permission: *a, b: *a, permission_mask: !!int x}\n")
 def test_walker_matches_pyyaml_construction(text):
     _check(text)
 

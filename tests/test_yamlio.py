@@ -2,8 +2,9 @@
 
 * Every shipped rule pack and the shipped manifest load to the same rules
   and manifests through ``yamlio`` as through PyYAML's pure-Python
-  ``SafeLoader`` with YAML 1.1 numbers -- which also shows the CVL number
-  resolvers change no shipped rule.
+  ``SafeLoader`` with YAML 1.1 numbers and permission digits kept as
+  written -- which also shows the CVL number resolvers change no shipped
+  rule.
 * The pure-Python fallback loaders (same constructors and resolvers on
   ``yaml.SafeLoader``) give the same values, source lines and marks as
   the libyaml ones.
@@ -51,9 +52,35 @@ class _ReferenceLoader(yaml.SafeLoader):
 _ReferenceLoader.add_constructor("tag:yaml.org,2002:map",
                                  _construct_line_mapping)
 
+#: CVL keys whose int values load as the text written.
+_TEXT_KEYS = {"permission", "permission_mask"}
+
+
+def _construct_cvl_mapping(loader, node):
+    """A line mapping whose ``_TEXT_KEYS`` ints stay as written."""
+    mapping = _LineDict()
+    yield mapping
+    mapping.update(loader.construct_mapping(node))
+    mapping.source_line = node.start_mark.line + 1
+    # construct_mapping flattened merge keys into node.value; the last
+    # entry for a key is the one kept.
+    last = {key.value: value for key, value in node.value
+            if isinstance(key, yaml.ScalarNode)
+            and key.tag == "tag:yaml.org,2002:str" and key.value in _TEXT_KEYS}
+    mapping.update((key, value.value) for key, value in last.items()
+                   if value.tag == "tag:yaml.org,2002:int")
+
+
+class _ReferenceCvlLoader(yaml.SafeLoader):
+    """``_ReferenceLoader``, with permission digits kept as written."""
+
+
+_ReferenceCvlLoader.add_constructor("tag:yaml.org,2002:map",
+                                    _construct_cvl_mapping)
+
 
 def _reference_load_all(text, loader):
-    return list(yaml.load_all(text, Loader=_ReferenceLoader))
+    return list(yaml.load_all(text, Loader=_ReferenceCvlLoader))
 
 
 def _load_shipped():
